@@ -10,6 +10,8 @@ survive any JSON reader.
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import __version__
@@ -23,6 +25,21 @@ RECORD_FIELDS = ("d", "delta", "alpha", "beta", "degree", "dim", "genus",
 
 class CacheError(Exception):
     """Unreadable, malformed, or wrong-version cache file."""
+
+
+@contextmanager
+def exact_decimals():
+    """Lift Python's int<->str digit cap (absent before 3.10.7) inside the
+    block and restore it after, so counts of any size convert exactly."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 @dataclass(frozen=True)
@@ -116,17 +133,18 @@ def read_cache(path) -> list[CacheRecord]:
             "%s: unsupported format-version %r (want %r)"
             % (path, header["format-version"], FORMAT_VERSION)
         )
-    return [
-        _parse_record(line, lineno)
-        for lineno, line in enumerate(lines[1:], start=2)
-        if line.strip()
-    ]
+    with exact_decimals():
+        return [
+            _parse_record(line, lineno)
+            for lineno, line in enumerate(lines[1:], start=2)
+            if line.strip()
+        ]
 
 
 def append_records(path, records) -> None:
     """Append records, writing the header first when the file is new."""
     try:
-        with open(path, "a", encoding="utf-8") as handle:
+        with open(path, "a", encoding="utf-8") as handle, exact_decimals():
             if handle.tell() == 0:
                 handle.write(_header_line() + "\n")
             for record in records:

@@ -5,7 +5,7 @@ Subcommands: severi (one degree), kontsevich (rational counts), table
 case-study (the two classical derivations of the 12 nodal cubics).
 Exit codes: 0 computed/verified, 1 verification failure, 2 usage or
 input error.  Output is deterministic: identical invocations produce
-byte-identical stdout.
+byte-identical stdout, and counts of any size print exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, cache, classical, genfunc, kontsevich, series, severi
 
@@ -38,6 +37,20 @@ def _parse_profile(text: str, flag: str) -> tuple[int, ...]:
             "%s entries must be nonnegative, got %r" % (flag, text)
         )
     return entries
+
+
+def _int_at_least(low: int, name: str):
+    """argparse type for an integer bound >= low, named as the library names it."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "%s must be >= %d, got %d" % (name, low, value)
+            )
+        return value
+
+    return integer
 
 
 def _fmt_profile(profile: tuple[int, ...]) -> str:
@@ -110,21 +123,9 @@ def cmd_kontsevich(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if not args.cache:
-        print("error: table requires --cache PATH", file=sys.stderr)
-        return 2
-    memo = severi.MemoStore()
-    indices = [
-        index
-        for d in range(1, args.dmax + 1)
-        for index in severi.all_indices(d, args.deltamax)
-    ]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            list(pool.map(lambda ix: severi.severi_degree(ix, memo), indices))
     records = [
         cache.CacheRecord.from_degree_record(rec)
-        for rec in severi.severi_table(args.dmax, args.deltamax, memo)
+        for rec in severi.severi_table(args.dmax, args.deltamax)
     ]
     existing = cache.read_cache(args.cache) if os.path.exists(args.cache) else []
     known = {}
@@ -320,11 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "csv", "json"), default="text",
         help="output format (default text)",
     )
-    common.add_argument("--cache", help="degree cache file (used by table)")
-    common.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads for independent top-level indices",
-    )
 
     parser = argparse.ArgumentParser(
         prog="curvecount",
@@ -347,17 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kontsevich", parents=[common],
                        help="rational curve counts N(d)")
-    p.add_argument("--max", type=int, required=True, help="largest degree")
+    p.add_argument("--max", type=_int_at_least(1, "d_max"), required=True,
+                   help="largest degree")
     p.set_defaults(func=cmd_kontsevich)
 
-    p = sub.add_parser("table", parents=[common],
-                       help="batch Severi degrees into a cache file")
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--deltamax", type=int, required=True)
+    p = sub.add_parser("table", help="batch Severi degrees into a cache file")
+    p.add_argument("--dmax", type=_int_at_least(1, "d_max"), required=True)
+    p.add_argument("--deltamax", type=_int_at_least(0, "delta_max"), required=True)
+    p.add_argument("--cache", required=True, help="degree cache file")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run a consistency check suite")
+    p = sub.add_parser("verify", help="run a consistency check suite")
     p.add_argument("which",
                    choices=("wdvv", "getzler", "one-node", "case-studies", "all"))
     p.add_argument("--dmax", type=int, default=None,
@@ -381,23 +377,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
-        return args.func(args)
-    except (severi.WeightMismatch, severi.NonPositiveDegree) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except cache.CacheError as exc:
+        with cache.exact_decimals():
+            return args.func(args)
+    except (severi.WeightMismatch, severi.NonPositiveDegree, cache.CacheError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except classical.ArithmeticMismatch as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
 
 
 def entry() -> None:

@@ -42,29 +42,32 @@ class KontsevichTable:
 
 
 def rational_count(d: int, table: KontsevichTable | None = None) -> int:
-    """N(d), the number of rational degree-d plane curves through 3d - 1 points."""
+    """N(d), the number of rational degree-d plane curves through 3d - 1 points.
+
+    Fills the table bottom-up, so a cold call never recurses.
+    """
     if d < 1:
         raise ValueError("degree must be >= 1, got %d" % d)
     if table is None:
         table = KontsevichTable()
-    cached = table.get(d)
-    if cached is not None:
-        return cached
-    total = 0
-    for d1 in range(1, d):
-        d2 = d - d1
-        total += (
-            rational_count(d1, table)
-            * rational_count(d2, table)
-            * d1
-            * d2
-            * (
-                comb(3 * d - 4, 3 * d1 - 2) * d1 * d2
-                - comb(3 * d - 4, 3 * d1 - 3) * d2 ** 2
+    for n in range(2, d + 1):
+        if n in table:
+            continue
+        total = 0
+        for d1 in range(1, n):
+            d2 = n - d1
+            total += (
+                table.get(d1)
+                * table.get(d2)
+                * d1
+                * d2
+                * (
+                    comb(3 * n - 4, 3 * d1 - 2) * d1 * d2
+                    - comb(3 * n - 4, 3 * d1 - 3) * d2 ** 2
+                )
             )
-        )
-    table.put(d, total)
-    return total
+        table.put(n, total)
+    return table.get(d)
 
 
 def rational_table(d_max: int) -> list[tuple[int, int]]:

@@ -35,7 +35,9 @@ All values are exact integers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from math import comb
 
 from . import seqs
@@ -49,8 +51,7 @@ class NonPositiveDegree(ValueError):
     """Curve degree d must be at least 1."""
 
 
-@dataclass(frozen=True)
-class SeveriIndex:
+class SeveriIndex(namedtuple("SeveriIndex", "d delta alpha beta")):
     """Canonical label (d, delta, alpha, beta) of a generalized Severi variety.
 
     Construction canonicalizes the profiles and enforces the weight
@@ -58,26 +59,27 @@ class SeveriIndex:
     integer (out-of-range values simply have degree 0).
     """
 
-    d: int
-    delta: int
-    alpha: tuple[int, ...] = ()
-    beta: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise NonPositiveDegree("degree d must be >= 1, got %d" % self.d)
-        object.__setattr__(self, "alpha", seqs.canon(self.alpha))
-        object.__setattr__(self, "beta", seqs.canon(self.beta))
-        got = seqs.weight(self.alpha) + seqs.weight(self.beta)
-        if got != self.d:
+    def __new__(cls, d: int, delta: int, alpha=(), beta=()):
+        if d < 1:
+            raise NonPositiveDegree("degree d must be >= 1, got %d" % d)
+        alpha, beta = seqs.canon(alpha), seqs.canon(beta)
+        got = seqs.weight(alpha) + seqs.weight(beta)
+        if got != d:
             raise WeightMismatch(
                 "profiles must satisfy sum(k*alpha_k) + sum(k*beta_k) = d: "
                 "got weight %d for d = %d (alpha=%r, beta=%r)"
-                % (got, self.d, self.alpha, self.beta)
+                % (got, d, alpha, beta)
             )
+        return tuple.__new__(cls, (d, delta, alpha, beta))
 
     def sort_key(self):
-        return (self.d, self.delta, self.alpha, self.beta)
+        return tuple(self)
+
+
+# Unchecked, C-speed constructor for children, which are valid by construction.
+_index = partial(tuple.__new__, SeveriIndex)
 
 
 def validate(d: int, delta: int, alpha=(), beta=()) -> SeveriIndex:
@@ -123,10 +125,9 @@ def dimension(index: SeveriIndex) -> int:
 class MemoStore:
     """Write-once memo of computed degrees, keyed by canonical index.
 
-    A second put with the same value is a benign no-op (this makes
-    concurrent shared use safe); a conflicting value raises, since the
-    recursion is deterministic and a conflict means corruption.  Hit and
-    miss counters are bookkeeping only.
+    A second put with the same value is a benign no-op; a conflicting
+    value raises, since the recursion is deterministic and a conflict
+    means corruption.  Hit and miss counters are bookkeeping only.
     """
 
     _values: dict[SeveriIndex, int] = field(default_factory=dict)
@@ -162,17 +163,37 @@ def first_sum_terms(index: SeveriIndex) -> list[tuple[int, SeveriIndex]]:
     One term per j with beta_j > 0; the child keeps d and delta and
     satisfies the weight constraint automatically.
     """
+    d, delta, alpha, beta = index
     out = []
-    for j, entry in enumerate(index.beta, start=1):
+    for j, entry in enumerate(beta, start=1):
         if entry > 0:
-            child = SeveriIndex(
-                index.d,
-                index.delta,
-                seqs.add(index.alpha, seqs.unit(j)),
-                seqs.sub(index.beta, seqs.unit(j)),
-            )
-            out.append((j, child))
+            raised = list(alpha) + [0] * (j - len(alpha))
+            raised[j - 1] += 1
+            lowered = list(beta)
+            lowered[j - 1] -= 1
+            while lowered and lowered[-1] == 0:
+                lowered.pop()
+            out.append((j, _index((d, delta, tuple(raised), tuple(lowered)))))
     return out
+
+
+@lru_cache(maxsize=None)
+def _assigned_splits(alpha):
+    """(alpha', C(alpha, alpha'), weight(alpha')) per alpha' <= alpha, lexicographic."""
+    return tuple(
+        (a_prime, seqs.binomial(alpha, a_prime), seqs.weight(a_prime))
+        for a_prime in seqs.subsequences(alpha)
+    )
+
+
+@lru_cache(maxsize=None)
+def _increments(budget, min_size):
+    """(c, |c|, k^c) per c of weight budget with |c| >= min_size, in partition order."""
+    return tuple(
+        (c, seqs.size(c), seqs.nat_power(c))
+        for c in seqs.partitions(budget)
+        if seqs.size(c) >= min_size
+    )
 
 
 def second_sum_terms(index: SeveriIndex) -> list[tuple[int, SeveriIndex]]:
@@ -185,29 +206,28 @@ def second_sum_terms(index: SeveriIndex) -> list[tuple[int, SeveriIndex]]:
     k^c * C(alpha, alpha') * C(beta + c, beta).  Order is deterministic:
     alpha' lexicographic, then c in partition order.
     """
-    d, delta, alpha, beta = index.d, index.delta, index.alpha, index.beta
+    d, delta, alpha, beta = index
     if d < 2:
         raise ValueError("degeneration terms need d >= 2, got d = %d" % d)
+    top = d - 1
+    # weight(c) = budget_base - weight(alpha'), as weight(beta) = d - weight(alpha).
+    # delta' <= delta as |c| <= d - 1; delta' >= 0 is |c| >= (d - 1) - delta.
+    budget_base = seqs.weight(alpha) - 1
+    min_size = max(top - delta, 0)
     out = []
-    base_weight = seqs.weight(beta)
-    for a_prime in seqs.subsequences(alpha):
-        budget = (d - 1) - seqs.weight(a_prime) - base_weight
-        if budget < 0:
+    for a_prime, assigned, a_weight in _assigned_splits(alpha):
+        budget = budget_base - a_weight
+        if budget < min_size:
             continue
-        for c in seqs.partitions(budget):
-            delta_child = delta - (d - 1) + seqs.size(c)
-            if not 0 <= delta_child <= delta:
-                continue
-            b_prime = seqs.add(beta, c)
-            coeff = (
-                seqs.nat_power(c)
-                * seqs.binomial(alpha, a_prime)
-                * seqs.binomial(b_prime, beta)
-            )
-            if coeff == 0:
-                continue
-            child = SeveriIndex(d - 1, delta_child, a_prime, b_prime)
-            out.append((coeff, child))
+        for c, c_size, power in _increments(budget, min_size):
+            b_prime = [*beta, *c[len(beta):]]
+            unassigned = 1
+            for k, c_k in enumerate(c[:len(beta)]):
+                if c_k:
+                    b_prime[k] += c_k
+                    unassigned *= comb(b_prime[k], c_k)
+            child = _index((top, delta - top + c_size, a_prime, tuple(b_prime)))
+            out.append((power * assigned * unassigned, child))
     return out
 
 
@@ -265,7 +285,7 @@ def all_indices(d: int, delta_max: int | None = None) -> list[SeveriIndex]:
         for w_alpha in range(d + 1):
             for alpha in seqs.partitions(w_alpha):
                 for beta in seqs.partitions(d - w_alpha):
-                    out.append(SeveriIndex(d, delta, alpha, beta))
+                    out.append(_index((d, delta, alpha, beta)))
     out.sort(key=SeveriIndex.sort_key)
     return out
 

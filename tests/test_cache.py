@@ -1,6 +1,7 @@
 """Cache file format: header, record shape, exact round trips."""
 
 import json
+import sys
 
 import pytest
 
@@ -65,6 +66,23 @@ def test_huge_degree_survives(tmp_path):
     (loaded,) = cache.read_cache(path)
     assert loaded.degree == big
     assert isinstance(json.loads(path.read_text().splitlines()[1])["degree"], str)
+
+
+def test_degree_past_int_str_digit_cap_survives(tmp_path):
+    # 5001 digits, over Python's default 4300-digit int<->str cap
+    path = tmp_path / "degrees.jsonl"
+    big = 10**5000 + 7
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    record = CacheRecord(
+        d=9, delta=0, alpha=(), beta=(9,), degree=big, dim=20, genus=28,
+        tool_version="0.0.0",
+    )
+    cache.append_records(path, [record])
+    (loaded,) = cache.read_cache(path)
+    assert loaded.degree == big
+    assert ('"degree": "1' + "0" * 4999 + '7"') in path.read_text()
+    # the cap is lifted only inside the cache calls
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
 
 
 def test_record_key_reconstructs_index():

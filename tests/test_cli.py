@@ -104,6 +104,16 @@ def test_kontsevich_zero_max_is_usage_error(capsys):
     assert "d_max must be >= 1" in err
 
 
+def test_kontsevich_prints_counts_past_the_int_str_digit_cap(monkeypatch, capsys):
+    huge = 10**5000 + 7  # 5001 digits, over Python's default 4300-digit cap
+    digits = "1" + "0" * 4999 + "7"
+    monkeypatch.setattr(kontsevich, "rational_table", lambda d_max: [(1, 1), (2, huge)])
+    for fmt in ("text", "csv", "json"):
+        code, out, err = run(["kontsevich", "--max", "2", "--format", fmt], capsys)
+        assert code == 0, err
+        assert digits in out
+
+
 # ------------------------------------------------------------------ table
 def test_table_requires_cache(capsys):
     code, _, err = run(["table", "--dmax", "2", "--deltamax", "1"], capsys)
@@ -171,29 +181,21 @@ def test_table_rejects_unknown_format_version(tmp_path, capsys):
     assert "format-version" in err
 
 
-def test_table_threads_match_serial(tmp_path, capsys):
-    serial, threaded = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-    code, out_serial, _ = run(
-        ["table", "--dmax", "4", "--deltamax", "2", "--cache", serial], capsys
-    )
-    assert code == 0
-    code, out_threaded, _ = run(
-        ["table", "--dmax", "4", "--deltamax", "2", "--cache", threaded,
-         "--threads", "4"],
-        capsys,
-    )
-    assert code == 0
-    assert out_serial.replace(serial, "X") == out_threaded.replace(threaded, "X")
-    with open(serial, encoding="utf-8") as fa, open(threaded, encoding="utf-8") as fb:
-        assert fa.read() == fb.read()
-
-
-def test_bad_thread_count_is_usage_error(capsys):
-    code, _, err = run(
-        ["kontsevich", "--max", "3", "--threads", "0"], capsys
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--dmax", "0", "--deltamax", "1", "--cache", "x.jsonl"],
+        ["table", "--dmax", "2", "--deltamax", "-1", "--cache", "x.jsonl"],
+        ["table", "--dmax", "two", "--deltamax", "1", "--cache", "x.jsonl"],
+    ],
+)
+def test_table_bad_bounds_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(argv, capsys)
     assert code == 2
-    assert "--threads" in err
+    assert out == ""
+    assert "error:" in err
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 # ----------------------------------------------------------------- verify
@@ -332,6 +334,23 @@ def test_case_study_csv(capsys):
 
 
 # ----------------------------------------------------------- whole-program
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["severi", "--d", "3", "--delta", "1", "--beta", "3", "--cache", "x.jsonl"],
+        ["kontsevich", "--max", "3", "--cache", "x.jsonl"],
+        ["verify", "case-studies", "--format", "json"],
+        ["table", "--dmax", "2", "--deltamax", "1", "--cache", "x.jsonl",
+         "--format", "json"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert cli.main([]) == 2
 

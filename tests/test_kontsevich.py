@@ -1,5 +1,7 @@
 """Rational curve counts against the naive evaluator."""
 
+import sys
+
 import pytest
 
 from curvecount import kontsevich, severi
@@ -56,3 +58,13 @@ def test_shared_table_reused():
     size = len(table)
     assert kontsevich.rational_count(6, table) == FROZEN_COUNTS[6]
     assert len(table) == size
+
+
+def test_cold_call_does_not_recurse():
+    expected = kontsevich.rational_table(150)[-1][1]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        assert kontsevich.rational_count(150) == expected
+    finally:
+        sys.setrecursionlimit(limit)

@@ -1,6 +1,7 @@
 """Severi degree engine against the brute-force oracle and frozen values."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -194,6 +195,35 @@ def test_decomposition_of_the_twelve():
 @pytest.mark.parametrize("d", range(2, 13))
 def test_one_node_law(d):
     assert severi.severi_degree(idx(d, 1, (), (d,))) == 3 * (d - 1) ** 2
+
+
+# Node polynomials (Kleiman-Piene; Fomin-Mikhalkin): N(d, delta; (), (d)) is a
+# polynomial in d of degree 2 delta for d >= delta.  These reach degrees the
+# brute-force oracle cannot, where the pruned degeneration sum keeps the
+# fewest of its candidates (few nodes, high degree).
+def test_two_node_closed_form():
+    memo = MemoStore()
+    for d in range(2, 12):
+        twice = 3 * (d - 1) * (d - 2) * (3 * d * d - 3 * d - 11)
+        assert 2 * severi.severi_degree(idx(d, 2, (), (d,)), memo) == twice
+
+
+def test_three_node_closed_form():
+    memo = MemoStore()
+    for d in range(3, 12):
+        twice = (9 * d**6 - 54 * d**5 + 9 * d**4 + 423 * d**3 - 458 * d**2
+                 - 829 * d + 1050)
+        assert 2 * severi.severi_degree(idx(d, 3, (), (d,)), memo) == twice
+
+
+def test_four_node_polynomial_has_degree_eight():
+    memo = MemoStore()
+    values = [severi.severi_degree(idx(d, 4, (), (d,)), memo) for d in range(4, 14)]
+    assert values[0] > 0
+    ninth_difference = sum(
+        (-1) ** (9 - i) * comb(9, i) * value for i, value in enumerate(values)
+    )
+    assert ninth_difference == 0
 
 
 @pytest.mark.parametrize("d", range(1, 5))
