@@ -20,7 +20,7 @@ from .classical import (
     fibration_cubics,
 )
 from .genfunc import GeneratingPolynomial, getzler_residual, severi_generating_function
-from .kontsevich import KontsevichTable, rational_count, rational_table
+from .kontsevich import rational_count, rational_table
 from .series import (
     BivariateSeries,
     PotentialSpec,
@@ -50,7 +50,6 @@ __all__ = [
     "ChowP1xP2",
     "DegreeRecord",
     "GeneratingPolynomial",
-    "KontsevichTable",
     "MemoStore",
     "NonPositiveDegree",
     "PotentialSpec",

@@ -4,15 +4,15 @@ The first line is a header carrying format-version: 1; an unknown
 version rejects the whole file (never partially parsed).  Each record
 stores d, delta, alpha, beta, degree, dim, genus and tool-version, with
 the degree as an exact decimal string so arbitrarily large values
-survive any JSON reader.
+survive any JSON reader.  Rows are severi.DegreeRecord values.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from . import __version__
 from .severi import DegreeRecord, SeveriIndex
@@ -25,6 +25,10 @@ RECORD_FIELDS = ("d", "delta", "alpha", "beta", "degree", "dim", "genus",
 
 class CacheError(Exception):
     """Unreadable, malformed, or wrong-version cache file."""
+
+
+class CacheCorruption(Exception):
+    """A cache record with an invalid index, or a torn last line."""
 
 
 @contextmanager
@@ -42,47 +46,21 @@ def exact_decimals():
         sys.set_int_max_str_digits(saved)
 
 
-@dataclass(frozen=True)
-class CacheRecord:
-    d: int
-    delta: int
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-    degree: int
-    dim: int
-    genus: int
-    tool_version: str
-
-    @classmethod
-    def from_degree_record(cls, rec: DegreeRecord) -> "CacheRecord":
-        return cls(
-            d=rec.index.d,
-            delta=rec.index.delta,
-            alpha=rec.index.alpha,
-            beta=rec.index.beta,
-            degree=rec.degree,
-            dim=rec.dim,
-            genus=rec.genus,
-            tool_version=__version__,
-        )
-
-    def key(self) -> SeveriIndex:
-        return SeveriIndex(self.d, self.delta, self.alpha, self.beta)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d": self.d,
-                "delta": self.delta,
-                "alpha": list(self.alpha),
-                "beta": list(self.beta),
-                "degree": str(self.degree),
-                "dim": self.dim,
-                "genus": self.genus,
-                "tool-version": self.tool_version,
-            },
-            sort_keys=True,
-        )
+def _record_line(rec: DegreeRecord) -> str:
+    index = rec.index
+    return json.dumps(
+        {
+            "d": index.d,
+            "delta": index.delta,
+            "alpha": list(index.alpha),
+            "beta": list(index.beta),
+            "degree": str(rec.degree),
+            "dim": rec.dim,
+            "genus": rec.genus,
+            "tool-version": __version__,
+        },
+        sort_keys=True,
+    )
 
 
 def _header_line() -> str:
@@ -91,35 +69,46 @@ def _header_line() -> str:
     )
 
 
-def _parse_record(line: str, lineno: int) -> CacheRecord:
+def _parse_record(line: str, lineno: int, torn: bool) -> tuple:
+    """(d, delta, alpha, beta, degree, dim, genus); the caller checks the index."""
     try:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
+        if torn:
+            raise CacheCorruption("torn last line %d" % lineno) from exc
         raise CacheError("line %d: not valid JSON: %s" % (lineno, exc)) from exc
     if not isinstance(raw, dict) or set(raw) != set(RECORD_FIELDS):
         raise CacheError("line %d: expected fields %s" % (lineno, list(RECORD_FIELDS)))
     try:
-        return CacheRecord(
-            d=int(raw["d"]),
-            delta=int(raw["delta"]),
-            alpha=tuple(int(e) for e in raw["alpha"]),
-            beta=tuple(int(e) for e in raw["beta"]),
-            degree=int(raw["degree"]),  # exact decimal string
-            dim=int(raw["dim"]),
-            genus=int(raw["genus"]),
-            tool_version=str(raw["tool-version"]),
+        return (
+            int(raw["d"]),
+            int(raw["delta"]),
+            tuple(int(e) for e in raw["alpha"]),
+            tuple(int(e) for e in raw["beta"]),
+            int(raw["degree"]),  # exact decimal string
+            int(raw["dim"]),
+            int(raw["genus"]),
         )
     except (TypeError, ValueError) as exc:
         raise CacheError("line %d: malformed record: %s" % (lineno, exc)) from exc
 
 
-def read_cache(path) -> list[CacheRecord]:
-    """All records of an existing cache file; raises CacheError when invalid."""
+def read_cache(path) -> list[DegreeRecord]:
+    """All records of an existing cache file, with checked canonical indices.
+
+    Raises CacheError when the file is unreadable or malformed, and
+    CacheCorruption for an invalid index or a torn last line: one that
+    lacks its newline and does not parse, as a crash mid-append leaves.
+    A malformed line anywhere is reported before an invalid index.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+            text = handle.read()
     except OSError as exc:
         raise CacheError("cannot read %s: %s" % (path, exc)) from exc
+    lines = text.splitlines()
+    torn_lineno = len(lines) if not text.endswith("\n") else None
+    del text  # the lines hold every byte again; free the copy before parsing
     if not lines:
         raise CacheError("%s: empty file, missing header" % path)
     try:
@@ -133,21 +122,48 @@ def read_cache(path) -> list[CacheRecord]:
             "%s: unsupported format-version %r (want %r)"
             % (path, header["format-version"], FORMAT_VERSION)
         )
+    records = []
+    invalid = []
     with exact_decimals():
-        return [
-            _parse_record(line, lineno)
-            for lineno, line in enumerate(lines[1:], start=2)
-            if line.strip()
-        ]
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            d, delta, alpha, beta, degree, dim, genus = _parse_record(
+                line, lineno, lineno == torn_lineno
+            )
+            try:
+                index = SeveriIndex(d, delta, alpha, beta)
+            except ValueError:  # weight mismatch, d < 1 or a negative entry
+                invalid.append((d, delta, list(alpha), list(beta)))
+                continue
+            records.append(DegreeRecord(index, degree, dim, genus))
+    if invalid:
+        raise CacheCorruption(
+            "invalid index d=%d delta=%d alpha=%s beta=%s" % invalid[0]
+        )
+    return records
 
 
 def append_records(path, records) -> None:
-    """Append records, writing the header first when the file is new."""
+    """Append records, writing the header first when the file is new.
+
+    The batch goes out in one write, then flush and fsync, so a crash
+    leaves at most a torn last line, which read_cache reports.
+    """
+    with exact_decimals():
+        text = "".join(_record_line(rec) + "\n" for rec in records)
     try:
-        with open(path, "a", encoding="utf-8") as handle, exact_decimals():
-            if handle.tell() == 0:
-                handle.write(_header_line() + "\n")
-            for record in records:
-                handle.write(record.to_json() + "\n")
+        with open(path, "a+b") as handle:
+            end = handle.seek(0, os.SEEK_END)
+            if end == 0:
+                text = _header_line() + "\n" + text
+            elif text:
+                handle.seek(end - 1)
+                if handle.read(1) != b"\n":
+                    # a crash cut the last record just before its newline
+                    text = "\n" + text
+            handle.write(text.encode("utf-8"))
+            handle.flush()
+            os.fsync(handle.fileno())
     except OSError as exc:
         raise CacheError("cannot write %s: %s" % (path, exc)) from exc

@@ -3,9 +3,10 @@
 Subcommands: severi (one degree), kontsevich (rational counts), table
 (batch degrees into a cache file), verify (consistency checks), and
 case-study (the two classical derivations of the 12 nodal cubics).
-Exit codes: 0 computed/verified, 1 verification failure, 2 usage or
-input error.  Output is deterministic: identical invocations produce
-byte-identical stdout, and counts of any size print exactly.
+Exit codes: 0 computed/verified, 1 verification failure or cache
+corruption, 2 usage or input error.  Output is deterministic: identical
+invocations produce byte-identical stdout, and counts of any size print
+exactly.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ import os
 import sys
 
 from . import __version__, cache, classical, genfunc, kontsevich, series, severi
-
-VERIFY_BOUNDS = {"wdvv-dmax": 8, "getzler-D": 5, "one-node-dmax": 12}
-VERIFY_DEFAULTS = {"wdvv-dmax": 6, "wdvv-x1": 8, "getzler-D": 4, "one-node-dmax": 12}
-
 
 def _parse_profile(text: str, flag: str) -> tuple[int, ...]:
     """Comma-separated multiplicities, e.g. '0,1' for one order-2 contact."""
@@ -123,35 +120,22 @@ def cmd_kontsevich(args) -> int:
 
 
 def cmd_table(args) -> int:
-    records = [
-        cache.CacheRecord.from_degree_record(rec)
-        for rec in severi.severi_table(args.dmax, args.deltamax)
-    ]
+    records = severi.severi_table(args.dmax, args.deltamax)
     existing = cache.read_cache(args.cache) if os.path.exists(args.cache) else []
-    known = {}
-    for rec in existing:
-        try:
-            known[rec.key()] = rec
-        except (severi.WeightMismatch, severi.NonPositiveDegree):
-            print(
-                "cache corruption: invalid index d=%d delta=%d alpha=%s beta=%s"
-                % (rec.d, rec.delta, list(rec.alpha), list(rec.beta)),
-                file=sys.stderr,
-            )
-            return 1
+    known = {rec.index: rec for rec in existing}
     fresh = []
     verified = 0
     for rec in records:
-        old = known.get(rec.key())
+        old = known.get(rec.index)
         if old is None:
             fresh.append(rec)
             continue
         if (old.degree, old.dim, old.genus) != (rec.degree, rec.dim, rec.genus):
+            d, delta, alpha, beta = rec.index
             print(
                 "cache corruption at d=%d delta=%d alpha=%s beta=%s: "
                 "stored degree %s, recomputed %s"
-                % (rec.d, rec.delta, list(rec.alpha), list(rec.beta),
-                   old.degree, rec.degree),
+                % (d, delta, list(alpha), list(beta), old.degree, rec.degree),
                 file=sys.stderr,
             )
             return 1
@@ -225,65 +209,42 @@ def _verify_case_studies() -> tuple[int, list[str]]:
     return (0 if agree else 1), lines
 
 
+# suite -> (runner, (flag attribute, default, low, high or None) per argument)
+VERIFY_SUITES = {
+    "wdvv": (_verify_wdvv, (("dmax", 6, 1, 8), ("x1", 8, 3, None))),
+    "getzler": (_verify_getzler, (("D", 4, 2, 5),)),
+    "one-node": (_verify_one_node, (("dmax", 12, 2, 12),)),
+    "case-studies": (_verify_case_studies, ()),
+}
+
+
 def cmd_verify(args) -> int:
+    """Run one suite, or every suite at its defaults for 'all'."""
     checks = []
-    if args.which in ("wdvv", "all"):
-        d_max = VERIFY_DEFAULTS["wdvv-dmax"] if args.which == "all" else args.dmax
-        x1 = VERIFY_DEFAULTS["wdvv-x1"] if args.which == "all" else args.x1
-        if d_max is None:
-            d_max = VERIFY_DEFAULTS["wdvv-dmax"]
-        if x1 is None:
-            x1 = VERIFY_DEFAULTS["wdvv-x1"]
-        if not 1 <= d_max <= VERIFY_BOUNDS["wdvv-dmax"]:
-            print(
-                "error: wdvv supports 1 <= dmax <= %d" % VERIFY_BOUNDS["wdvv-dmax"],
-                file=sys.stderr,
-            )
-            return 2
-        if x1 < 3:
-            print("error: wdvv needs --x1 >= 3", file=sys.stderr)
-            return 2
-        checks.append(_verify_wdvv(d_max, x1))
-    if args.which in ("getzler", "all"):
-        D = VERIFY_DEFAULTS["getzler-D"] if args.which == "all" else args.D
-        if D is None:
-            D = VERIFY_DEFAULTS["getzler-D"]
-        if not 2 <= D <= VERIFY_BOUNDS["getzler-D"]:
-            print(
-                "error: getzler supports 2 <= D <= %d" % VERIFY_BOUNDS["getzler-D"],
-                file=sys.stderr,
-            )
-            return 2
-        checks.append(_verify_getzler(D))
-    if args.which in ("one-node", "all"):
-        d_max = VERIFY_DEFAULTS["one-node-dmax"] if args.which == "all" else args.dmax
-        if d_max is None:
-            d_max = VERIFY_DEFAULTS["one-node-dmax"]
-        if not 2 <= d_max <= VERIFY_BOUNDS["one-node-dmax"]:
-            print(
-                "error: one-node supports 2 <= dmax <= %d"
-                % VERIFY_BOUNDS["one-node-dmax"],
-                file=sys.stderr,
-            )
-            return 2
-        checks.append(_verify_one_node(d_max))
-    if args.which in ("case-studies", "all"):
-        checks.append(_verify_case_studies())
+    for name in VERIFY_SUITES if args.which == "all" else [args.which]:
+        runner, flags = VERIFY_SUITES[name]
+        values = []
+        for attr, default, low, high in flags:
+            value = getattr(args, attr)
+            if args.which == "all" or value is None:
+                value = default
+            if high is None and value < low:
+                print("error: %s needs --%s >= %d" % (name, attr, low), file=sys.stderr)
+                return 2
+            if high is not None and not low <= value <= high:
+                print(
+                    "error: %s supports %d <= %s <= %d" % (name, low, attr, high),
+                    file=sys.stderr,
+                )
+                return 2
+            values.append(value)
+        checks.append(runner(*values))
     status = max(code for code, _ in checks)
     for _, lines in checks:
         for line in lines:
             print(line)
     print("ok" if status == 0 else "FAIL")
     return status
-
-
-def _print_report(report: classical.CaseStudyReport, fmt: str):
-    if fmt == "text":
-        print("case-study %s" % report.method)
-        for name, value in report.quantities.items():
-            print("  %s = %d" % (name, value))
-        for note in report.notes:
-            print("  note: %s" % note)
 
 
 def cmd_case_study(args) -> int:
@@ -311,7 +272,11 @@ def cmd_case_study(args) -> int:
                 writer.writerow([rep.method, name, value])
     else:
         for rep in reports:
-            _print_report(rep, "text")
+            print("case-study %s" % rep.method)
+            for name, value in rep.quantities.items():
+                print("  %s = %d" % (name, value))
+            for note in rep.notes:
+                print("  note: %s" % note)
     return 0
 
 
@@ -354,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a consistency check suite")
-    p.add_argument("which",
-                   choices=("wdvv", "getzler", "one-node", "case-studies", "all"))
+    p.add_argument("which", choices=(*VERIFY_SUITES, "all"))
     p.add_argument("--dmax", type=int, default=None,
                    help="bound for wdvv (<= 8) or one-node (<= 12)")
     p.add_argument("--x1", type=int, default=None,
@@ -385,6 +349,9 @@ def main(argv=None) -> int:
         return 2
     except classical.ArithmeticMismatch as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
+        return 1
+    except cache.CacheCorruption as exc:
+        print("cache corruption: %s" % exc, file=sys.stderr)
         return 1
 
 

@@ -17,62 +17,44 @@ from __future__ import annotations
 from math import comb
 
 
-class KontsevichTable:
-    """Write-once memo of rational curve counts, seeded with N(1) = 1."""
-
-    def __init__(self):
-        self._values = {1: 1}
-
-    def get(self, d: int):
-        return self._values.get(d)
-
-    def put(self, d: int, value: int) -> None:
-        stored = self._values.setdefault(d, value)
-        if stored != value:
-            raise RuntimeError(
-                "count conflict at d = %d: stored %d, recomputed %d"
-                % (d, stored, value)
-            )
-
-    def __contains__(self, d: int) -> bool:
-        return d in self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
-def rational_count(d: int, table: KontsevichTable | None = None) -> int:
+def rational_count(d: int, table: dict[int, int] | None = None) -> int:
     """N(d), the number of rational degree-d plane curves through 3d - 1 points.
 
-    Fills the table bottom-up, so a cold call never recurses.
+    table maps each degree known so far to its count, starting from
+    {1: 1}; it is filled bottom-up, each entry written once, so a cold
+    call never recurses.  The splits (d1, n - d1) and (n - d1, d1) are
+    summed as one pair, by C(3n-4, k) = C(3n-4, 3n-4-k).
     """
     if d < 1:
         raise ValueError("degree must be >= 1, got %d" % d)
     if table is None:
-        table = KontsevichTable()
+        table = {1: 1}
     for n in range(2, d + 1):
         if n in table:
             continue
+        m = 3 * n - 4
         total = 0
-        for d1 in range(1, n):
+        for d1 in range(1, n // 2 + 1):
             d2 = n - d1
-            total += (
-                table.get(d1)
-                * table.get(d2)
+            pair = (
+                table[d1]
+                * table[d2]
                 * d1
                 * d2
                 * (
-                    comb(3 * n - 4, 3 * d1 - 2) * d1 * d2
-                    - comb(3 * n - 4, 3 * d1 - 3) * d2 ** 2
+                    2 * comb(m, 3 * d1 - 2) * d1 * d2
+                    - comb(m, 3 * d1 - 3) * d2 ** 2
+                    - comb(m, 3 * d1 - 1) * d1 ** 2
                 )
             )
-        table.put(n, total)
-    return table.get(d)
+            total += pair if d1 < d2 else pair // 2  # the middle split once
+        table[n] = total
+    return table[d]
 
 
 def rational_table(d_max: int) -> list[tuple[int, int]]:
     """Rows (d, N(d)) for 1 <= d <= d_max, ascending."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1, got %d" % d_max)
-    table = KontsevichTable()
+    table = {1: 1}
     return [(d, rational_count(d, table)) for d in range(1, d_max + 1)]

@@ -39,23 +39,9 @@ def _padded(a, b):
     return tuple(a) + (0,) * (n - len(a)), tuple(b) + (0,) * (n - len(b))
 
 
-def leq(a, b) -> bool:
-    """Entrywise a_k <= b_k."""
-    a, b = _padded(a, b)
-    return all(x <= y for x, y in zip(a, b))
-
-
 def add(a, b) -> tuple[int, ...]:
     a, b = _padded(a, b)
     return canon(x + y for x, y in zip(a, b))
-
-
-def sub(a, b) -> tuple[int, ...]:
-    """Entrywise difference a - b; requires b <= a."""
-    a, b = _padded(a, b)
-    if any(x < y for x, y in zip(a, b)):
-        raise ValueError("difference would be negative")
-    return canon(x - y for x, y in zip(a, b))
 
 
 def unit(k: int) -> tuple[int, ...]:

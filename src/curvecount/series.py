@@ -7,7 +7,7 @@ Gromov-Witten potential of the plane,
 
 truncated here at x1-degree A and x2-degree 3*d_max - 1.  (The classical
 part (x0^2 x2 + x0 x1^2)/2 involves only x0 and drops out of every
-derivative taken below; PotentialSpec records it for documentation.)
+derivative taken below.)
 Associativity of the quantum product is one scalar equation:
 
     Phi_222 = Phi_112^2 - Phi_111 * Phi_122          (WDVV)
@@ -27,17 +27,11 @@ window a <= A - 3, b = 3d - 4 for 2 <= d <= d_max.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from . import kontsevich
-
-# classical cubic part of the potential, exponents (x0, x1, x2) -> coefficient
-CLASSICAL_PART = (
-    ((2, 0, 1), Fraction(1, 2)),
-    ((1, 2, 0), Fraction(1, 2)),
-)
 
 
 class BivariateSeries:
@@ -138,7 +132,6 @@ class PotentialSpec:
 
     d_max: int
     x1_bound: int
-    classical: tuple = field(default=CLASSICAL_PART)
 
     def __post_init__(self):
         if self.d_max < 1:

@@ -3,14 +3,15 @@
 Everything here is deliberately written against the raw defining
 formulas, sharing no code with the package: sequences are re-derived
 with bounded brute force, the degeneration sum is enumerated straight
-from its constraints, the rational counts are evaluated without
-memoization, and potential coefficients come from the closed form.
+from its constraints, the rational counts sum every split (d1, d - d1)
+on its own, and potential coefficients come from the closed form.
 Expected values frozen in the tests were produced by these oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 
@@ -135,8 +136,9 @@ def oracle_degree(d, delta, alpha, beta, memo=None):
 
 
 # ------------------------------------------------- kontsevich, naive
+@lru_cache(maxsize=None)
 def naive_rational_count(d):
-    """Direct non-memoized evaluation of the splitting recursion."""
+    """Direct evaluation of the splitting recursion, one term per ordered split."""
     if d == 1:
         return 1
     total = 0

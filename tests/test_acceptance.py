@@ -14,7 +14,7 @@ from curvecount import cache, classical, cli, genfunc, kontsevich, seqs, series,
 from curvecount.series import PotentialSpec
 from curvecount.severi import MemoStore, SeveriIndex
 
-from helpers import naive_rational_count, oracle_degree
+from helpers import naive_rational_count, oracle_degree, seq_sub
 
 
 def _announce(number: int, label: str, verdict: str, capsys=None) -> None:
@@ -165,7 +165,7 @@ def test_criterion_8_engine_properties(tmp_path, capsys):
             a = seqs.canon(tuple(rng.randint(0, 3) for _ in range(4)))
             b = tuple(rng.randint(0, e) for e in a)
             assert seqs.binomial(a, b) >= 1
-            assert seqs.binomial(a, b) == seqs.binomial(a, seqs.sub(a, b))
+            assert seqs.binomial(a, b) == seqs.binomial(a, seq_sub(a, b))
             c = seqs.canon(tuple(rng.randint(0, 2) for _ in range(3)))
             assert (seqs.nat_power(seqs.add(b, c))
                     == seqs.nat_power(seqs.canon(b)) * seqs.nat_power(c))
@@ -197,10 +197,7 @@ def test_criterion_8_engine_properties(tmp_path, capsys):
         assert cli.main(
             ["table", "--dmax", "3", "--deltamax", "1", "--cache", path]
         ) == 0
-        assert cache.read_cache(path) == [
-            cache.CacheRecord.from_degree_record(rec)
-            for rec in severi.severi_table(3, 1)
-        ]
+        assert cache.read_cache(path) == severi.severi_table(3, 1)
         assert cli.main(
             ["table", "--dmax", "3", "--deltamax", "1", "--cache", path]
         ) == 0  # idempotent re-run verifies every record

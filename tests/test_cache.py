@@ -5,17 +5,17 @@ import sys
 
 import pytest
 
-from curvecount import cache, severi
-from curvecount.cache import CacheError, CacheRecord
-from curvecount.severi import MemoStore, SeveriIndex
+from curvecount import __version__, cache, severi
+from curvecount.cache import CacheCorruption, CacheError
+from curvecount.severi import DegreeRecord, SeveriIndex
 
 
 def records_for(d_max, delta_max):
-    memo = MemoStore()
-    return [
-        CacheRecord.from_degree_record(rec)
-        for rec in severi.severi_table(d_max, delta_max, memo)
-    ]
+    return severi.severi_table(d_max, delta_max)
+
+
+def write_lines(path, lines, end="\n"):
+    path.write_text("\n".join(lines) + end, encoding="utf-8")
 
 
 def test_round_trip(tmp_path):
@@ -58,10 +58,7 @@ def test_append_preserves_existing_records(tmp_path):
 def test_huge_degree_survives(tmp_path):
     path = tmp_path / "degrees.jsonl"
     big = 10**40 + 7
-    record = CacheRecord(
-        d=9, delta=0, alpha=(), beta=(9,), degree=big, dim=20, genus=28,
-        tool_version="0.0.0",
-    )
+    record = DegreeRecord(SeveriIndex(9, 0, (), (9,)), big, 20, 28)
     cache.append_records(path, [record])
     (loaded,) = cache.read_cache(path)
     assert loaded.degree == big
@@ -73,10 +70,7 @@ def test_degree_past_int_str_digit_cap_survives(tmp_path):
     path = tmp_path / "degrees.jsonl"
     big = 10**5000 + 7
     cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    record = CacheRecord(
-        d=9, delta=0, alpha=(), beta=(9,), degree=big, dim=20, genus=28,
-        tool_version="0.0.0",
-    )
+    record = DegreeRecord(SeveriIndex(9, 0, (), (9,)), big, 20, 28)
     cache.append_records(path, [record])
     (loaded,) = cache.read_cache(path)
     assert loaded.degree == big
@@ -85,11 +79,19 @@ def test_degree_past_int_str_digit_cap_survives(tmp_path):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
 
 
-def test_record_key_reconstructs_index():
-    record = records_for(2, 1)[0]
-    index = record.key()
-    assert isinstance(index, SeveriIndex)
-    assert (index.d, index.delta) == (record.d, record.delta)
+def test_record_key_reconstructs_index(tmp_path):
+    # a hand-written non-canonical profile reads back as the canonical index
+    path = tmp_path / "degrees.jsonl"
+    write_lines(path, [
+        cache._header_line(),
+        json.dumps({"d": 3, "delta": 1, "alpha": [0, 0, 0], "beta": [3, 0],
+                    "degree": "12", "dim": 8, "genus": 0,
+                    "tool-version": __version__}),
+    ])
+    (record,) = cache.read_cache(path)
+    assert isinstance(record.index, SeveriIndex)
+    assert record.index == SeveriIndex(3, 1, (), (3,))
+    assert record.index == (3, 1, (), (3,))
 
 
 def test_missing_file_raises(tmp_path):
@@ -107,7 +109,7 @@ def test_empty_file_raises(tmp_path):
 def test_unknown_format_version_rejected_whole(tmp_path):
     path = tmp_path / "future.jsonl"
     lines = [json.dumps({"format-version": "2", "tool": "curvecount"})]
-    lines += [record.to_json() for record in records_for(2, 0)]
+    lines += [cache._record_line(record) for record in records_for(2, 0)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(CacheError, match="format-version"):
         cache.read_cache(path)
@@ -131,7 +133,7 @@ def test_malformed_record_line_raises(tmp_path):
 
 def test_wrong_fields_raise(tmp_path):
     path = tmp_path / "bad.jsonl"
-    record = json.loads(records_for(2, 0)[0].to_json())
+    record = json.loads(cache._record_line(records_for(2, 0)[0]))
     del record["genus"]
     path.write_text(
         cache._header_line() + "\n" + json.dumps(record) + "\n", encoding="utf-8"
@@ -142,7 +144,7 @@ def test_wrong_fields_raise(tmp_path):
 
 def test_non_numeric_degree_raises(tmp_path):
     path = tmp_path / "bad.jsonl"
-    record = json.loads(records_for(2, 0)[0].to_json())
+    record = json.loads(cache._record_line(records_for(2, 0)[0]))
     record["degree"] = "twelve"
     path.write_text(
         cache._header_line() + "\n" + json.dumps(record) + "\n", encoding="utf-8"
@@ -158,3 +160,81 @@ def test_blank_lines_are_tolerated(tmp_path):
     with open(path, "a", encoding="utf-8") as handle:
         handle.write("\n")
     assert cache.read_cache(path) == records
+
+
+def test_record_line_is_pinned():
+    (record,) = [r for r in records_for(3, 1) if r.index == (3, 1, (), (3,))]
+    assert cache._record_line(record) == (
+        '{"alpha": [], "beta": [3], "d": 3, "degree": "12", "delta": 1, '
+        '"dim": 8, "genus": 0, "tool-version": "%s"}' % __version__
+    )
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"alpha": [1], "beta": [3]},  # weight 4 for d = 3
+        {"d": 0, "alpha": [], "beta": []},
+        {"alpha": [-1], "beta": [4]},
+    ],
+)
+def test_invalid_index_is_corruption(tmp_path, fields):
+    path = tmp_path / "bad.jsonl"
+    record = json.loads(cache._record_line(records_for(3, 1)[-1]))
+    record.update(fields)
+    write_lines(path, [cache._header_line(), json.dumps(record)])
+    with pytest.raises(CacheCorruption, match="^invalid index d="):
+        cache.read_cache(path)
+
+
+def test_first_invalid_index_is_reported(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    first, second = (json.loads(cache._record_line(r)) for r in records_for(3, 1)[-2:])
+    first["beta"], second["beta"] = [7], [8]
+    write_lines(path, [cache._header_line(), json.dumps(first), json.dumps(second)])
+    with pytest.raises(CacheCorruption) as caught:
+        cache.read_cache(path)
+    assert str(caught.value) == "invalid index d=%d delta=%d alpha=%s beta=[7]" % (
+        first["d"], first["delta"], first["alpha"]
+    )
+
+
+def test_malformed_record_is_reported_before_an_invalid_index(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    bad_index = json.loads(cache._record_line(records_for(3, 1)[-1]))
+    bad_index["beta"] = [4]
+    write_lines(path, [cache._header_line(), json.dumps(bad_index), "not json"])
+    with pytest.raises(CacheError, match="line 3: not valid JSON"):
+        cache.read_cache(path)
+
+
+@pytest.mark.parametrize("cut", [1, 20, -2])
+def test_torn_last_line_is_corruption(tmp_path, cut):
+    path = tmp_path / "degrees.jsonl"
+    cache.append_records(path, records_for(3, 1))
+    data = path.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    path.write_bytes(data[:last + cut] if cut > 0 else data[:cut])
+    with pytest.raises(CacheCorruption, match="^torn last line 33$"):
+        cache.read_cache(path)
+
+
+def test_append_after_a_lost_final_newline_starts_a_new_line(tmp_path):
+    path = tmp_path / "degrees.jsonl"
+    first, second = records_for(2, 1), records_for(3, 1)[12:]
+    cache.append_records(path, first)
+    path.write_bytes(path.read_bytes()[:-1])
+    assert cache.read_cache(path) == first  # the last record is whole
+    cache.append_records(path, second)
+    assert cache.read_cache(path) == first + second
+
+
+def test_append_fsyncs_each_batch(tmp_path, monkeypatch):
+    path = tmp_path / "degrees.jsonl"
+    cache.append_records(path, records_for(2, 1))
+    synced = []
+    monkeypatch.setattr(cache.os, "fsync", synced.append)
+    size = path.stat().st_size
+    cache.append_records(path, records_for(3, 1)[12:])
+    assert len(synced) == 1
+    assert path.stat().st_size > size

@@ -168,6 +168,43 @@ def test_table_detects_tampering(tmp_path, capsys):
     assert "stored degree 13, recomputed 12" in err
 
 
+def test_table_reports_invalid_index_as_corruption(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    run(["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)], capsys)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[-1])
+    record["beta"] = record["beta"] + [1]  # weight no longer equals d
+    lines[-1] = json.dumps(record, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(
+        ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "cache corruption: invalid index d=%d delta=%d alpha=%s beta=%s\n"
+        % (record["d"], record["delta"], record["alpha"], record["beta"])
+    )
+
+
+def test_table_reports_torn_last_line_as_corruption(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)]
+    run(argv, capsys)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) - 30], encoding="utf-8")  # crash mid-append
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "cache corruption: torn last line 33\n"
+    # recovery as the README says: delete the torn line and re-run
+    lines = path.read_text(encoding="utf-8").splitlines()[:-1]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == "cache %s\nverified 31\nappended 1\nrecords 32\n" % path
+
+
 def test_table_rejects_unknown_format_version(tmp_path, capsys):
     path = tmp_path / "cache.jsonl"
     path.write_text(
@@ -239,22 +276,28 @@ def test_verify_all_uses_defaults(capsys):
     assert lines[-1] == "ok"
 
 
+VERIFY_BOUND_ERRORS = [
+    (["verify", "wdvv", "--dmax", "9"], "error: wdvv supports 1 <= dmax <= 8\n"),
+    (["verify", "wdvv", "--x1", "2"], "error: wdvv needs --x1 >= 3\n"),
+    (["verify", "getzler", "--D", "6"], "error: getzler supports 2 <= D <= 5\n"),
+    (["verify", "getzler", "--D", "1"], "error: getzler supports 2 <= D <= 5\n"),
+    (["verify", "one-node", "--dmax", "13"],
+     "error: one-node supports 2 <= dmax <= 12\n"),
+    (["verify", "one-node", "--dmax", "1"],
+     "error: one-node supports 2 <= dmax <= 12\n"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "wdvv", "--dmax", "9"],
-        ["verify", "wdvv", "--x1", "2"],
-        ["verify", "getzler", "--D", "6"],
-        ["verify", "getzler", "--D", "1"],
-        ["verify", "one-node", "--dmax", "13"],
-        ["verify", "one-node", "--dmax", "1"],
-    ],
+    "argv,line",
+    VERIFY_BOUND_ERRORS,
+    ids=["argv%d" % i for i in range(len(VERIFY_BOUND_ERRORS))],
 )
-def test_verify_bounds_are_usage_errors(argv, capsys):
+def test_verify_bounds_are_usage_errors(argv, line, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
-    assert "error:" in err
+    assert err == line
 
 
 def test_verify_wdvv_detects_corrupt_count(monkeypatch, capsys):

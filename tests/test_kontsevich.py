@@ -5,7 +5,6 @@ import sys
 import pytest
 
 from curvecount import kontsevich, severi
-from curvecount.kontsevich import KontsevichTable
 
 from helpers import naive_rational_count
 
@@ -42,18 +41,22 @@ def test_rejects_nonpositive_degree():
         kontsevich.rational_table(0)
 
 
-def test_table_seeded_and_write_once():
-    table = KontsevichTable()
-    assert table.get(1) == 1
-    kontsevich.rational_count(4, table)
-    assert 3 in table and table.get(3) == 12
-    table.put(3, 12)  # benign identical rewrite
-    with pytest.raises(RuntimeError):
-        table.put(3, 13)
+def test_paired_sum_matches_naive_evaluator_to_60():
+    # the engine sums (d1, n - d1) and (n - d1, d1) as one pair; the naive
+    # evaluator sums every split on its own
+    assert kontsevich.rational_table(60) == [
+        (d, naive_rational_count(d)) for d in range(1, 61)
+    ]
+
+
+def test_caller_table_is_filled_bottom_up():
+    table = {1: 1}
+    assert kontsevich.rational_count(4, table) == 620
+    assert table == {d: FROZEN_COUNTS[d] for d in range(1, 5)}
 
 
 def test_shared_table_reused():
-    table = KontsevichTable()
+    table = {1: 1}
     kontsevich.rational_count(6, table)
     size = len(table)
     assert kontsevich.rational_count(6, table) == FROZEN_COUNTS[6]

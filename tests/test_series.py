@@ -116,12 +116,6 @@ def test_potential_matches_closed_form(d_max, x1_bound):
             assert f.coeff(a, b) == phi_coeff(a, b, counts)
 
 
-def test_classical_part_is_recorded():
-    spec = PotentialSpec(2, 3)
-    assert ((2, 0, 1), Fraction(1, 2)) in spec.classical
-    assert ((1, 2, 0), Fraction(1, 2)) in spec.classical
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         PotentialSpec(0, 3)

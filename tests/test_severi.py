@@ -8,7 +8,7 @@ import pytest
 from curvecount import seqs, severi
 from curvecount.severi import MemoStore, SeveriIndex
 
-from helpers import oracle_degree, oracle_second_sum
+from helpers import leq, oracle_degree, oracle_second_sum
 
 
 def idx(d, delta, alpha=(), beta=()):
@@ -144,8 +144,8 @@ def test_second_sum_children_valid():
             assert coeff > 0
             assert child.d == index.d - 1
             assert 0 <= child.delta <= index.delta
-            assert seqs.leq(child.alpha, index.alpha)
-            assert seqs.leq(index.beta, child.beta)
+            assert leq(child.alpha, index.alpha)
+            assert leq(index.beta, child.beta)
 
 
 # --------------------------------------------------------------- degrees
