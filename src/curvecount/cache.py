@@ -28,7 +28,7 @@ class CacheError(Exception):
 
 
 class CacheCorruption(Exception):
-    """A cache record with an invalid index, or a torn last line."""
+    """A cache record with an invalid index, a torn last line or a torn header."""
 
 
 @contextmanager
@@ -98,7 +98,8 @@ def read_cache(path) -> list[DegreeRecord]:
 
     Raises CacheError when the file is unreadable or malformed, and
     CacheCorruption for an invalid index or a torn last line: one that
-    lacks its newline and does not parse, as a crash mid-append leaves.
+    lacks its newline and does not parse, as a crash mid-append leaves
+    (a torn header when it is the only line).
     A malformed line anywhere is reported before an invalid index.
     """
     try:
@@ -114,6 +115,8 @@ def read_cache(path) -> list[DegreeRecord]:
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
+        if torn_lineno == 1:  # a crash during the first write
+            raise CacheCorruption("torn header") from exc
         raise CacheError("%s: malformed header: %s" % (path, exc)) from exc
     if not isinstance(header, dict) or "format-version" not in header:
         raise CacheError("%s: header lacks format-version" % path)

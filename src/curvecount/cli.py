@@ -113,7 +113,7 @@ def cmd_kontsevich(args) -> int:
         for d, n in rows:
             writer.writerow([d, str(n)])
     else:
-        width = max(len(str(n)) for _, n in rows)
+        width = len(str(max(n for _, n in rows)))  # counts are positive
         for d, n in rows:
             print("%2d  %*s" % (d, width, n))
     return 0
@@ -218,6 +218,17 @@ VERIFY_SUITES = {
 }
 
 
+def _verify_help(attr: str, what: str) -> str:
+    """Help for a verify flag from VERIFY_SUITES (shared flags: upper bounds only)."""
+    uses = [(name, low, high) for name, (_, flags) in VERIFY_SUITES.items()
+            for flag, _, low, high in flags if flag == attr]
+    shared = len(uses) > 1
+    return "%s for %s" % (what, " or ".join(
+        "%s (%s)" % (name, ">= %d" % low if high is None
+                     else "<= %d" % high if shared else "%d..%d" % (low, high))
+        for name, low, high in uses))
+
+
 def cmd_verify(args) -> int:
     """Run one suite, or every suite at its defaults for 'all'."""
     checks = []
@@ -228,14 +239,10 @@ def cmd_verify(args) -> int:
             value = getattr(args, attr)
             if args.which == "all" or value is None:
                 value = default
-            if high is None and value < low:
-                print("error: %s needs --%s >= %d" % (name, attr, low), file=sys.stderr)
-                return 2
-            if high is not None and not low <= value <= high:
-                print(
-                    "error: %s supports %d <= %s <= %d" % (name, low, attr, high),
-                    file=sys.stderr,
-                )
+            if value < low or high is not None and value > high:
+                bound = ("needs --%s >= %d" % (attr, low) if high is None
+                         else "supports %d <= %s <= %d" % (low, attr, high))
+                print("error: %s %s" % (name, bound), file=sys.stderr)
                 return 2
             values.append(value)
         checks.append(runner(*values))
@@ -320,12 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a consistency check suite")
     p.add_argument("which", choices=(*VERIFY_SUITES, "all"))
-    p.add_argument("--dmax", type=int, default=None,
-                   help="bound for wdvv (<= 8) or one-node (<= 12)")
-    p.add_argument("--x1", type=int, default=None,
-                   help="x1 truncation for wdvv (>= 3)")
-    p.add_argument("--D", type=int, default=None,
-                   help="degree truncation for getzler (2..5)")
+    for attr, what in (("dmax", "bound"), ("x1", "x1 truncation"),
+                       ("D", "degree truncation")):
+        p.add_argument("--" + attr, type=int, help=_verify_help(attr, what))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("case-study", parents=[common],

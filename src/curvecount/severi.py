@@ -35,7 +35,9 @@ All values are exact integers.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import comb
@@ -241,7 +243,29 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     """
     if memo is None:
         memo = MemoStore()
-    return _degree(index, memo)
+    with _stack_room(index.d):
+        return _degree(index, memo)
+
+
+@contextmanager
+def _stack_room(d: int):
+    """Room for _degree from degree d, which nests at most (d+1)(d+2)/2 - 2
+    deep (|beta| <= d' first-sum calls per layer d'): the block raises the
+    recursion limit when it leaves less, plus a margin for callees."""
+    frames = (d + 1) * (d + 2) // 2 + 100
+    saved = sys.getrecursionlimit()
+    try:
+        deep = saved <= frames or sys._getframe(saved - frames) is not None
+    except ValueError:  # fewer than saved - frames frames below this one
+        deep = False
+    if not deep:
+        yield
+        return
+    sys.setrecursionlimit(saved + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def _degree(index: SeveriIndex, memo: MemoStore) -> int:
@@ -305,14 +329,15 @@ def severi_table(
     if memo is None:
         memo = MemoStore()
     out = []
-    for d in range(1, d_max + 1):
-        for index in all_indices(d, delta_max):
-            out.append(
-                DegreeRecord(
-                    index=index,
-                    degree=severi_degree(index, memo),
-                    dim=dimension(index),
-                    genus=genus(index),
+    with _stack_room(d_max):
+        for d in range(1, d_max + 1):
+            for index in all_indices(d, delta_max):
+                out.append(
+                    DegreeRecord(
+                        index=index,
+                        degree=_degree(index, memo),
+                        dim=dimension(index),
+                        genus=genus(index),
+                    )
                 )
-            )
     return out

@@ -4,7 +4,8 @@ Everything here is deliberately written against the raw defining
 formulas, sharing no code with the package: sequences are re-derived
 with bounded brute force, the degeneration sum is enumerated straight
 from its constraints, the rational counts sum every split (d1, d - d1)
-on its own, and potential coefficients come from the closed form.
+on its own (exactly, and modulo a prime at higher degree), and potential
+coefficients come from the closed form.
 Expected values frozen in the tests were produced by these oracles.
 """
 
@@ -155,6 +156,32 @@ def naive_rational_count(d):
             )
         )
     return total
+
+
+def rational_counts_mod(p, dmax):
+    """[N(1), ..., N(dmax)] modulo the prime p > 3 dmax, by the same ordered
+    splits and two binomials as naive_rational_count, from factorials mod p."""
+    top = max(3 * dmax - 4, 0)
+    fact = [1] * (top + 1)
+    for k in range(1, top + 1):
+        fact[k] = fact[k - 1] * k % p
+    inv = [pow(f, p - 2, p) for f in fact]
+
+    def binom(n, k):
+        return fact[n] * inv[k] % p * inv[n - k] % p if 0 <= k <= n else 0
+
+    counts = [0, 1]  # counts[d] = N(d) mod p
+    for d in range(2, dmax + 1):
+        total = 0
+        for d1 in range(1, d):
+            d2 = d - d1
+            total += (
+                counts[d1] * counts[d2] % p * d1 * d2
+                * (binom(3 * d - 4, 3 * d1 - 2) * d1 * d2
+                   - binom(3 * d - 4, 3 * d1 - 3) * d2 ** 2)
+            )
+        counts.append(total % p)
+    return counts[1:]
 
 
 # -------------------------------------------------- potential, direct

@@ -219,6 +219,21 @@ def test_torn_last_line_is_corruption(tmp_path, cut):
         cache.read_cache(path)
 
 
+@pytest.mark.parametrize("cut", [1, 20, -1])
+def test_torn_header_is_corruption(tmp_path, cut):
+    path = tmp_path / "degrees.jsonl"
+    path.write_text(cache._header_line()[:cut], encoding="utf-8")
+    with pytest.raises(CacheCorruption, match="^torn header$"):
+        cache.read_cache(path)
+
+
+def test_malformed_header_with_its_newline_is_still_an_error(tmp_path):
+    path = tmp_path / "degrees.jsonl"
+    write_lines(path, [cache._header_line()[:20]])
+    with pytest.raises(CacheError, match="malformed header"):
+        cache.read_cache(path)
+
+
 def test_append_after_a_lost_final_newline_starts_a_new_line(tmp_path):
     path = tmp_path / "degrees.jsonl"
     first, second = records_for(2, 1), records_for(3, 1)[12:]

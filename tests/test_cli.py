@@ -205,6 +205,24 @@ def test_table_reports_torn_last_line_as_corruption(tmp_path, capsys):
     assert out == "cache %s\nverified 31\nappended 1\nrecords 32\n" % path
 
 
+@pytest.mark.parametrize("cut", [1, 20, -1])
+def test_table_reports_torn_header_as_corruption(tmp_path, capsys, cut):
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)]
+    run(argv, capsys)
+    header = path.read_text(encoding="utf-8").splitlines()[0]
+    path.write_text(header[:cut], encoding="utf-8")  # crash in the first write
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "cache corruption: torn header\n"
+    # recovery as the README says: delete the file and re-run
+    path.unlink()
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == "cache %s\nverified 0\nappended 32\nrecords 32\n" % path
+
+
 def test_table_rejects_unknown_format_version(tmp_path, capsys):
     path = tmp_path / "cache.jsonl"
     path.write_text(
@@ -274,6 +292,28 @@ def test_verify_all_uses_defaults(capsys):
     assert any(line.startswith("getzler D=4") for line in lines)
     assert any(line.startswith("one-node d=2..12") for line in lines)
     assert lines[-1] == "ok"
+
+
+VERIFY_HELP = """\
+usage: curvecount verify [-h] [--dmax DMAX] [--x1 X1] [--D D]
+                         {wdvv,getzler,one-node,case-studies,all}
+
+positional arguments:
+  {wdvv,getzler,one-node,case-studies,all}
+
+options:
+  -h, --help            show this help message and exit
+  --dmax DMAX           bound for wdvv (<= 8) or one-node (<= 12)
+  --x1 X1               x1 truncation for wdvv (>= 3)
+  --D D                 degree truncation for getzler (2..5)
+"""
+
+
+def test_verify_help_states_the_bounds_of_the_suites(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(["verify", "--help"], capsys)
+    assert code == 0
+    assert out == VERIFY_HELP
 
 
 VERIFY_BOUND_ERRORS = [

@@ -6,7 +6,7 @@ import pytest
 
 from curvecount import kontsevich, severi
 
-from helpers import naive_rational_count
+from helpers import naive_rational_count, rational_counts_mod
 
 # produced by the naive evaluator; 1, 1, 12, 620 are classical
 FROZEN_COUNTS = {1: 1, 2: 1, 3: 12, 4: 620, 5: 87304, 6: 26312976}
@@ -47,6 +47,16 @@ def test_paired_sum_matches_naive_evaluator_to_60():
     assert kontsevich.rational_table(60) == [
         (d, naive_rational_count(d)) for d in range(1, 61)
     ]
+
+
+def test_one_binomial_form_matches_ordered_splits_mod_p_to_300():
+    # the engine steps one C(3n-2, 3d1-1) per paired split and divides by
+    # M(M-1) once; the oracle sums every ordered split with its own
+    # binomials, modulo the Mersenne prime 2^61 - 1
+    p = 2 ** 61 - 1
+    expected = rational_counts_mod(p, 300)
+    rows = kontsevich.rational_table(300)
+    assert [(d, n % p) for d, n in rows] == list(enumerate(expected, start=1))
 
 
 def test_caller_table_is_filled_bottom_up():

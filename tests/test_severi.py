@@ -1,6 +1,7 @@
 """Severi degree engine against the brute-force oracle and frozen values."""
 
 import random
+import sys
 from math import comb
 
 import pytest
@@ -195,6 +196,17 @@ def test_decomposition_of_the_twelve():
 @pytest.mark.parametrize("d", range(2, 13))
 def test_one_node_law(d):
     assert severi.severi_degree(idx(d, 1, (), (d,))) == 3 * (d - 1) ** 2
+
+
+def test_deep_query_raises_the_recursion_limit_only_for_the_call():
+    # _degree nests up to (d+1)(d+2)/2 - 2 = 229 deep at d = 20
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        assert severi.severi_degree(severi.validate(20, 1, (), (20,))) == 3 * 19 ** 2
+        assert sys.getrecursionlimit() == 150
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # Node polynomials (Kleiman-Piene; Fomin-Mikhalkin): N(d, delta; (), (d)) is a
