@@ -121,7 +121,9 @@ def cmd_kontsevich(args) -> int:
 
 def cmd_table(args) -> int:
     records = severi.severi_table(args.dmax, args.deltamax)
-    existing = cache.read_cache(args.cache) if os.path.exists(args.cache) else []
+    # a crash between creating the file and its first write leaves it empty
+    fresh_file = not os.path.exists(args.cache) or os.path.getsize(args.cache) == 0
+    existing = [] if fresh_file else cache.read_cache(args.cache)
     known = {rec.index: rec for rec in existing}
     fresh = []
     verified = 0

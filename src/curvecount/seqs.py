@@ -83,15 +83,16 @@ def fact(s) -> int:
 
 
 @lru_cache(maxsize=None)
-def partitions(w: int) -> tuple[tuple[int, ...], ...]:
-    """All canonical sequences of weight w.
+def partitions(w: int, min_size: int = 0) -> tuple[tuple[int, ...], ...]:
+    """All canonical sequences of weight w and size at least min_size.
 
-    Each is the multiplicity vector of a partition of w.  Ordered by the
-    underlying part lists ascending, so the all-ones partition comes
-    first and the single part w last:
+    Each is the multiplicity vector of a partition of w into at least
+    min_size parts.  Ordered by the underlying part lists ascending, so
+    the all-ones partition comes first and the single part w last:
 
         partitions(2) -> ((2,), (0, 1))
         partitions(3) -> ((3,), (1, 1), (0, 0, 1))
+        partitions(3, 2) -> ((3,), (1, 1))
     """
     if w < 0:
         raise ValueError("weight must be nonnegative")
@@ -106,11 +107,14 @@ def partitions(w: int) -> tuple[tuple[int, ...], ...]:
             out.append(canon(vec))
             return
         for p in range(min_part, remaining + 1):
+            if len(parts) + remaining // p < min_size:
+                break  # parts >= p add at most remaining // p more
             parts.append(p)
             grow(remaining - p, p, parts)
             parts.pop()
 
-    grow(w, 1, [])
+    if w >= min_size:  # w parts at most
+        grow(w, 1, [])
     return tuple(out)
 
 

@@ -129,7 +129,8 @@ class MemoStore:
 
     A second put with the same value is a benign no-op; a conflicting
     value raises, since the recursion is deterministic and a conflict
-    means corruption.  Hit and miss counters are bookkeeping only.
+    means corruption.  Hit and miss counters are bookkeeping only; the
+    engine probes _values in place and counts its hits itself.
     """
 
     _values: dict[SeveriIndex, int] = field(default_factory=dict)
@@ -165,8 +166,11 @@ def first_sum_terms(index: SeveriIndex) -> list[tuple[int, SeveriIndex]]:
     One term per j with beta_j > 0; the child keeps d and delta and
     satisfies the weight constraint automatically.
     """
-    d, delta, alpha, beta = index
-    out = []
+    return [(j, _index(child)) for j, child in _specializations(*index)]
+
+
+def _specializations(d, delta, alpha, beta):
+    """(j, child) per first-sum term, the child as a plain tuple."""
     for j, entry in enumerate(beta, start=1):
         if entry > 0:
             raised = list(alpha) + [0] * (j - len(alpha))
@@ -175,27 +179,33 @@ def first_sum_terms(index: SeveriIndex) -> list[tuple[int, SeveriIndex]]:
             lowered[j - 1] -= 1
             while lowered and lowered[-1] == 0:
                 lowered.pop()
-            out.append((j, _index((d, delta, tuple(raised), tuple(lowered)))))
-    return out
+            yield j, (d, delta, tuple(raised), tuple(lowered))
 
 
 @lru_cache(maxsize=None)
 def _assigned_splits(alpha):
-    """(alpha', C(alpha, alpha'), weight(alpha')) per alpha' <= alpha, lexicographic."""
+    """(alpha', C(alpha, alpha'), weight(alpha) - weight(alpha') - 1 = weight(c))
+    per alpha' <= alpha, lexicographic; weight(beta) = d - weight(alpha)."""
+    budget = seqs.weight(alpha) - 1
     return tuple(
-        (a_prime, seqs.binomial(alpha, a_prime), seqs.weight(a_prime))
+        (a_prime, seqs.binomial(alpha, a_prime), budget - seqs.weight(a_prime))
         for a_prime in seqs.subsequences(alpha)
     )
 
 
 @lru_cache(maxsize=None)
-def _increments(budget, min_size):
-    """(c, |c|, k^c) per c of weight budget with |c| >= min_size, in partition order."""
-    return tuple(
-        (c, seqs.size(c), seqs.nat_power(c))
-        for c in seqs.partitions(budget)
-        if seqs.size(c) >= min_size
-    )
+def _degenerations(beta, budget, min_size):
+    """(k^c * C(beta + c, beta), |c|, beta + c) per c in partitions(budget, min_size)."""
+    out = []
+    for c in seqs.partitions(budget, min_size):
+        b_prime = [*beta, *c[len(beta):]]
+        unassigned = 1
+        for k, c_k in enumerate(c[:len(beta)]):
+            if c_k:
+                b_prime[k] += c_k
+                unassigned *= comb(b_prime[k], c_k)
+        out.append((seqs.nat_power(c) * unassigned, seqs.size(c), tuple(b_prime)))
+    return tuple(out)
 
 
 def second_sum_terms(index: SeveriIndex) -> list[tuple[int, SeveriIndex]]:
@@ -212,31 +222,21 @@ def second_sum_terms(index: SeveriIndex) -> list[tuple[int, SeveriIndex]]:
     if d < 2:
         raise ValueError("degeneration terms need d >= 2, got d = %d" % d)
     top = d - 1
-    # weight(c) = budget_base - weight(alpha'), as weight(beta) = d - weight(alpha).
     # delta' <= delta as |c| <= d - 1; delta' >= 0 is |c| >= (d - 1) - delta.
-    budget_base = seqs.weight(alpha) - 1
     min_size = max(top - delta, 0)
-    out = []
-    for a_prime, assigned, a_weight in _assigned_splits(alpha):
-        budget = budget_base - a_weight
-        if budget < min_size:
-            continue
-        for c, c_size, power in _increments(budget, min_size):
-            b_prime = [*beta, *c[len(beta):]]
-            unassigned = 1
-            for k, c_k in enumerate(c[:len(beta)]):
-                if c_k:
-                    b_prime[k] += c_k
-                    unassigned *= comb(b_prime[k], c_k)
-            child = _index((top, delta - top + c_size, a_prime, tuple(b_prime)))
-            out.append((power * assigned * unassigned, child))
-    return out
+    return [
+        (assigned * coeff, _index((top, delta - top + c_size, a_prime, b_prime)))
+        for a_prime, assigned, budget in _assigned_splits(alpha)
+        if budget >= min_size
+        for coeff, c_size, b_prime in _degenerations(beta, budget, min_size)
+    ]
 
 
 def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     """Degree of the generalized Severi variety at the given index.
 
-    Evaluates the recursion in the module docstring with memoization.
+    Evaluates the recursion in the module docstring with memoization,
+    the degeneration sum from one table per (beta, budget, min |c|).
     Returns 0 outside 0 <= delta <= d(d-1)/2.  Termination: the first
     sum strictly decreases |beta| at fixed d, the second strictly
     decreases d.
@@ -269,19 +269,45 @@ def _stack_room(d: int):
 
 
 def _degree(index: SeveriIndex, memo: MemoStore) -> int:
-    d, delta = index.d, index.delta
+    """Degree at a valid index.  Each child is a plain tuple, equal to the
+    index it names, looked up in the memo in place; only a miss (or d' = 1)
+    recurses.  A child with delta' > d'(d'-1)/2 is skipped before lookup."""
+    d, delta, alpha, beta = index
     if delta < 0 or delta > d * (d - 1) // 2:
         return 0
     if d == 1:
         return 1  # delta is forced to 0 here; a line through two points
-    cached = memo.get(index)
-    if cached is not None:
-        return cached
+    total = memo.get(index)  # counts the hit or the miss
+    if total is not None:
+        return total
+    values = memo._values
     total = 0
-    for j, child in first_sum_terms(index):
-        total += j * _degree(child, memo)
-    for coeff, child in second_sum_terms(index):
-        total += coeff * _degree(child, memo)
+    for j, child in _specializations(d, delta, alpha, beta):
+        value = values.get(child)
+        if value is None:
+            value = _degree(_index(child), memo)
+        else:
+            memo.hits += 1
+        total += j * value
+    top = d - 1
+    shift = delta - top
+    min_size = max(top - delta, 0)  # as in second_sum_terms
+    cap = top * (top - 1) // 2 - shift  # delta' <= d'(d'-1)/2 is |c| <= cap
+    for a_prime, assigned, budget in _assigned_splits(alpha):
+        if budget < min_size:
+            continue
+        part = 0
+        for coeff, c_size, b_prime in _degenerations(beta, budget, min_size):
+            if c_size > cap:
+                continue
+            child = (top, shift + c_size, a_prime, b_prime)
+            value = values.get(child)
+            if value is None:
+                value = _degree(_index(child), memo)
+            else:
+                memo.hits += 1
+            part += coeff * value
+        total += assigned * part
     memo.put(index, total)
     return total
 

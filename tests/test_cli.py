@@ -30,6 +30,13 @@ def test_severi_text(capsys):
     )
 
 
+def test_severi_one_node_at_degree_120(capsys):
+    # |c| >= 118: the increments are pruned where they are made
+    code, out, _ = run(["severi", "--d", "120", "--delta", "1", "--beta", "120"], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "degree %d" % (3 * 119 ** 2)
+
+
 def test_severi_csv(capsys):
     code, out, _ = run(
         ["severi", "--d", "3", "--delta", "1", "--alpha", "3",
@@ -221,6 +228,20 @@ def test_table_reports_torn_header_as_corruption(tmp_path, capsys, cut):
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert out == "cache %s\nverified 0\nappended 32\nrecords 32\n" % path
+
+
+def test_table_over_an_empty_cache_file_starts_it_afresh(tmp_path, capsys):
+    # a crash between creating the file and its first write leaves it empty
+    fresh = tmp_path / "fresh.jsonl"
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    run(["table", "--dmax", "3", "--deltamax", "1", "--cache", str(fresh)], capsys)
+    code, out, _ = run(
+        ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(empty)], capsys
+    )
+    assert code == 0
+    assert out == "cache %s\nverified 0\nappended 32\nrecords 32\n" % empty
+    assert empty.read_bytes() == fresh.read_bytes()
 
 
 def test_table_rejects_unknown_format_version(tmp_path, capsys):

@@ -125,6 +125,17 @@ def test_partition_order_examples():
     assert seqs.partitions(1) == ((1,),)
     assert seqs.partitions(2) == ((2,), (0, 1))
     assert seqs.partitions(3) == ((3,), (1, 1), (0, 0, 1))
+    assert seqs.partitions(3, 2) == ((3,), (1, 1))
+    assert seqs.partitions(0, 1) == ()
+
+
+@pytest.mark.parametrize("w", range(23))
+def test_partitions_with_min_size_filter_the_full_list(w):
+    # the pruned enumeration keeps exactly the partitions with >= m parts,
+    # in the order of the full list
+    full = seqs.partitions(w)
+    for m in range(w + 2):
+        assert seqs.partitions(w, m) == tuple(c for c in full if seqs.size(c) >= m)
 
 
 @pytest.mark.parametrize("w", range(11))

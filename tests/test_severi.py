@@ -228,6 +228,11 @@ def test_three_node_closed_form():
         assert 2 * severi.severi_degree(idx(d, 3, (), (d,)), memo) == twice
 
 
+def test_two_node_closed_form_at_degree_fifty():
+    # |c| >= 47 of 48 parts: the increments are pruned where they are made
+    assert severi.severi_degree(idx(50, 2, (), (50,))) == 25891992
+
+
 def test_four_node_polynomial_has_degree_eight():
     memo = MemoStore()
     values = [severi.severi_degree(idx(d, 4, (), (d,)), memo) for d in range(4, 14)]
@@ -255,18 +260,16 @@ def test_degrees_nonnegative():
 
 
 def test_memo_transparency():
-    # a degree computed through a warm shared memo equals the same degree
-    # recomputed from scratch, and equals the recursion's right-hand side
-    rng = random.Random(29)
+    # at every index with d <= 6, a degree computed through a warm shared
+    # memo equals the same degree recomputed from scratch, and equals the
+    # recursion's right-hand side over the public term lists
     shared = MemoStore()
-    pool = all_valid_indices(5)
-    sample = [rng.choice(pool) for _ in range(100)]
-    for index in sample:
+    rhs_memo = MemoStore()
+    for index in all_valid_indices(6):
         warm = severi.severi_degree(index, shared)
         cold = severi.severi_degree(index, MemoStore())
         assert warm == cold
         if index.d >= 2:
-            rhs_memo = MemoStore()
             rhs = sum(
                 j * severi.severi_degree(child, rhs_memo)
                 for j, child in severi.first_sum_terms(index)
@@ -275,6 +278,13 @@ def test_memo_transparency():
                 for coeff, child in severi.second_sum_terms(index)
             )
             assert warm == rhs
+
+
+def test_memo_work_counters_are_pinned():
+    # one memo entry per miss, and every child found in the memo is a hit
+    memo = MemoStore()
+    assert severi.severi_degree(idx(10, 36, (), (10,)), memo) == 178396887235408616925
+    assert (len(memo), memo.hits, memo.misses) == (4681, 41966, 4681)
 
 
 def test_memo_write_once():
