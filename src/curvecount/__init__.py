@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .classical import (
     ArithmeticMismatch,
     CaseStudyReport,
-    ChowP1xP2,
     chow_one_node,
     cross_ratio_cubics,
     euler_one_node,
@@ -47,7 +46,6 @@ __all__ = [
     "ArithmeticMismatch",
     "BivariateSeries",
     "CaseStudyReport",
-    "ChowP1xP2",
     "DegreeRecord",
     "GeneratingPolynomial",
     "MemoStore",

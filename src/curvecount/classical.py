@@ -23,8 +23,9 @@ raises ArithmeticMismatch instead of producing a wrong count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
+
+from .series import BivariateSeries
 
 # Combinatorial inputs for the cubic case studies.  A pencil of cubics
 # through 7 general points plus one more general point fixes a member;
@@ -50,84 +51,15 @@ class CaseStudyReport:
     notes: tuple = ()
 
 
-class ChowP1xP2:
-    """Chow ring of P1 x P2 on the basis 1, h1, h2, h1h2, h2^2, h1h2^2.
-
-    h1, h2 are the hyperplane pullbacks, subject to h1^2 = 0 and
-    h2^3 = 0; the degree map reads off the coefficient of h1 h2^2.
-    Elements are dicts (i, j) -> Fraction with i <= 1, j <= 2.
-    """
-
-    BASIS = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        store: dict[tuple[int, int], Fraction] = {}
-        for (i, j), value in (coeffs or {}).items():
-            if not (0 <= i <= 1 and 0 <= j <= 2):
-                raise ValueError("exponent (%d, %d) outside the basis" % (i, j))
-            value = Fraction(value)
-            if value:
-                store[(i, j)] = value
-        self.coeffs = store
-
-    @classmethod
-    def monomial(cls, i: int, j: int, value=1) -> "ChowP1xP2":
-        return cls({(i, j): Fraction(value)})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + value
-        return ChowP1xP2(out)
-
-    def __rmul__(self, scalar):
-        return ChowP1xP2(
-            {key: Fraction(scalar) * value for key, value in self.coeffs.items()}
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, ChowP1xP2):
-            return self.__rmul__(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), v1 in self.coeffs.items():
-            for (i2, j2), v2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i > 1 or j > 2:
-                    continue  # h1^2 = 0, h2^3 = 0
-                out[(i, j)] = out.get((i, j), Fraction(0)) + v1 * v2
-        return ChowP1xP2(out)
-
-    def __pow__(self, n: int):
-        result = ChowP1xP2.monomial(0, 0)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def degree(self) -> Fraction:
-        """Coefficient of the point class h1 h2^2."""
-        return self.coeffs.get((1, 2), Fraction(0))
-
-    def __eq__(self, other):
-        if not isinstance(other, ChowP1xP2):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return "ChowP1xP2(%r)" % (self.coeffs,)
-
-
-H1 = ChowP1xP2.monomial(1, 0)
-H2 = ChowP1xP2.monomial(0, 1)
-
-
 def chow_one_node(d: int) -> int:
     """Degree of (h1 + (d-1) h2)^3 in P1 x P2: nodal members of a pencil."""
     if d < 1:
         raise ValueError("degree must be >= 1, got %d" % d)
-    cls = (H1 + (d - 1) * H2) ** 3
-    value = cls.degree()
+    # The Chow ring is Q[h1, h2]/(h1^2, h2^3).  Its ideal is monomial, so its
+    # product is the polynomial product truncated at exponents (1, 2); the
+    # degree of a class is its coefficient of the point class h1 h2^2.
+    h = BivariateSeries({(1, 0): 1, (0, 1): d - 1}, bound1=1, bound2=2)
+    value = (h * h * h).coeff(1, 2)
     if value.denominator != 1:
         raise ArithmeticMismatch("non-integral degree %s" % value)
     return int(value)

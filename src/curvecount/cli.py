@@ -119,12 +119,24 @@ def cmd_kontsevich(args) -> int:
     return 0
 
 
+def _corruption(index, detail: str) -> int:
+    d, delta, alpha, beta = index
+    print("cache corruption at d=%d delta=%d alpha=%s beta=%s: %s"
+          % (d, delta, list(alpha), list(beta), detail), file=sys.stderr)
+    return 1
+
+
 def cmd_table(args) -> int:
     records = severi.severi_table(args.dmax, args.deltamax)
     # a crash between creating the file and its first write leaves it empty
     fresh_file = not os.path.exists(args.cache) or os.path.getsize(args.cache) == 0
     existing = [] if fresh_file else cache.read_cache(args.cache)
-    known = {rec.index: rec for rec in existing}
+    known = {}
+    for rec in existing:
+        old = known.setdefault(rec.index, rec)
+        if old != rec:  # identical duplicates, as overlapping runs leave, are benign
+            return _corruption(rec.index, "stored degree %s, stored again as %s"
+                               % (old.degree, rec.degree))
     fresh = []
     verified = 0
     for rec in records:
@@ -132,15 +144,9 @@ def cmd_table(args) -> int:
         if old is None:
             fresh.append(rec)
             continue
-        if (old.degree, old.dim, old.genus) != (rec.degree, rec.dim, rec.genus):
-            d, delta, alpha, beta = rec.index
-            print(
-                "cache corruption at d=%d delta=%d alpha=%s beta=%s: "
-                "stored degree %s, recomputed %s"
-                % (d, delta, list(alpha), list(beta), old.degree, rec.degree),
-                file=sys.stderr,
-            )
-            return 1
+        if old != rec:
+            return _corruption(rec.index, "stored degree %s, recomputed %s"
+                               % (old.degree, rec.degree))
         verified += 1
     cache.append_records(args.cache, fresh)
     print("cache %s" % args.cache)
@@ -218,6 +224,8 @@ VERIFY_SUITES = {
     "one-node": (_verify_one_node, (("dmax", 12, 2, 12),)),
     "case-studies": (_verify_case_studies, ()),
 }
+# every bound flag of the verify subcommand, with its help text
+VERIFY_FLAGS = (("dmax", "bound"), ("x1", "x1 truncation"), ("D", "degree truncation"))
 
 
 def _verify_help(attr: str, what: str) -> str:
@@ -233,6 +241,13 @@ def _verify_help(attr: str, what: str) -> str:
 
 def cmd_verify(args) -> int:
     """Run one suite, or every suite at its defaults for 'all'."""
+    if args.which != "all":  # a named suite rejects a bound flag it does not read
+        reads = [attr for attr, *_ in VERIFY_SUITES[args.which][1]]
+        for attr, _ in VERIFY_FLAGS:
+            if getattr(args, attr) is not None and attr not in reads:
+                print("error: %s does not take --%s" % (args.which, attr),
+                      file=sys.stderr)
+                return 2
     checks = []
     for name in VERIFY_SUITES if args.which == "all" else [args.which]:
         runner, flags = VERIFY_SUITES[name]
@@ -329,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a consistency check suite")
     p.add_argument("which", choices=(*VERIFY_SUITES, "all"))
-    for attr, what in (("dmax", "bound"), ("x1", "x1 truncation"),
-                       ("D", "degree truncation")):
+    for attr, what in VERIFY_FLAGS:
         p.add_argument("--" + attr, type=int, help=_verify_help(attr, what))
     p.set_defaults(func=cmd_verify)
 

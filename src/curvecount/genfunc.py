@@ -47,9 +47,6 @@ class GeneratingPolynomial:
     def coeff(self, key: Monomial) -> Fraction:
         return self.terms.get(key, Fraction(0))
 
-    def items(self):
-        return sorted(self.terms.items())
-
 
 def _default_degrees():
     memo = severi.MemoStore()

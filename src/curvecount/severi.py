@@ -76,9 +76,6 @@ class SeveriIndex(namedtuple("SeveriIndex", "d delta alpha beta")):
             )
         return tuple.__new__(cls, (d, delta, alpha, beta))
 
-    def sort_key(self):
-        return tuple(self)
-
 
 # Unchecked, C-speed constructor for children, which are valid by construction.
 _index = partial(tuple.__new__, SeveriIndex)
@@ -155,9 +152,6 @@ class MemoStore:
 
     def __len__(self) -> int:
         return len(self._values)
-
-    def __contains__(self, index: SeveriIndex) -> bool:
-        return index in self._values
 
 
 def first_sum_terms(index: SeveriIndex) -> list[tuple[int, SeveriIndex]]:
@@ -336,7 +330,7 @@ def all_indices(d: int, delta_max: int | None = None) -> list[SeveriIndex]:
             for alpha in seqs.partitions(w_alpha):
                 for beta in seqs.partitions(d - w_alpha):
                     out.append(_index((d, delta, alpha, beta)))
-    out.sort(key=SeveriIndex.sort_key)
+    out.sort()
     return out
 
 

@@ -175,6 +175,50 @@ def test_table_detects_tampering(tmp_path, capsys):
     assert "stored degree 13, recomputed 12" in err
 
 
+def _duplicate_hero_record(path, degree):
+    """Insert a copy of the N(3,1;(),(3)) record, with this degree, before it."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        record = json.loads(line)
+        if (record["d"], record["delta"], record["beta"]) == (3, 1, [3]):
+            record["degree"] = degree
+            lines.insert(i, json.dumps(record, sort_keys=True))
+            break
+    else:
+        pytest.fail("expected record not found")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_table_reports_contradicting_duplicate_records_as_corruption(
+    tmp_path, capsys
+):
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)]
+    run(argv, capsys)
+    _duplicate_hero_record(path, "13")
+    before = path.read_bytes()
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "cache corruption at d=3 delta=1 alpha=[] beta=[3]: "
+        "stored degree 13, stored again as 12\n"
+    )
+    assert path.read_bytes() == before
+
+
+def test_table_accepts_identical_duplicate_records(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)]
+    run(argv, capsys)
+    _duplicate_hero_record(path, "12")
+    before = path.read_bytes()
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == "cache %s\nverified 32\nappended 0\nrecords 33\n" % path
+    assert path.read_bytes() == before
+
+
 def test_table_reports_invalid_index_as_corruption(tmp_path, capsys):
     path = tmp_path / "cache.jsonl"
     run(["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)], capsys)
@@ -361,6 +405,32 @@ def test_verify_bounds_are_usage_errors(argv, line, capsys):
     assert err == line
 
 
+# suite, its bound flags, the first flag it does not read
+UNREAD_FLAGS = [
+    ("getzler", ["--dmax", "3"], "dmax"),
+    ("getzler", ["--x1", "4"], "x1"),
+    ("wdvv", ["--D", "3"], "D"),
+    ("one-node", ["--x1", "4"], "x1"),
+    ("one-node", ["--dmax", "5", "--D", "3"], "D"),
+    ("case-studies", ["--x1", "2"], "x1"),
+    ("case-studies", ["--dmax", "99", "--D", "3"], "dmax"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite,flags,unread",
+    UNREAD_FLAGS,
+    ids=[" ".join([suite, *flags]) for suite, flags, _ in UNREAD_FLAGS],
+)
+def test_verify_rejects_bound_flags_the_suite_does_not_read(
+    suite, flags, unread, capsys
+):
+    code, out, err = run(["verify", suite, *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s does not take --%s\n" % (suite, unread)
+
+
 def test_verify_wdvv_detects_corrupt_count(monkeypatch, capsys):
     true_table = kontsevich.rational_table
 
@@ -388,11 +458,11 @@ def test_verify_getzler_detects_corrupt_degree(monkeypatch, capsys):
     assert out.splitlines()[-1] == "FAIL"
 
 
-def test_verify_one_node_detects_corrupt_route(monkeypatch, capsys):
-    true_euler = classical.euler_one_node
+@pytest.mark.parametrize("route", ["euler_one_node", "chow_one_node"])
+def test_verify_one_node_detects_corrupt_route(route, monkeypatch, capsys):
+    true_route = getattr(classical, route)
     monkeypatch.setattr(
-        classical, "euler_one_node",
-        lambda d: true_euler(d) + (1 if d == 7 else 0),
+        classical, route, lambda d: true_route(d) + (1 if d == 7 else 0)
     )
     code, out, _ = run(["verify", "one-node", "--dmax", "12"], capsys)
     assert code == 1

@@ -310,7 +310,7 @@ def test_memo_counters_move():
 # ----------------------------------------------------------------- table
 def test_all_indices_count_and_order():
     rows = severi.all_indices(2)
-    assert [r.sort_key() for r in rows] == sorted(r.sort_key() for r in rows)
+    assert rows == sorted(rows)
     # d = 2: 5 profile pairs, delta in {0, 1}
     assert len(rows) == 10
     assert len(severi.all_indices(1)) == 2
@@ -318,7 +318,7 @@ def test_all_indices_count_and_order():
 
 def test_severi_table_contents():
     table = severi.severi_table(3, 1)
-    keys = [rec.index.sort_key() for rec in table]
+    keys = [rec.index for rec in table]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
     # d = 1: delta = 0 only; d = 2: 5 pairs x 2; d = 3: 10 pairs x 2
