@@ -15,7 +15,7 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__
-from .severi import DegreeRecord, SeveriIndex
+from .severi import DegreeRecord, SeveriIndex, _index
 
 FORMAT_VERSION = "1"
 
@@ -46,21 +46,16 @@ def exact_decimals():
         sys.set_int_max_str_digits(saved)
 
 
+# the bytes of json.dumps(record, sort_keys=True), the degree a decimal string
+_RECORD_FORMAT = ('{"alpha": [%s], "beta": [%s], "d": %d, "degree": "%d", '
+                  '"delta": %d, "dim": %d, "genus": %d, "tool-version": %s}')
+_TOOL_VERSION = json.dumps(__version__)
+
+
 def _record_line(rec: DegreeRecord) -> str:
-    index = rec.index
-    return json.dumps(
-        {
-            "d": index.d,
-            "delta": index.delta,
-            "alpha": list(index.alpha),
-            "beta": list(index.beta),
-            "degree": str(rec.degree),
-            "dim": rec.dim,
-            "genus": rec.genus,
-            "tool-version": __version__,
-        },
-        sort_keys=True,
-    )
+    d, delta, alpha, beta = rec.index
+    return _RECORD_FORMAT % (", ".join(map(str, alpha)), ", ".join(map(str, beta)),
+                             d, rec.degree, delta, rec.dim, rec.genus, _TOOL_VERSION)
 
 
 def _header_line() -> str:
@@ -127,6 +122,7 @@ def read_cache(path) -> list[DegreeRecord]:
         )
     records = []
     invalid = []
+    shapes = {}  # raw (d, alpha, beta) -> canonical (alpha, beta), None if invalid
     with exact_decimals():
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
@@ -134,12 +130,17 @@ def read_cache(path) -> list[DegreeRecord]:
             d, delta, alpha, beta, degree, dim, genus = _parse_record(
                 line, lineno, lineno == torn_lineno
             )
-            try:
-                index = SeveriIndex(d, delta, alpha, beta)
-            except ValueError:  # weight mismatch, d < 1 or a negative entry
+            key = (d, alpha, beta)
+            if key not in shapes:  # validity does not depend on delta
+                try:
+                    shapes[key] = SeveriIndex(d, 0, alpha, beta)[2:]
+                except ValueError:  # weight mismatch, d < 1 or a negative entry
+                    shapes[key] = None
+            if shapes[key] is None:
                 invalid.append((d, delta, list(alpha), list(beta)))
                 continue
-            records.append(DegreeRecord(index, degree, dim, genus))
+            records.append(DegreeRecord(_index((d, delta, *shapes[key])),
+                                        degree, dim, genus))
     if invalid:
         raise CacheCorruption(
             "invalid index d=%d delta=%d alpha=%s beta=%s" % invalid[0]

@@ -127,7 +127,8 @@ def _corruption(index, detail: str) -> int:
 
 
 def cmd_table(args) -> int:
-    records = severi.severi_table(args.dmax, args.deltamax)
+    """Read and cross-check the cache first, so a bad one fails before any
+    computing; then verify the overlap with the table and append the rest."""
     # a crash between creating the file and its first write leaves it empty
     fresh_file = not os.path.exists(args.cache) or os.path.getsize(args.cache) == 0
     existing = [] if fresh_file else cache.read_cache(args.cache)
@@ -137,6 +138,7 @@ def cmd_table(args) -> int:
         if old != rec:  # identical duplicates, as overlapping runs leave, are benign
             return _corruption(rec.index, "stored degree %s, stored again as %s"
                                % (old.degree, rec.degree))
+    records = severi.severi_table(args.dmax, args.deltamax)
     fresh = []
     verified = 0
     for rec in records:

@@ -30,7 +30,9 @@ fixed degree; the second degenerates the curve to contain L, dropping
 the degree by one.  Base case: d = 1 has degree 1 (a line through two
 points) when delta = 0.  Degrees vanish outside 0 <= delta <= d(d-1)/2.
 
-All values are exact integers.
+Two engines evaluate it.  severi_degree answers one index from a memo,
+recursing only into the children it needs; severi_table fills whole tables
+bottom-up, one list by delta per (d, alpha, beta).  All values are exact.
 """
 
 from __future__ import annotations
@@ -334,30 +336,50 @@ def all_indices(d: int, delta_max: int | None = None) -> list[SeveriIndex]:
     return out
 
 
-def severi_table(
-    d_max: int, delta_max: int, memo: MemoStore | None = None
-) -> list[DegreeRecord]:
-    """Degree records for every valid index with d <= d_max.
+def severi_table(d_max: int, delta_max: int) -> list[DegreeRecord]:
+    """Degree records for every valid index with d <= d_max and delta <= delta_max.
 
-    Rows are ordered by (d, delta, alpha, beta); a shared memo makes the
-    whole table one recursion pass.
+    Rows are ordered by (d, delta, alpha, beta).  The degeneration sum only
+    shifts delta, by (d - 1) - |c|, so one list of degrees by delta per
+    (d, alpha, beta), cut at min(d(d-1)/2, delta_max), is filled bottom-up
+    from layer d - 1 alone, in ascending |beta| within layer d: no memo, no
+    recursion.  Dimension and genus fall by one per node, so both (with the
+    cross-check of dimension) are computed once per (d, alpha, beta).
     """
     if d_max < 1:
         raise NonPositiveDegree("d_max must be >= 1, got %d" % d_max)
     if delta_max < 0:
         raise ValueError("delta_max must be >= 0, got %d" % delta_max)
-    if memo is None:
-        memo = MemoStore()
     out = []
-    with _stack_room(d_max):
-        for d in range(1, d_max + 1):
-            for index in all_indices(d, delta_max):
-                out.append(
-                    DegreeRecord(
-                        index=index,
-                        degree=_degree(index, memo),
-                        dim=dimension(index),
-                        genus=genus(index),
-                    )
-                )
+    # (alpha, beta) -> degrees by delta at degree d - 1; from the empty curve
+    # of degree 0 the sums give 1 for both lines of degree 1
+    below = {((), ()): [1]}
+    for d in range(1, d_max + 1):
+        top = d - 1
+        span = min(d * top // 2, delta_max) + 1
+        min_size = max(top - delta_max, 0)  # as in second_sum_terms
+        shapes = sorted((alpha, beta) for w in range(d + 1)
+                        for alpha in seqs.partitions(w)
+                        for beta in seqs.partitions(d - w))
+        layer = {}
+        for alpha, beta in sorted(shapes, key=lambda shape: sum(shape[1])):
+            layer[alpha, beta] = poly = [0] * span
+            for j, (_, _, raised, lowered) in _specializations(d, 0, alpha, beta):
+                for delta, value in enumerate(layer[raised, lowered]):
+                    poly[delta] += j * value
+            for a_prime, assigned, budget in _assigned_splits(alpha):
+                if budget < min_size:
+                    continue
+                for coeff, c_size, b_prime in _degenerations(beta, budget, min_size):
+                    shift = top - c_size  # delta = delta' + (d - 1) - |c|
+                    child = below[a_prime, b_prime][:span - shift]
+                    factor = assigned * coeff
+                    for delta, value in enumerate(child, shift):
+                        poly[delta] += factor * value
+        zero = [_index((d, 0, alpha, beta)) for alpha, beta in shapes]
+        rows = [(i.alpha, i.beta, layer[i[2:]], dimension(i), genus(i)) for i in zero]
+        out += [DegreeRecord(_index((d, delta, alpha, beta)), poly[delta],
+                             dim - delta, g - delta)
+                for delta in range(span) for alpha, beta, poly, dim, g in rows]
+        below = layer
     return out

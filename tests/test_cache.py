@@ -94,6 +94,28 @@ def test_record_key_reconstructs_index(tmp_path):
     assert record.index == (3, 1, (), (3,))
 
 
+def test_one_raw_shape_reads_back_at_each_delta(tmp_path):
+    # validation is shared by the records of one raw (d, alpha, beta);
+    # each record keeps its own delta
+    path = tmp_path / "degrees.jsonl"
+    raw = {"d": 3, "alpha": [], "beta": [3, 0], "tool-version": __version__}
+    write_lines(path, [
+        cache._header_line(),
+        json.dumps({**raw, "delta": 0, "degree": "1", "dim": 9, "genus": 1}),
+        json.dumps({**raw, "delta": 1, "degree": "12", "dim": 8, "genus": 0}),
+    ])
+    assert cache.read_cache(path) == [
+        DegreeRecord(SeveriIndex(3, 0, (), (3,)), 1, 9, 1),
+        DegreeRecord(SeveriIndex(3, 1, (), (3,)), 12, 8, 0),
+    ]
+
+
+def test_record_lines_equal_sorted_json_dumps():
+    for record in records_for(4, 3):
+        line = cache._record_line(record)
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
 def test_missing_file_raises(tmp_path):
     with pytest.raises(CacheError):
         cache.read_cache(tmp_path / "absent.jsonl")

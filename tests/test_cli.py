@@ -1,5 +1,6 @@
 """Command-line contract: formats, exit codes, determinism, fault injection."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -141,6 +142,51 @@ def test_table_create_then_verify(tmp_path, capsys):
     )
     assert code == 0
     assert out == "cache %s\nverified 32\nappended 0\nrecords 32\n" % path
+
+
+def test_fresh_table_cache_bytes_are_pinned(tmp_path, capsys):
+    # every record through d = 8; the hash covers the tool version too
+    path = tmp_path / "cache.jsonl"
+    code, out, _ = run(
+        ["table", "--dmax", "8", "--deltamax", "100", "--cache", str(path)], capsys
+    )
+    assert code == 0
+    assert out.endswith("verified 0\nappended 9413\nrecords 9413\n")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "7b81c8be26b7dbc7f98c0de93c84dedca373f6ab95b92f8a7ac046189fdc2c2e"
+    )
+
+
+def _torn(path):
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+def _malformed(path):
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write("not json\n")
+
+
+@pytest.mark.parametrize("damage,code,message", [
+    (lambda path: _duplicate_hero_record(path, "13"), 1,
+     "stored degree 13, stored again as 12"),
+    (_torn, 1, "cache corruption: torn last line 33"),
+    (_malformed, 2, "line 34: not valid JSON"),
+], ids=["contradiction", "torn", "malformed"])
+def test_table_checks_the_cache_before_computing(
+    damage, code, message, tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)]
+    run(argv, capsys)
+    damage(path)
+
+    def unreachable(d_max, delta_max):
+        raise AssertionError("computed the table over a bad cache")
+
+    monkeypatch.setattr(severi, "severi_table", unreachable)
+    got, out, err = run(argv, capsys)
+    assert (got, out) == (code, "")
+    assert message in err
 
 
 def test_table_extends_cache(tmp_path, capsys):

@@ -344,3 +344,37 @@ def test_severi_table_rejects_bad_bounds():
         severi.severi_table(0, 1)
     with pytest.raises(ValueError):
         severi.severi_table(2, -1)
+
+
+def test_severi_table_has_no_memo_parameter():
+    with pytest.raises(TypeError):
+        severi.severi_table(3, 1, memo=MemoStore())
+
+
+def table_indices(d_max, delta_max):
+    return [index for d in range(1, d_max + 1)
+            for index in severi.all_indices(d, delta_max)]
+
+
+def test_severi_table_equals_the_pointwise_engine_through_degree_8():
+    # the layered table engine against severi_degree, one shared memo
+    memo = MemoStore()
+    table = severi.severi_table(8, 100)
+    assert len(table) == 9413
+    assert [rec.index for rec in table] == table_indices(8, 100)
+    for rec in table:
+        assert rec.degree == severi.severi_degree(rec.index, memo)
+        assert rec.dim == severi.dimension(rec.index)
+        assert rec.genus == severi.genus(rec.index)
+
+
+@pytest.mark.parametrize("d_max,delta_max", [(11, 2), (13, 0), (9, 5)])
+def test_truncated_severi_table_equals_the_pointwise_engine(d_max, delta_max):
+    memo = MemoStore()
+    table = severi.severi_table(d_max, delta_max)
+    assert [rec.index for rec in table] == table_indices(d_max, delta_max)
+    for rec in table:
+        assert rec == severi.DegreeRecord(
+            rec.index, severi.severi_degree(rec.index, memo),
+            severi.dimension(rec.index), severi.genus(rec.index),
+        )
