@@ -74,18 +74,16 @@ def _parse_record(line: str, lineno: int, torn: bool) -> tuple:
         raise CacheError("line %d: not valid JSON: %s" % (lineno, exc)) from exc
     if not isinstance(raw, dict) or set(raw) != set(RECORD_FIELDS):
         raise CacheError("line %d: expected fields %s" % (lineno, list(RECORD_FIELDS)))
-    try:
-        return (
-            int(raw["d"]),
-            int(raw["delta"]),
-            tuple(int(e) for e in raw["alpha"]),
-            tuple(int(e) for e in raw["beta"]),
-            int(raw["degree"]),  # exact decimal string
-            int(raw["dim"]),
-            int(raw["genus"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise CacheError("line %d: malformed record: %s" % (lineno, exc)) from exc
+    d, delta, alpha, beta, degree, dim, genus = (raw[f] for f in RECORD_FIELDS[:-1])
+    # type int, so a bool, float or string is no JSON integer here
+    if not (type(d) is type(delta) is type(dim) is type(genus) is int
+            and type(alpha) is type(beta) is list
+            and all(type(e) is int for e in alpha + beta)
+            and type(degree) is str and degree.isascii() and degree.isdigit()):
+        raise CacheError("line %d: malformed record: d, delta, dim, genus and the "
+                         "profile entries must be JSON integers, the degree a "
+                         "string of decimal digits" % lineno)
+    return d, delta, tuple(alpha), tuple(beta), int(degree), dim, genus
 
 
 def read_cache(path) -> list[DegreeRecord]:

@@ -221,8 +221,8 @@ def _verify_case_studies() -> tuple[int, list[str]]:
 
 # suite -> (runner, (flag attribute, default, low, high or None) per argument)
 VERIFY_SUITES = {
-    "wdvv": (_verify_wdvv, (("dmax", 6, 1, 8), ("x1", 8, 3, None))),
-    "getzler": (_verify_getzler, (("D", 4, 2, 5),)),
+    "wdvv": (_verify_wdvv, (("dmax", 6, 1, 16), ("x1", 8, 3, None))),
+    "getzler": (_verify_getzler, (("D", 4, 2, 7),)),
     "one-node": (_verify_one_node, (("dmax", 12, 2, 12),)),
     "case-studies": (_verify_case_studies, ()),
 }

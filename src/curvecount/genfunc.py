@@ -48,31 +48,27 @@ class GeneratingPolynomial:
         return self.terms.get(key, Fraction(0))
 
 
-def _default_degrees():
-    memo = severi.MemoStore()
-    return lambda index: severi.severi_degree(index, memo)
+def _table(D: int) -> list[severi.DegreeRecord]:
+    """Every row of degree at most D, from the layered table engine."""
+    return severi.severi_table(D, D * (D - 1) // 2)
 
 
-def severi_generating_function(D: int, degrees=None) -> GeneratingPolynomial:
+def severi_generating_function(D: int, records=None) -> GeneratingPolynomial:
     """G truncated at curve degree D (one term per valid index, zeros dropped).
 
-    degrees: optional index -> integer replacing the recursion engine;
-    the fault-injection tests corrupt single values through it.
+    records: optional rows replacing severi_table(D, D(D-1)/2); the
+    fault-injection tests corrupt single degrees through them.
     """
     if D < 1:
         raise ValueError("D must be >= 1, got %d" % D)
-    if degrees is None:
-        degrees = _default_degrees()
+    if records is None:
+        records = _table(D)
     terms: dict[Monomial, Fraction] = {}
-    for d in range(1, D + 1):
-        for index in severi.all_indices(d):
-            n = degrees(index)
-            if n == 0:
-                continue
-            r = severi.dimension(index)
-            key = (index.alpha, index.beta, r)
-            value = Fraction(n, seqs.fact(index.alpha) * factorial(r))
-            terms[key] = terms.get(key, Fraction(0)) + value
+    for rec in records:
+        if rec.degree:
+            alpha, beta = rec.index.alpha, rec.index.beta
+            terms[alpha, beta, rec.dim] = Fraction(
+                rec.degree, seqs.fact(alpha) * factorial(rec.dim))
     return GeneratingPolynomial(terms, D)
 
 
@@ -99,20 +95,20 @@ def _transfer(g: GeneratingPolynomial) -> dict:
     return out
 
 
-def _second_sum_poly(D: int, degrees) -> dict:
+def _second_sum_poly(records) -> dict:
+    """The degeneration sums of every row with d >= 2, each child read from
+    the rows; an absent child has delta' > d'(d'-1)/2, so its degree is 0."""
+    degrees = {rec.index: rec.degree for rec in records}
     out: dict[Monomial, Fraction] = {}
-    for d in range(2, D + 1):
-        for index in severi.all_indices(d):
-            value = sum(
-                coeff * degrees(child)
-                for coeff, child in severi.second_sum_terms(index)
-            )
-            if value == 0:
-                continue
-            r = severi.dimension(index)
-            key = (index.alpha, index.beta, r - 1)
-            q = Fraction(value, seqs.fact(index.alpha) * factorial(r - 1))
-            out[key] = out.get(key, Fraction(0)) + q
+    for rec in records:
+        index, m = rec.index, rec.dim - 1
+        if index.d < 2:
+            continue
+        value = sum(coeff * degrees.get(child, 0)
+                    for coeff, child in severi.second_sum_terms(index))
+        if value:
+            out[index.alpha, index.beta, m] = Fraction(
+                value, seqs.fact(index.alpha) * factorial(m))
     return out
 
 
@@ -120,23 +116,24 @@ def _monomial_weight(key: Monomial) -> int:
     return seqs.weight(key[0]) + seqs.weight(key[1])
 
 
-def getzler_residual(D: int, degrees=None) -> list[Monomial]:
+def getzler_residual(D: int, records=None) -> list[Monomial]:
     """Monomials where dG/dz - transfer disagrees with the degeneration sums.
 
-    Both sides are compared on every monomial of weight 2..D.  Empty
-    list: identity verified at truncation D.
+    Both sides are read from one table (records, as in
+    severi_generating_function) and compared on every monomial of weight
+    2..D.  Empty list: identity verified at truncation D.
     """
     if D < 2:
         raise ValueError("D must be >= 2, got %d" % D)
-    if degrees is None:
-        degrees = _default_degrees()
-    g = severi_generating_function(D, degrees)
+    if records is None:
+        records = _table(D)
+    g = severi_generating_function(D, records)
     dz = _dz(g)
     moved = _transfer(g)
     left: dict[Monomial, Fraction] = dict(dz)
     for key, q in moved.items():
         left[key] = left.get(key, Fraction(0)) - q
-    right = _second_sum_poly(D, degrees)
+    right = _second_sum_poly(records)
     bad = []
     for key in set(left) | set(right):
         if not 2 <= _monomial_weight(key) <= D:

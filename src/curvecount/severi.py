@@ -32,7 +32,8 @@ points) when delta = 0.  Degrees vanish outside 0 <= delta <= d(d-1)/2.
 
 Two engines evaluate it.  severi_degree answers one index from a memo,
 recursing only into the children it needs; severi_table fills whole tables
-bottom-up, one list by delta per (d, alpha, beta).  All values are exact.
+(for the table command and the Getzler check) bottom-up, one list by delta
+per (d, alpha, beta).  All values are exact.
 """
 
 from __future__ import annotations
@@ -316,24 +317,6 @@ class DegreeRecord:
     degree: int
     dim: int
     genus: int
-
-
-def all_indices(d: int, delta_max: int | None = None) -> list[SeveriIndex]:
-    """Every valid index of degree d with 0 <= delta <= min(delta_max, d(d-1)/2).
-
-    Sorted by (delta, alpha, beta).
-    """
-    top = d * (d - 1) // 2
-    if delta_max is not None:
-        top = min(top, delta_max)
-    out = []
-    for delta in range(top + 1):
-        for w_alpha in range(d + 1):
-            for alpha in seqs.partitions(w_alpha):
-                for beta in seqs.partitions(d - w_alpha):
-                    out.append(_index((d, delta, alpha, beta)))
-    out.sort()
-    return out
 
 
 def severi_table(d_max: int, delta_max: int) -> list[DegreeRecord]:

@@ -42,6 +42,29 @@ def seqs_of_weight(w):
     return sorted(found)
 
 
+def profiles(w, k=1):
+    """Canonical multiplicity vectors (m_k, m_k+1, ...) of weight w in parts
+    >= k, each once, by choosing m_k and recursing on the parts above k."""
+    if w == 0:
+        yield ()
+        return
+    for m in range(w // k + 1):
+        if m * k == w:
+            yield (m,)
+        elif k < w - m * k:  # a part above k still fits
+            for rest in profiles(w - m * k, k + 1):
+                yield (m,) + rest
+
+
+def all_indices(d, delta_max=None):
+    """Every valid raw index (d, delta, alpha, beta) with canonical profiles and
+    0 <= delta <= min(delta_max, d(d-1)/2), sorted."""
+    top = d * (d - 1) // 2 if delta_max is None else min(d * (d - 1) // 2, delta_max)
+    return sorted((d, delta, alpha, beta) for delta in range(top + 1)
+                  for w in range(d + 1)
+                  for alpha in profiles(w) for beta in profiles(d - w))
+
+
 def leq(a, b):
     n = max(len(a), len(b))
     a = tuple(a) + (0,) * (n - len(a))

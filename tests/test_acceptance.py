@@ -9,12 +9,13 @@ import json
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 from curvecount import cache, classical, cli, genfunc, kontsevich, seqs, series, severi
 from curvecount.series import PotentialSpec
 from curvecount.severi import MemoStore, SeveriIndex
 
-from helpers import naive_rational_count, oracle_degree, seq_sub
+from helpers import all_indices, naive_rational_count, oracle_degree, seq_sub
 
 
 def _announce(number: int, label: str, verdict: str, capsys=None) -> None:
@@ -129,14 +130,13 @@ def test_criterion_6_getzler(capsys):
                    capsys):
         start = timed()
         assert genfunc.getzler_residual(4) == []
-
-        def corrupted(target):
-            memo = MemoStore()
-            return lambda ix: severi.severi_degree(ix, memo) + (ix == target)
+        rows = severi.severi_table(4, 6)
 
         for d in range(1, 4):
-            for index in severi.all_indices(d):
-                bad = genfunc.getzler_residual(4, corrupted(index))
+            for index in all_indices(d):
+                bad = genfunc.getzler_residual(4, [
+                    replace(rec, degree=rec.degree + 1) if rec.index == index else rec
+                    for rec in rows])
                 assert bad, "corruption at %r went unnoticed" % (index,)
         elapsed = timed() - start
         assert elapsed < 60.0, "took %.3fs" % elapsed
@@ -171,11 +171,7 @@ def test_criterion_8_engine_properties(tmp_path, capsys):
                     == seqs.nat_power(seqs.canon(b)) * seqs.nat_power(c))
 
         # the two dimension formulas agree on every valid index with d <= 5
-        pool = [
-            index
-            for d in range(1, 6)
-            for index in severi.all_indices(d)
-        ]
+        pool = [SeveriIndex(*raw) for d in range(1, 6) for raw in all_indices(d)]
         for index in pool:
             r = severi.dimension(index)  # raises if the two forms disagree
             assert r >= index.d + seqs.size(index.beta) >= 1

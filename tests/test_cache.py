@@ -175,6 +175,28 @@ def test_non_numeric_degree_raises(tmp_path):
         cache.read_cache(path)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"d": 1.9},
+        {"delta": False},
+        {"beta": [True]},
+        {"dim": 2.5},
+        {"degree": 1.0},
+    ],
+    ids=["float-d", "bool-delta", "bool-profile-entry", "float-dim", "float-degree"],
+)
+def test_non_integer_field_is_malformed(tmp_path, fields):
+    # the d = 1 line N(1, 0; (), (1)) = 1; int() would coerce each of these
+    path = tmp_path / "bad.jsonl"
+    record = json.loads(cache._record_line(records_for(1, 0)[0]))
+    assert (record["d"], record["beta"], record["degree"]) == (1, [1], "1")
+    record.update(fields)
+    write_lines(path, [cache._header_line(), json.dumps(record)])
+    with pytest.raises(CacheError, match="^line 2: malformed record: "):
+        cache.read_cache(path)
+
+
 def test_blank_lines_are_tolerated(tmp_path):
     path = tmp_path / "gaps.jsonl"
     records = records_for(2, 1)

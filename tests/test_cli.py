@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -320,6 +322,25 @@ def test_table_reports_torn_header_as_corruption(tmp_path, capsys, cut):
     assert out == "cache %s\nverified 0\nappended 32\nrecords 32\n" % path
 
 
+def test_table_rejects_a_record_with_non_integer_fields(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "2", "--deltamax", "1", "--cache", str(path)]
+    run(argv, capsys)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    assert (record["d"], record["beta"]) == (1, [1])
+    record.update({"d": 1.9, "delta": False, "beta": [True], "dim": 2.5,
+                   "degree": 1.0})
+    lines[1] = json.dumps(record, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    before = path.read_bytes()
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 2: malformed record: ")
+    assert path.read_bytes() == before
+
+
 def test_table_over_an_empty_cache_file_starts_it_afresh(tmp_path, capsys):
     # a crash between creating the file and its first write leaves it empty
     fresh = tmp_path / "fresh.jsonl"
@@ -414,9 +435,9 @@ positional arguments:
 
 options:
   -h, --help            show this help message and exit
-  --dmax DMAX           bound for wdvv (<= 8) or one-node (<= 12)
+  --dmax DMAX           bound for wdvv (<= 16) or one-node (<= 12)
   --x1 X1               x1 truncation for wdvv (>= 3)
-  --D D                 degree truncation for getzler (2..5)
+  --D D                 degree truncation for getzler (2..7)
 """
 
 
@@ -428,10 +449,10 @@ def test_verify_help_states_the_bounds_of_the_suites(monkeypatch, capsys):
 
 
 VERIFY_BOUND_ERRORS = [
-    (["verify", "wdvv", "--dmax", "9"], "error: wdvv supports 1 <= dmax <= 8\n"),
+    (["verify", "wdvv", "--dmax", "17"], "error: wdvv supports 1 <= dmax <= 16\n"),
     (["verify", "wdvv", "--x1", "2"], "error: wdvv needs --x1 >= 3\n"),
-    (["verify", "getzler", "--D", "6"], "error: getzler supports 2 <= D <= 5\n"),
-    (["verify", "getzler", "--D", "1"], "error: getzler supports 2 <= D <= 5\n"),
+    (["verify", "getzler", "--D", "8"], "error: getzler supports 2 <= D <= 7\n"),
+    (["verify", "getzler", "--D", "1"], "error: getzler supports 2 <= D <= 7\n"),
     (["verify", "one-node", "--dmax", "13"],
      "error: one-node supports 2 <= dmax <= 12\n"),
     (["verify", "one-node", "--dmax", "1"],
@@ -491,17 +512,29 @@ def test_verify_wdvv_detects_corrupt_count(monkeypatch, capsys):
 
 
 def test_verify_getzler_detects_corrupt_degree(monkeypatch, capsys):
-    true_degree = severi.severi_degree
+    true_table = severi.severi_table
     target = severi.SeveriIndex(3, 1, (), (3,))
 
-    def corrupt(index, memo=None):
-        return true_degree(index, memo) + (1 if index == target else 0)
+    def corrupt(d_max, delta_max):
+        return [replace(rec, degree=rec.degree + 1) if rec.index == target else rec
+                for rec in true_table(d_max, delta_max)]
 
-    monkeypatch.setattr(genfunc.severi, "severi_degree", corrupt)
+    monkeypatch.setattr(genfunc.severi, "severi_table", corrupt)
     code, out, _ = run(["verify", "getzler", "--D", "4"], capsys)
     assert code == 1
     assert "monomial alpha=() beta=(3) z^7" in out
     assert out.splitlines()[-1] == "FAIL"
+
+
+def test_verify_getzler_reads_only_the_table_engine(monkeypatch, capsys):
+    def pointwise(*args, **kwargs):
+        raise AssertionError("verify getzler called the pointwise engine")
+
+    monkeypatch.setattr(severi, "severi_degree", pointwise)
+    monkeypatch.setattr(severi, "MemoStore", pointwise)
+    code, out, _ = run(["verify", "getzler", "--D", "5"], capsys)
+    assert code == 0
+    assert out == "getzler D=5 violations=0\nok\n"
 
 
 @pytest.mark.parametrize("route", ["euler_one_node", "chow_one_node"])
@@ -602,11 +635,15 @@ def test_repeated_invocations_are_byte_identical(argv, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package the suite imports, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "curvecount.cli",
          "severi", "--d", "2", "--delta", "0", "--beta", "2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "degree 1" in proc.stdout

@@ -1,5 +1,6 @@
 """Generating polynomial of Severi degrees and the Getzler identity."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -8,15 +9,22 @@ import pytest
 from curvecount import genfunc, seqs, severi
 from curvecount.severi import MemoStore, SeveriIndex
 
+from helpers import all_indices
+
 
 def true_degrees():
     memo = MemoStore()
     return lambda index: severi.severi_degree(index, memo)
 
 
-def corrupted(target, shift=1):
-    base = true_degrees()
-    return lambda index: base(index) + (shift if index == target else 0)
+def table(D):
+    return severi.severi_table(D, D * (D - 1) // 2)
+
+
+def corrupted(rows, target, shift=1):
+    """The rows with shift added to the degree of the target index."""
+    return [replace(rec, degree=rec.degree + shift) if rec.index == target else rec
+            for rec in rows]
 
 
 # ------------------------------------------------------------ the polynomial
@@ -72,7 +80,7 @@ def test_transfer_operator_is_term_exact():
     moved = genfunc._transfer(g)
     degrees = true_degrees()
     for d in range(1, D + 1):
-        for index in severi.all_indices(d):
+        for index in (SeveriIndex(*raw) for raw in all_indices(d)):
             r = severi.dimension(index)
             key = (index.alpha, index.beta, r - 1)
             got = moved.get(key, Fraction(0))
@@ -87,7 +95,7 @@ def test_transfer_operator_is_term_exact():
 
 
 # ------------------------------------------------------------ the identity
-@pytest.mark.parametrize("D", [2, 3, 4])
+@pytest.mark.parametrize("D", range(2, 8))
 def test_identity_holds(D):
     assert genfunc.getzler_residual(D) == []
 
@@ -100,19 +108,29 @@ def test_identity_rejects_bad_bound():
 def test_single_corruption_is_named():
     # corrupt the 12 rational cubics to 13: its own monomial must be flagged
     target = SeveriIndex(3, 1, (), (3,))
-    bad = genfunc.getzler_residual(4, corrupted(target))
+    bad = genfunc.getzler_residual(4, corrupted(table(4), target))
     assert bad
     assert ((), (3,), 7) in bad  # z-exponent r - 1 = 7
 
 
 def test_corrupting_any_small_degree_is_detected():
-    for d in range(1, 4):
-        for index in severi.all_indices(d):
-            bad = genfunc.getzler_residual(4, corrupted(index))
-            assert bad, "corruption at %r went unnoticed" % (index,)
+    rows = table(4)
+    targets = [SeveriIndex(*raw) for d in range(1, 4) for raw in all_indices(d)]
+    assert len(targets) == 52
+    for target in targets:
+        bad = genfunc.getzler_residual(4, corrupted(rows, target))
+        assert bad, "corruption at %r went unnoticed" % (target,)
+
+
+def test_corrupting_a_degree_six_row_is_detected_at_seven():
+    target = SeveriIndex(6, 10, (), (6,))
+    rows = table(7)
+    assert [rec.degree for rec in rows if rec.index == target] == [40047888]
+    bad = genfunc.getzler_residual(7, corrupted(rows, target))
+    assert ((), (6,), 16) in bad
 
 
 def test_corrupting_a_zero_degree_is_detected():
     target = SeveriIndex(2, 1, (), (0, 1))  # degree 0
     assert severi.severi_degree(target) == 0
-    assert genfunc.getzler_residual(3, corrupted(target))
+    assert genfunc.getzler_residual(3, corrupted(table(3), target))

@@ -9,11 +9,15 @@ import pytest
 from curvecount import seqs, severi
 from curvecount.severi import MemoStore, SeveriIndex
 
-from helpers import leq, oracle_degree, oracle_second_sum
+from helpers import all_indices, leq, oracle_degree, oracle_second_sum
 
 
 def idx(d, delta, alpha=(), beta=()):
     return SeveriIndex(d, delta, alpha, beta)
+
+
+def indices(d, delta_max=None):
+    return [SeveriIndex(*raw) for raw in all_indices(d, delta_max)]
 
 
 # ----------------------------------------------------------- validation
@@ -60,7 +64,7 @@ def test_dimension_examples():
 
 def all_valid_indices(d_max):
     return [
-        index for d in range(1, d_max + 1) for index in severi.all_indices(d)
+        index for d in range(1, d_max + 1) for index in indices(d)
     ]
 
 
@@ -68,7 +72,7 @@ def all_valid_indices(d_max):
 def test_dimension_two_forms_agree_everywhere(d):
     # dimension() evaluates both closed forms and raises on disagreement;
     # recompute the second form here independently as well
-    for index in severi.all_indices(d):
+    for index in indices(d):
         r = severi.dimension(index)
         g = severi.genus(index)
         assert r == 2 * index.d + g - 1 + seqs.size(index.beta)
@@ -125,7 +129,7 @@ def test_second_sum_frozen_examples():
 
 @pytest.mark.parametrize("d", range(2, 6))
 def test_second_sum_matches_bruteforce_oracle(d):
-    for index in severi.all_indices(d):
+    for index in indices(d):
         got = sorted(
             (coeff, child.d, child.delta, child.alpha, child.beta)
             for coeff, child in severi.second_sum_terms(index)
@@ -140,7 +144,7 @@ def test_second_sum_matches_bruteforce_oracle(d):
 
 
 def test_second_sum_children_valid():
-    for index in severi.all_indices(5):
+    for index in indices(5):
         for coeff, child in severi.second_sum_terms(index):
             assert coeff > 0
             assert child.d == index.d - 1
@@ -247,7 +251,7 @@ def test_four_node_polynomial_has_degree_eight():
 def test_degrees_match_oracle_everywhere(d):
     memo = MemoStore()
     oracle_memo = {}
-    for index in severi.all_indices(d):
+    for index in indices(d):
         assert severi.severi_degree(index, memo) == oracle_degree(
             index.d, index.delta, index.alpha, index.beta, oracle_memo
         )
@@ -308,14 +312,6 @@ def test_memo_counters_move():
 
 
 # ----------------------------------------------------------------- table
-def test_all_indices_count_and_order():
-    rows = severi.all_indices(2)
-    assert rows == sorted(rows)
-    # d = 2: 5 profile pairs, delta in {0, 1}
-    assert len(rows) == 10
-    assert len(severi.all_indices(1)) == 2
-
-
 def test_severi_table_contents():
     table = severi.severi_table(3, 1)
     keys = [rec.index for rec in table]
@@ -353,7 +349,7 @@ def test_severi_table_has_no_memo_parameter():
 
 def table_indices(d_max, delta_max):
     return [index for d in range(1, d_max + 1)
-            for index in severi.all_indices(d, delta_max)]
+            for index in indices(d, delta_max)]
 
 
 def test_severi_table_equals_the_pointwise_engine_through_degree_8():
