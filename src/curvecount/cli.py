@@ -3,10 +3,10 @@
 Subcommands: severi (one degree), kontsevich (rational counts), table
 (batch degrees into a cache file), verify (consistency checks), and
 case-study (the two classical derivations of the 12 nodal cubics).
-Exit codes: 0 computed/verified, 1 verification failure or cache
-corruption, 2 usage or input error.  Output is deterministic: identical
-invocations produce byte-identical stdout, and counts of any size print
-exactly.
+Exit codes: 0 computed/verified, 1 verification failure, cache
+corruption or a closed stdout, 2 usage or input error.  Output is
+deterministic: identical invocations produce byte-identical stdout, and
+counts of any size print exactly.
 """
 
 from __future__ import annotations
@@ -243,20 +243,20 @@ def _verify_help(attr: str, what: str) -> str:
 
 def cmd_verify(args) -> int:
     """Run one suite, or every suite at its defaults for 'all'."""
-    if args.which != "all":  # a named suite rejects a bound flag it does not read
-        reads = [attr for attr, *_ in VERIFY_SUITES[args.which][1]]
-        for attr, _ in VERIFY_FLAGS:
-            if getattr(args, attr) is not None and attr not in reads:
-                print("error: %s does not take --%s" % (args.which, attr),
-                      file=sys.stderr)
-                return 2
+    # a suite rejects a bound flag it does not read; 'all' is no suite and reads none
+    reads = [attr for attr, *_ in VERIFY_SUITES.get(args.which, (None, ()))[1]]
+    for attr, _ in VERIFY_FLAGS:
+        if getattr(args, attr) is not None and attr not in reads:
+            print("error: %s does not take --%s" % (args.which, attr),
+                  file=sys.stderr)
+            return 2
     checks = []
     for name in VERIFY_SUITES if args.which == "all" else [args.which]:
         runner, flags = VERIFY_SUITES[name]
         values = []
         for attr, default, low, high in flags:
             value = getattr(args, attr)
-            if args.which == "all" or value is None:
+            if value is None:
                 value = default
             if value < low or high is not None and value > high:
                 bound = ("needs --%s >= %d" % (attr, low) if high is None
@@ -378,7 +378,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Console entry point; a stdout closed early (`| head`) exits 1, no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # devnull takes stdout, so the final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb
 
 
 def canon(entries) -> tuple[int, ...]:
@@ -71,14 +71,6 @@ def nat_power(c) -> int:
     result = 1
     for k, e in enumerate(c, start=1):
         result *= k ** e
-    return result
-
-
-def fact(s) -> int:
-    """prod_k (s_k)!, the symmetry factor of the profile."""
-    result = 1
-    for e in s:
-        result *= factorial(e)
     return result
 
 

@@ -417,7 +417,7 @@ def test_verify_case_studies_pass(capsys):
 
 
 def test_verify_all_uses_defaults(capsys):
-    code, out, _ = run(["verify", "all", "--dmax", "99", "--x1", "99"], capsys)
+    code, out, _ = run(["verify", "all"], capsys)
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("wdvv d_max=6 x1_bound=8")
@@ -481,6 +481,9 @@ UNREAD_FLAGS = [
     ("one-node", ["--dmax", "5", "--D", "3"], "D"),
     ("case-studies", ["--x1", "2"], "x1"),
     ("case-studies", ["--dmax", "99", "--D", "3"], "dmax"),
+    ("all", ["--D", "9", "--dmax", "100"], "dmax"),
+    ("all", ["--x1", "4"], "x1"),
+    ("all", ["--D", "4"], "D"),
 ]
 
 
@@ -522,8 +525,22 @@ def test_verify_getzler_detects_corrupt_degree(monkeypatch, capsys):
     monkeypatch.setattr(genfunc.severi, "severi_table", corrupt)
     code, out, _ = run(["verify", "getzler", "--D", "4"], capsys)
     assert code == 1
-    assert "monomial alpha=() beta=(3) z^7" in out
-    assert out.splitlines()[-1] == "FAIL"
+    assert out == (
+        "getzler D=4 violations=12\n"
+        "  monomial alpha=() beta=(3) z^7\n"
+        "  monomial alpha=(0,0,0,1) beta=() z^8\n"
+        "  monomial alpha=(0,0,1) beta=(1) z^8\n"
+        "  monomial alpha=(0,1) beta=(2) z^8\n"
+        "  monomial alpha=(0,2) beta=() z^8\n"
+        "  monomial alpha=(1) beta=(3) z^8\n"
+        "  monomial alpha=(1,0,1) beta=() z^8\n"
+        "  monomial alpha=(1,1) beta=(1) z^8\n"
+        "  monomial alpha=(2) beta=(2) z^8\n"
+        "  monomial alpha=(2,1) beta=() z^8\n"
+        "  monomial alpha=(3) beta=(1) z^8\n"
+        "  monomial alpha=(4) beta=() z^8\n"
+        "FAIL\n"
+    )
 
 
 def test_verify_getzler_reads_only_the_table_engine(monkeypatch, capsys):
@@ -647,3 +664,23 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "degree 1" in proc.stdout
+
+
+def test_console_entry_point_survives_a_closed_pipe():
+    # `kontsevich --max 300 | head -1`: 600 kB of output, far more than a
+    # pipe holds, so the writer meets the closed pipe before it finishes
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "curvecount.cli", "kontsevich", "--max", "300"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert first.split() == [b"1", b"1"]
+    assert err == b""

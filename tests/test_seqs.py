@@ -109,12 +109,6 @@ def test_nat_power_is_multiplicative():
         assert seqs.nat_power(seqs.add(a, b)) == seqs.nat_power(a) * seqs.nat_power(b)
 
 
-def test_fact():
-    assert seqs.fact(()) == 1
-    assert seqs.fact((3, 2)) == 12
-    assert seqs.fact((0, 0, 1)) == 1
-
-
 @pytest.mark.parametrize("w", range(11))
 def test_partition_counts(w):
     assert len(seqs.partitions(w)) == PARTITION_COUNTS[w]
