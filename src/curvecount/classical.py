@@ -55,14 +55,14 @@ def chow_one_node(d: int) -> int:
     """Degree of (h1 + (d-1) h2)^3 in P1 x P2: nodal members of a pencil."""
     if d < 1:
         raise ValueError("degree must be >= 1, got %d" % d)
-    # The Chow ring is Q[h1, h2]/(h1^2, h2^3).  Its ideal is monomial, so its
-    # product is the polynomial product truncated at exponents (1, 2); the
-    # degree of a class is its coefficient of the point class h1 h2^2.
+    # The Chow ring Q[h1, h2]/(h1^2, h2^3) has a monomial ideal, so its product is
+    # the truncated product of BivariateSeries, in the basis h1^i/i! h2^j/j!.  The
+    # point class h1 h2^2 is 2 (h1 h2^2/(1! 2!)): a degree is half the (1, 2) entry.
     h = BivariateSeries({(1, 0): 1, (0, 1): d - 1}, bound1=1, bound2=2)
     value = (h * h * h).coeff(1, 2)
-    if value.denominator != 1:
-        raise ArithmeticMismatch("non-integral degree %s" % value)
-    return int(value)
+    if value % 2:
+        raise ArithmeticMismatch("odd point coefficient %d" % value)
+    return value // 2
 
 
 def euler_one_node(d: int) -> int:

@@ -219,9 +219,9 @@ def _verify_case_studies() -> tuple[int, list[str]]:
     return (0 if agree else 1), lines
 
 
-# suite -> (runner, (flag attribute, default, low, high or None) per argument)
+# suite -> (runner, (flag attribute, default, low, high) per argument)
 VERIFY_SUITES = {
-    "wdvv": (_verify_wdvv, (("dmax", 6, 1, 16), ("x1", 8, 3, None))),
+    "wdvv": (_verify_wdvv, (("dmax", 6, 1, 16), ("x1", 8, 3, 64))),
     "getzler": (_verify_getzler, (("D", 4, 2, 7),)),
     "one-node": (_verify_one_node, (("dmax", 12, 2, 12),)),
     "case-studies": (_verify_case_studies, ()),
@@ -236,8 +236,7 @@ def _verify_help(attr: str, what: str) -> str:
             for flag, _, low, high in flags if flag == attr]
     shared = len(uses) > 1
     return "%s for %s" % (what, " or ".join(
-        "%s (%s)" % (name, ">= %d" % low if high is None
-                     else "<= %d" % high if shared else "%d..%d" % (low, high))
+        "%s (%s)" % (name, "<= %d" % high if shared else "%d..%d" % (low, high))
         for name, low, high in uses))
 
 
@@ -258,10 +257,9 @@ def cmd_verify(args) -> int:
             value = getattr(args, attr)
             if value is None:
                 value = default
-            if value < low or high is not None and value > high:
-                bound = ("needs --%s >= %d" % (attr, low) if high is None
-                         else "supports %d <= %s <= %d" % (low, attr, high))
-                print("error: %s %s" % (name, bound), file=sys.stderr)
+            if not low <= value <= high:
+                print("error: %s supports %d <= %s <= %d" % (name, low, attr, high),
+                      file=sys.stderr)
                 return 2
             values.append(value)
         checks.append(runner(*values))

@@ -17,6 +17,11 @@ difference on the window of coefficients that the truncation determines
 completely and returns the nonzero ones; the empty list certifies the
 identity, and any single wrong N(d) shows up as a nonzero entry.
 
+Divided powers: series live in the basis x1^a/a! x2^b/b!, where the
+potential's coefficients are the ints N(d) d^a, a partial is an index shift
+and a product weights each pair of terms by C(a, a1) C(b, b1).  Only the
+residual's nonzero entries go back to ordinary (Fraction) coefficients.
+
 Truncation discipline: a series carries bounds (bound1, bound2) and only
 stores coefficients with exponents inside them.  Sums and products carry
 the entrywise minimum of the operand bounds; a partial derivative lowers
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from . import kontsevich
 
@@ -37,8 +42,8 @@ from . import kontsevich
 class BivariateSeries:
     """Exact bivariate series truncated at exponent bounds (bound1, bound2).
 
-    Immutable by convention; coefficients are Fractions, absent means
-    zero, and nothing is stored outside the bounds.
+    coeffs[(a, b)] is the coefficient of x1^a/a! x2^b/b!, stored as given;
+    immutable by convention, absent means zero, nothing outside the bounds.
     """
 
     __slots__ = ("coeffs", "bound1", "bound2")
@@ -46,35 +51,30 @@ class BivariateSeries:
     def __init__(self, coeffs=None, *, bound1: int, bound2: int):
         self.bound1 = bound1
         self.bound2 = bound2
-        store: dict[tuple[int, int], Fraction] = {}
+        store = {}
         for (a, b), value in (coeffs or {}).items():
             if a > bound1 or b > bound2:
                 raise ValueError(
                     "coefficient (%d, %d) outside bounds (%d, %d)"
                     % (a, b, bound1, bound2)
                 )
-            value = Fraction(value)
             if value:
                 store[(a, b)] = value
         self.coeffs = store
 
-    def coeff(self, a: int, b: int) -> Fraction:
-        return self.coeffs.get((a, b), Fraction(0))
-
-    def items(self):
-        """Nonzero coefficients, sorted by exponent pair."""
-        return sorted(self.coeffs.items())
+    def coeff(self, a: int, b: int):
+        return self.coeffs.get((a, b), 0)
 
     def _merged(self, other, sign: int) -> "BivariateSeries":
         b1 = min(self.bound1, other.bound1)
         b2 = min(self.bound2, other.bound2)
-        out: dict[tuple[int, int], Fraction] = {}
+        out = {}
         for (a, b), value in self.coeffs.items():
             if a <= b1 and b <= b2:
                 out[(a, b)] = value
         for (a, b), value in other.coeffs.items():
             if a <= b1 and b <= b2:
-                out[(a, b)] = out.get((a, b), Fraction(0)) + sign * value
+                out[(a, b)] = out.get((a, b), 0) + sign * value
         return BivariateSeries(out, bound1=b1, bound2=b2)
 
     def __add__(self, other):
@@ -86,25 +86,25 @@ class BivariateSeries:
     def __mul__(self, other):
         b1 = min(self.bound1, other.bound1)
         b2 = min(self.bound2, other.bound2)
-        out: dict[tuple[int, int], Fraction] = {}
+        out = {}
         for (a1, e1), v1 in self.coeffs.items():
             for (a2, e2), v2 in other.coeffs.items():
                 a, b = a1 + a2, e1 + e2
                 if a > b1 or b > b2:
                     continue  # product exponent truncated away
-                out[(a, b)] = out.get((a, b), Fraction(0)) + v1 * v2
+                out[(a, b)] = out.get((a, b), 0) + comb(a, a1) * comb(b, e1) * v1 * v2
         return BivariateSeries(out, bound1=b1, bound2=b2)
 
     def partial(self, var: int) -> "BivariateSeries":
-        """Formal partial derivative; the bound of var drops by one."""
+        """Formal partial derivative, an index shift; var's bound drops by one."""
         if var not in (1, 2):
             raise ValueError("variable must be 1 or 2, got %r" % (var,))
-        out: dict[tuple[int, int], Fraction] = {}
+        out = {}
         for (a, b), value in self.coeffs.items():
             if var == 1 and a > 0:
-                out[(a - 1, b)] = value * a
+                out[(a - 1, b)] = value
             elif var == 2 and b > 0:
-                out[(a, b - 1)] = value * b
+                out[(a, b - 1)] = value
         if var == 1:
             return BivariateSeries(out, bound1=self.bound1 - 1, bound2=self.bound2)
         return BivariateSeries(out, bound1=self.bound1, bound2=self.bound2 - 1)
@@ -120,7 +120,7 @@ class BivariateSeries:
 
     def __repr__(self):
         return "BivariateSeries(%r, bound1=%d, bound2=%d)" % (
-            dict(self.items()),
+            dict(sorted(self.coeffs.items())),
             self.bound1,
             self.bound2,
         )
@@ -143,19 +143,19 @@ class PotentialSpec:
 def quantum_potential(spec: PotentialSpec, counts=None) -> BivariateSeries:
     """The truncated quantum potential as a BivariateSeries.
 
-    Coefficient of x1^a x2^(3d-1) is N(d) * d^a / (a! * (3d-1)!).  The
+    Coefficient of x1^a/a! * x2^(3d-1)/(3d-1)! is N(d) * d^a.  The
     counts argument, a mapping d -> N(d), replaces the computed table
     (fault-injection hook; tests corrupt single entries through it).
     """
     if counts is None:
         counts = dict(kontsevich.rational_table(spec.d_max))
     bound2 = 3 * spec.d_max - 1
-    out: dict[tuple[int, int], Fraction] = {}
+    out = {}
     for d in range(1, spec.d_max + 1):
         n = counts[d]
         b = 3 * d - 1
         for a in range(spec.x1_bound + 1):
-            out[(a, b)] = Fraction(n * d ** a, factorial(a) * factorial(b))
+            out[(a, b)] = n * d ** a
     return BivariateSeries(out, bound1=spec.x1_bound, bound2=bound2)
 
 
@@ -175,8 +175,8 @@ def wdvv_window(spec: PotentialSpec) -> list[tuple[int, int]]:
 def wdvv_residual(spec: PotentialSpec, counts=None):
     """Nonzero residual coefficients of the WDVV identity on the window.
 
-    Returns a list of ((a, b), Fraction) sorted by exponent; empty means
-    the identity holds for every completely-determined coefficient.
+    Returns a list of ((a, b), Fraction of x1^a x2^b) sorted by exponent;
+    empty means the identity holds for every completely-determined coefficient.
     Requires x1_bound >= 3 (the check takes three x1-derivatives).
     """
     if spec.x1_bound < 3:
@@ -193,5 +193,5 @@ def wdvv_residual(spec: PotentialSpec, counts=None):
     for a, b in sorted(wdvv_window(spec)):
         value = residual.coeff(a, b)
         if value:
-            out.append(((a, b), value))
+            out.append(((a, b), Fraction(value, factorial(a) * factorial(b))))
     return out

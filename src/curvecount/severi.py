@@ -258,7 +258,7 @@ def _stack_room(d: int):
     if not deep:
         yield
         return
-    sys.setrecursionlimit(saved + frames)
+    sys.setrecursionlimit(min(saved + frames, 2**31 - 1))  # the limit is a C int
     try:
         yield
     finally:

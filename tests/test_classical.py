@@ -33,7 +33,7 @@ def test_chow_basis_products():
     assert H1 * H1 == chow({})               # h1^2 = 0
     assert H2 * H2 * H2 == chow({})          # h2^3 = 0
     assert ONE * H1 == H1
-    assert (H1 * H2 * H2).coeff(1, 2) == 1   # the point class
+    assert (H1 * H2 * H2).coeff(1, 2) == 2   # the point class, 2 (h1 h2^2/2!)
     assert (H2 * H2).coeff(1, 2) == 0        # not top degree in h1
     assert H1.coeff(1, 2) == 0
 
@@ -64,10 +64,11 @@ def test_one_node_three_ways(d):
 
 
 def test_chow_one_node_expansion():
-    # (h1 + (d-1) h2)^3 = 3 (d-1)^2 h1 h2^2 once h1^2 and h2^3 die
+    # (h1 + (d-1) h2)^3 = 3 (d-1)^2 h1 h2^2 once h1^2 and h2^3 die, and
+    # h1 h2^2 = 2 (h1 h2^2/(1! 2!)) in the divided basis
     d = 5
     h = H1 + chow({(0, 1): d - 1})
-    assert h * h * h == chow({(1, 2): 48})
+    assert h * h * h == chow({(1, 2): 96})
 
 
 # ------------------------------------------------------------- case studies

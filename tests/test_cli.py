@@ -436,7 +436,7 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
   --dmax DMAX           bound for wdvv (<= 16) or one-node (<= 12)
-  --x1 X1               x1 truncation for wdvv (>= 3)
+  --x1 X1               x1 truncation for wdvv (3..64)
   --D D                 degree truncation for getzler (2..7)
 """
 
@@ -450,7 +450,8 @@ def test_verify_help_states_the_bounds_of_the_suites(monkeypatch, capsys):
 
 VERIFY_BOUND_ERRORS = [
     (["verify", "wdvv", "--dmax", "17"], "error: wdvv supports 1 <= dmax <= 16\n"),
-    (["verify", "wdvv", "--x1", "2"], "error: wdvv needs --x1 >= 3\n"),
+    (["verify", "wdvv", "--x1", "2"], "error: wdvv supports 3 <= x1 <= 64\n"),
+    (["verify", "wdvv", "--x1", "65"], "error: wdvv supports 3 <= x1 <= 64\n"),
     (["verify", "getzler", "--D", "8"], "error: getzler supports 2 <= D <= 7\n"),
     (["verify", "getzler", "--D", "1"], "error: getzler supports 2 <= D <= 7\n"),
     (["verify", "one-node", "--dmax", "13"],

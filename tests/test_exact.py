@@ -1,4 +1,6 @@
-"""The package computes with ints and Fractions only: no float reaches a count."""
+"""The package computes with ints only: no float reaches a count, and a
+Fraction appears only where the WDVV residual is read back in the ordinary
+basis x1^a x2^b."""
 
 import ast
 import pathlib
@@ -6,6 +8,8 @@ import pathlib
 import pytest
 
 import curvecount
+from curvecount import series
+from curvecount.series import PotentialSpec
 
 MODULES = sorted(pathlib.Path(curvecount.__file__).parent.glob("*.py"))
 
@@ -19,6 +23,22 @@ def float_sources(tree):
             yield node.lineno, "true division"
         elif isinstance(node, ast.Name) and node.id == "float":
             yield node.lineno, "the name float"
+
+
+def fraction_references(node, scope="<module>"):
+    """(scope, line) for each import of `fractions` and each use of Fraction;
+    scope is "import" or the innermost enclosing def or class."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = node.name
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+        if any(name.split(".")[0] == "fractions" for name in names):
+            yield "import", node.lineno
+    elif (isinstance(node, ast.Name) and node.id == "Fraction"
+          or isinstance(node, ast.Attribute) and node.attr == "Fraction"):
+        yield scope, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from fraction_references(child, scope)
 
 
 def test_every_module_is_checked():
@@ -37,3 +57,29 @@ def test_module_has_no_float_arithmetic(path):
 def test_the_guard_sees_each_kind():
     tree = ast.parse("x = 0.5\ny = a / b\nz /= 2\nw = float(s)\n")
     assert sorted(line for line, _ in float_sources(tree)) == [1, 2, 3, 4]
+
+
+def test_fraction_appears_only_in_the_wdvv_residual():
+    found = {
+        (path.stem, scope)
+        for path in MODULES
+        for scope, _ in fraction_references(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {("series", "import"), ("series", "wdvv_residual")}
+
+
+def test_the_fraction_guard_sees_each_kind():
+    tree = ast.parse(
+        "import fractions\nfrom fractions import Fraction\nx = Fraction(1, 2)\n"
+        "def f(q: Fraction):\n    return fractions.Fraction(q)\n"
+    )
+    assert sorted(fraction_references(tree)) == [
+        ("<module>", 3), ("f", 4), ("f", 5), ("import", 1), ("import", 2),
+    ]
+
+
+def test_wdvv_series_hold_ints():
+    f = series.quantum_potential(PotentialSpec(8, 40))
+    f112 = f.partial(1).partial(1).partial(2)
+    for s in (f, f112 * f112):
+        assert s.coeffs and all(type(v) is int for v in s.coeffs.values())

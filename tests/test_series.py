@@ -46,12 +46,13 @@ def test_bounds_are_min_of_operands():
 
 
 def test_partial_lowers_bound():
-    s = BivariateSeries({(2, 1): Fraction(1, 2)}, bound1=3, bound2=2)
+    # in divided powers a partial shifts the index and multiplies by nothing
+    s = BivariateSeries({(2, 1): 5}, bound1=3, bound2=2)
     d1 = s.partial(1)
-    assert d1.coeff(1, 1) == 1
+    assert d1.coeffs == {(1, 1): 5}
     assert d1.bound1 == 2 and d1.bound2 == 2
     d2 = s.partial(2)
-    assert d2.coeff(2, 0) == Fraction(1, 2)
+    assert d2.coeffs == {(2, 0): 5}
     assert d2.bound2 == 1
     with pytest.raises(ValueError):
         s.partial(3)
@@ -94,17 +95,18 @@ def test_mul_commutes_and_distributes():
 
 # ------------------------------------------------------------- potential
 def test_potential_smallest_truncation():
-    # d_max = 1, no x1 terms: just x2^2/2
+    # d_max = 1, no x1 terms: just x2^2/2!, coefficient N(1) = 1
     f = series.quantum_potential(PotentialSpec(1, 0))
-    assert f.coeffs == {(0, 2): Fraction(1, 2)}
+    assert f.coeffs == {(0, 2): 1}
     assert f.bound1 == 0 and f.bound2 == 2
 
 
 def test_potential_pinned_coefficients():
     f = series.quantum_potential(PotentialSpec(3, 4))
-    assert f.coeff(1, 2) == Fraction(1, 2)  # N(1) * 1^1 / (1! 2!)
-    assert f.coeff(0, 8) == Fraction(12, factorial(8))
-    assert f.coeff(3, 5) == Fraction(1 * 2 ** 3, factorial(3) * factorial(5))
+    # the coefficient of x1^a/a! x2^(3d-1)/(3d-1)! is N(d) * d^a
+    assert f.coeff(1, 2) == 1  # N(1) * 1^1
+    assert f.coeff(0, 8) == 12  # N(3) * 3^0
+    assert f.coeff(3, 5) == 8  # N(2) * 2^3
 
 
 @pytest.mark.parametrize("d_max,x1_bound", [(2, 3), (3, 5), (4, 4)])
@@ -113,7 +115,7 @@ def test_potential_matches_closed_form(d_max, x1_bound):
     f = series.quantum_potential(PotentialSpec(d_max, x1_bound))
     for a in range(x1_bound + 1):
         for b in range(3 * d_max):
-            assert f.coeff(a, b) == phi_coeff(a, b, counts)
+            assert f.coeff(a, b) == phi_coeff(a, b, counts) * factorial(a) * factorial(b)
 
 
 def test_spec_validation():

@@ -213,6 +213,14 @@ def test_deep_query_raises_the_recursion_limit_only_for_the_call():
         sys.setrecursionlimit(limit)
 
 
+def test_stack_room_clamps_the_limit_to_a_c_int():
+    # from d ~ 65,530 the raised limit would pass 2**31 - 1 and overflow
+    limit = sys.getrecursionlimit()
+    with severi._stack_room(70000):
+        assert sys.getrecursionlimit() == 2**31 - 1
+    assert sys.getrecursionlimit() == limit
+
+
 # Node polynomials (Kleiman-Piene; Fomin-Mikhalkin): N(d, delta; (), (d)) is a
 # polynomial in d of degree 2 delta for d >= delta.  These reach degrees the
 # brute-force oracle cannot, where the pruned degeneration sum keeps the
