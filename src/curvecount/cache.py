@@ -89,16 +89,17 @@ def _parse_record(line: str, lineno: int, torn: bool) -> tuple:
 def read_cache(path) -> list[DegreeRecord]:
     """All records of an existing cache file, with checked canonical indices.
 
-    Raises CacheError when the file is unreadable or malformed, and
-    CacheCorruption for an invalid index or a torn last line: one that
-    lacks its newline and does not parse, as a crash mid-append leaves
-    (a torn header when it is the only line).
+    Raises CacheError when the file is unreadable, not UTF-8 or malformed,
+    and CacheCorruption for an invalid index (a bad shape, or delta outside
+    0..d(d-1)/2) or a torn last line: one that lacks its newline and does
+    not parse, as a crash mid-append leaves (a torn header when it is the
+    only line).
     A malformed line anywhere is reported before an invalid index.
     """
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CacheError("cannot read %s: %s" % (path, exc)) from exc
     lines = text.splitlines()
     torn_lineno = len(lines) if not text.endswith("\n") else None
@@ -129,12 +130,13 @@ def read_cache(path) -> list[DegreeRecord]:
                 line, lineno, lineno == torn_lineno
             )
             key = (d, alpha, beta)
-            if key not in shapes:  # validity does not depend on delta
+            if key not in shapes:  # a shape's validity does not depend on delta
                 try:
                     shapes[key] = SeveriIndex(d, 0, alpha, beta)[2:]
                 except ValueError:  # weight mismatch, d < 1 or a negative entry
                     shapes[key] = None
-            if shapes[key] is None:
+            # severi_table writes no row outside 0 <= delta <= d(d-1)/2
+            if shapes[key] is None or not 0 <= delta <= d * (d - 1) // 2:
                 invalid.append((d, delta, list(alpha), list(beta)))
                 continue
             records.append(DegreeRecord(_index((d, delta, *shapes[key])),

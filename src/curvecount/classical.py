@@ -22,7 +22,7 @@ raises ArithmeticMismatch instead of producing a wrong count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .series import BivariateSeries
@@ -41,14 +41,11 @@ class ArithmeticMismatch(ArithmeticError):
     """A recomputed intermediate disagrees with its derivation."""
 
 
-@dataclass(frozen=True)
-class CaseStudyReport:
+class CaseStudyReport(namedtuple("CaseStudyReport", "method quantities count notes",
+                                 defaults=((),))):
     """Named intermediate quantities and the final count of one method."""
 
-    method: str
-    quantities: dict
-    count: int
-    notes: tuple = ()
+    __slots__ = ()
 
 
 def chow_one_node(d: int) -> int:

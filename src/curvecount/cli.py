@@ -119,10 +119,14 @@ def cmd_kontsevich(args) -> int:
     return 0
 
 
-def _corruption(index, detail: str) -> int:
-    d, delta, alpha, beta = index
-    print("cache corruption at d=%d delta=%d alpha=%s beta=%s: %s"
-          % (d, delta, list(alpha), list(beta), detail), file=sys.stderr)
+def _corruption(old, new, how: str) -> int:
+    """Report two records of one index by the first field that differs:
+    'stored <field> <old value>, <how> <new value>'."""
+    d, delta, alpha, beta = new.index
+    field, was, now = next(item for item in zip(old._fields, old, new)
+                           if item[1] != item[2])
+    print("cache corruption at d=%d delta=%d alpha=%s beta=%s: stored %s %s, %s %s"
+          % (d, delta, list(alpha), list(beta), field, was, how, now), file=sys.stderr)
     return 1
 
 
@@ -136,8 +140,7 @@ def cmd_table(args) -> int:
     for rec in existing:
         old = known.setdefault(rec.index, rec)
         if old != rec:  # identical duplicates, as overlapping runs leave, are benign
-            return _corruption(rec.index, "stored degree %s, stored again as %s"
-                               % (old.degree, rec.degree))
+            return _corruption(old, rec, "stored again as")
     records = severi.severi_table(args.dmax, args.deltamax)
     fresh = []
     verified = 0
@@ -147,8 +150,7 @@ def cmd_table(args) -> int:
             fresh.append(rec)
             continue
         if old != rec:
-            return _corruption(rec.index, "stored degree %s, recomputed %s"
-                               % (old.degree, rec.degree))
+            return _corruption(old, rec, "recomputed")
         verified += 1
     cache.append_records(args.cache, fresh)
     print("cache %s" % args.cache)

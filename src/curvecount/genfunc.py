@@ -30,19 +30,18 @@ A monomial key is (alpha, beta, m): u-exponents, v-exponents, z-exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import seqs, severi
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
-class GeneratingPolynomial:
+class GeneratingPolynomial(namedtuple("GeneratingPolynomial", "terms")):
     """Sparse polynomial in divided powers of (u, z) times powers of v:
     terms[(alpha, beta, m)] is the coefficient of u^alpha/alpha! v^beta z^m/m!."""
 
-    terms: dict[Monomial, int]
+    __slots__ = ()
 
 
 def _table(D: int) -> list[severi.DegreeRecord]:

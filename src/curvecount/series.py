@@ -32,7 +32,7 @@ window a <= A - 3, b = 3d - 4 for 2 <= d <= d_max.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
@@ -126,18 +126,17 @@ class BivariateSeries:
         )
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class PotentialSpec(namedtuple("PotentialSpec", "d_max x1_bound")):
     """Truncation request: counts up to d_max, x1-exponents up to x1_bound."""
 
-    d_max: int
-    x1_bound: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d_max < 1:
-            raise ValueError("d_max must be >= 1, got %d" % self.d_max)
-        if self.x1_bound < 0:
-            raise ValueError("x1_bound must be >= 0, got %d" % self.x1_bound)
+    def __new__(cls, d_max: int, x1_bound: int):
+        if d_max < 1:
+            raise ValueError("d_max must be >= 1, got %d" % d_max)
+        if x1_bound < 0:
+            raise ValueError("x1_bound must be >= 0, got %d" % x1_bound)
+        return tuple.__new__(cls, (d_max, x1_bound))
 
 
 def quantum_potential(spec: PotentialSpec, counts=None) -> BivariateSeries:

@@ -41,7 +41,6 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import comb
 
@@ -123,19 +122,20 @@ def dimension(index: SeveriIndex) -> int:
     return direct
 
 
-@dataclass
 class MemoStore:
     """Write-once memo of computed degrees, keyed by canonical index.
 
     A second put with the same value is a benign no-op; a conflicting
     value raises, since the recursion is deterministic and a conflict
-    means corruption.  Hit and miss counters are bookkeeping only; the
-    engine probes _values in place and counts its hits itself.
+    means corruption.  Hit and miss counters are bookkeeping only: get
+    counts both, and the engine, which probes _values in place, adds its
+    own hits to the hits attribute.
     """
 
-    _values: dict[SeveriIndex, int] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
+    def __init__(self):
+        self._values: dict[SeveriIndex, int] = {}
+        self.hits = 0
+        self.misses = 0
 
     def get(self, index: SeveriIndex):
         value = self._values.get(index)
@@ -309,14 +309,10 @@ def _degree(index: SeveriIndex, memo: MemoStore) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class DegreeRecord:
+class DegreeRecord(namedtuple("DegreeRecord", "index degree dim genus")):
     """One table row: an index with its degree, dimension and genus."""
 
-    index: SeveriIndex
-    degree: int
-    dim: int
-    genus: int
+    __slots__ = ()
 
 
 def severi_table(d_max: int, delta_max: int) -> list[DegreeRecord]:

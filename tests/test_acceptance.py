@@ -9,7 +9,6 @@ import json
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 from curvecount import cache, classical, cli, genfunc, kontsevich, seqs, series, severi
 from curvecount.series import PotentialSpec
@@ -135,7 +134,7 @@ def test_criterion_6_getzler(capsys):
         for d in range(1, 4):
             for index in all_indices(d):
                 bad = genfunc.getzler_residual(4, [
-                    replace(rec, degree=rec.degree + 1) if rec.index == index else rec
+                    rec._replace(degree=rec.degree + 1) if rec.index == index else rec
                     for rec in rows])
                 assert bad, "corruption at %r went unnoticed" % (index,)
         elapsed = timed() - start

@@ -121,6 +121,13 @@ def test_missing_file_raises(tmp_path):
         cache.read_cache(tmp_path / "absent.jsonl")
 
 
+def test_file_that_is_not_utf8_raises(tmp_path):
+    path = tmp_path / "binary.jsonl"
+    path.write_bytes(cache._header_line().encode() + b"\n\xff\n")
+    with pytest.raises(CacheError, match="^cannot read .*utf-8"):
+        cache.read_cache(path)
+
+
 def test_empty_file_raises(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
@@ -220,6 +227,8 @@ def test_record_line_is_pinned():
         {"alpha": [1], "beta": [3]},  # weight 4 for d = 3
         {"d": 0, "alpha": [], "beta": []},
         {"alpha": [-1], "beta": [4]},
+        {"delta": -1},
+        {"delta": 4},  # past d(d-1)/2 = 3 nodes
     ],
 )
 def test_invalid_index_is_corruption(tmp_path, fields):

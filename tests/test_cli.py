@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -286,6 +285,45 @@ def test_table_reports_invalid_index_as_corruption(tmp_path, capsys):
     )
 
 
+def test_table_reports_a_delta_outside_the_node_range_as_corruption(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "2", "--deltamax", "1", "--cache", str(path)]
+    run(argv, capsys)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"alpha": [], "beta": [1], "d": 1, "degree": "7", "delta": -5, '
+                     '"dim": 7, "genus": 5, "tool-version": "0.1.0"}\n')
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "cache corruption: invalid index d=1 delta=-5 alpha=[] beta=[1]\n"
+
+
+@pytest.mark.parametrize("duplicate", [False, True], ids=["recomputed", "duplicate"])
+@pytest.mark.parametrize("field", ["dim", "genus"])
+def test_table_corruption_names_the_field_that_differs(tmp_path, capsys, field,
+                                                       duplicate):
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)]
+    run(argv, capsys)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    assert (record["d"], record["delta"], record["beta"]) == (1, 0, [1])
+    true = record[field]
+    record[field] = 99
+    tampered = json.dumps(record, sort_keys=True)
+    if duplicate:
+        lines.insert(1, tampered)
+    else:
+        lines[1] = tampered
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("cache corruption at d=1 delta=0 alpha=[] beta=[1]: "
+                   "stored %s 99, %s %d\n"
+                   % (field, "stored again as" if duplicate else "recomputed", true))
+
+
 def test_table_reports_torn_last_line_as_corruption(tmp_path, capsys):
     path = tmp_path / "cache.jsonl"
     argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)]
@@ -339,6 +377,25 @@ def test_table_rejects_a_record_with_non_integer_fields(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: line 2: malformed record: ")
     assert path.read_bytes() == before
+
+
+def test_table_rejects_a_cache_that_is_not_utf8(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(b"\xff\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvecount.cli",
+         "table", "--dmax", "2", "--deltamax", "1", "--cache", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot read %s: " % path)
+    assert "Traceback" not in proc.stderr
+    assert path.read_bytes() == b"\xff\n"
 
 
 def test_table_over_an_empty_cache_file_starts_it_afresh(tmp_path, capsys):
@@ -520,7 +577,7 @@ def test_verify_getzler_detects_corrupt_degree(monkeypatch, capsys):
     target = severi.SeveriIndex(3, 1, (), (3,))
 
     def corrupt(d_max, delta_max):
-        return [replace(rec, degree=rec.degree + 1) if rec.index == target else rec
+        return [rec._replace(degree=rec.degree + 1) if rec.index == target else rec
                 for rec in true_table(d_max, delta_max)]
 
     monkeypatch.setattr(genfunc.severi, "severi_table", corrupt)

@@ -3,7 +3,10 @@ Fraction appears only where the WDVV residual is read back in the ordinary
 basis x1^a x2^b."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -83,3 +86,25 @@ def test_wdvv_series_hold_ints():
     f112 = f.partial(1).partial(1).partial(2)
     for s in (f, f112 * f112):
         assert s.coeffs and all(type(v) is int for v in s.coeffs.values())
+
+
+def modules_after(statement):
+    """Names in sys.modules of a fresh interpreter once it has run statement."""
+    src = os.path.dirname(os.path.dirname(curvecount.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", statement + "\nimport sys\nprint(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    return set(proc.stdout.split())
+
+
+def test_imports_load_only_what_they_use():
+    assert not {"dataclasses", "inspect"} & modules_after("import curvecount.cli")
+    loaded = modules_after("from curvecount import severi")
+    assert {name for name in loaded if name.split(".")[0] == "curvecount"} == {
+        "curvecount", "curvecount.seqs", "curvecount.severi",
+    }

@@ -1,7 +1,5 @@
 """Generating polynomial of Severi degrees and the Getzler identity."""
 
-from dataclasses import replace
-
 import pytest
 
 from curvecount import genfunc, seqs, severi
@@ -21,7 +19,7 @@ def table(D):
 
 def corrupted(rows, target, shift=1):
     """The rows with shift added to the degree of the target index."""
-    return [replace(rec, degree=rec.degree + shift) if rec.index == target else rec
+    return [rec._replace(degree=rec.degree + shift) if rec.index == target else rec
             for rec in rows]
 
 
