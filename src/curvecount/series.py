@@ -138,6 +138,10 @@ class PotentialSpec(namedtuple("PotentialSpec", "d_max x1_bound")):
             raise ValueError("x1_bound must be >= 0, got %d" % x1_bound)
         return tuple.__new__(cls, (d_max, x1_bound))
 
+    @classmethod
+    def _make(cls, iterable):  # through __new__, so _replace checks too
+        return cls(*iterable)
+
 
 def quantum_potential(spec: PotentialSpec, counts=None) -> BivariateSeries:
     """The truncated quantum potential as a BivariateSeries.

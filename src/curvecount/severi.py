@@ -28,7 +28,10 @@ and delta' = delta - (d - 1) + |c| is kept only when 0 <= delta' <= delta.
 The first sum specializes one unassigned contact to an assigned point at
 fixed degree; the second degenerates the curve to contain L, dropping
 the degree by one.  Base case: d = 1 has degree 1 (a line through two
-points) when delta = 0.  Degrees vanish outside 0 <= delta <= d(d-1)/2.
+points) when delta = 0.  Degrees vanish when delta < 0 and, as a reduced
+curve of genus g has at least 1 - g components, each meeting L at a contact
+point of its own, when |alpha| + |beta| < 1 - g; this holds for every
+delta > d(d-1)/2 and, at every d <= 12, for exactly the zero degrees.
 
 Two engines evaluate it.  severi_degree answers one index from a memo,
 recursing only into the children it needs; severi_table fills whole tables
@@ -77,6 +80,10 @@ class SeveriIndex(namedtuple("SeveriIndex", "d delta alpha beta")):
                 % (got, d, alpha, beta)
             )
         return tuple.__new__(cls, (d, delta, alpha, beta))
+
+    @classmethod
+    def _make(cls, iterable):  # through __new__, so _replace checks too
+        return cls(*iterable)
 
 
 # Unchecked, C-speed constructor for children, which are valid by construction.
@@ -234,13 +241,18 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
 
     Evaluates the recursion in the module docstring with memoization,
     the degeneration sum from one table per (beta, budget, min |c|).
-    Returns 0 outside 0 <= delta <= d(d-1)/2.  Termination: the first
+    Returns 0, with the memo untouched, when delta < 0 or when
+    delta >= C(d-1, 2) + |alpha| + |beta|, the vanishing rule of the module
+    docstring (g = C(d-1, 2) - delta).  Termination: the first
     sum strictly decreases |beta| at fixed d, the second strictly
     decreases d.
     """
+    d, delta, alpha, beta = index
+    if delta < 0 or delta >= comb(d - 1, 2) + seqs.size(alpha) + seqs.size(beta):
+        return 0
     if memo is None:
         memo = MemoStore()
-    with _stack_room(index.d):
+    with _stack_room(d):
         return _degree(index, memo)
 
 
@@ -266,12 +278,12 @@ def _stack_room(d: int):
 
 
 def _degree(index: SeveriIndex, memo: MemoStore) -> int:
-    """Degree at a valid index.  Each child is a plain tuple, equal to the
-    index it names, looked up in the memo in place; only a miss (or d' = 1)
-    recurses.  A child with delta' > d'(d'-1)/2 is skipped before lookup."""
+    """Degree at an index the vanishing rule does not mark.  Each child is
+    a plain tuple, equal to the index it names, looked up in the memo in
+    place; only a miss (or d' = 1) recurses.  First-sum children keep d,
+    delta and |alpha| + |beta|; the rule marks all second-sum children of
+    an alpha' split or none, so a marked split is skipped whole."""
     d, delta, alpha, beta = index
-    if delta < 0 or delta > d * (d - 1) // 2:
-        return 0
     if d == 1:
         return 1  # delta is forced to 0 here; a line through two points
     total = memo.get(index)  # counts the hit or the miss
@@ -289,14 +301,12 @@ def _degree(index: SeveriIndex, memo: MemoStore) -> int:
     top = d - 1
     shift = delta - top
     min_size = max(top - delta, 0)  # as in second_sum_terms
-    cap = top * (top - 1) // 2 - shift  # delta' <= d'(d'-1)/2 is |c| <= cap
+    room = shift - comb(top - 1, 2) - sum(beta)  # marked when |alpha'| <= room
     for a_prime, assigned, budget in _assigned_splits(alpha):
-        if budget < min_size:
+        if budget < min_size or sum(a_prime) <= room:
             continue
         part = 0
         for coeff, c_size, b_prime in _degenerations(beta, budget, min_size):
-            if c_size > cap:
-                continue
             child = (top, shift + c_size, a_prime, b_prime)
             value = values.get(child)
             if value is None:

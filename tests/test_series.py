@@ -125,6 +125,12 @@ def test_spec_validation():
         PotentialSpec(2, -1)
 
 
+def test_spec_replace_validates():
+    with pytest.raises(ValueError):
+        PotentialSpec(2, 3)._replace(d_max=0)
+    assert PotentialSpec(2, 3)._replace(x1_bound=5) == PotentialSpec(2, 5)
+
+
 # ---------------------------------------------------------------- wdvv
 def test_window_shape():
     spec = PotentialSpec(4, 6)

@@ -33,6 +33,15 @@ def test_nonpositive_degree_rejected():
         severi.validate(0, 0, (), ())
 
 
+def test_replace_validates():
+    index = idx(3, 1, (), (3,))
+    with pytest.raises(severi.WeightMismatch):
+        index._replace(d=5)
+    with pytest.raises(severi.NonPositiveDegree):
+        index._replace(d=0)
+    assert index._replace(delta=2, beta=(3, 0)) == idx(3, 2, (), (3,))
+
+
 def test_validate_canonicalizes():
     index = severi.validate(3, 1, (3, 0, 0), (0, 0))
     assert index.alpha == (3,)
@@ -197,6 +206,33 @@ def test_decomposition_of_the_twelve():
     )
 
 
+def test_vanishing_rule_marks_exactly_the_zero_rows():
+    # a reduced curve of genus g has at least 1 - g components, each with a
+    # contact point of its own on L: degree 0 exactly when |alpha| + |beta| < 1 - g
+    rows = severi.severi_table(9, 36)
+    assert len(rows) == 20513
+    marked = 0
+    for rec in rows:
+        rule = seqs.size(rec.index.alpha) + seqs.size(rec.index.beta) < 1 - rec.genus
+        assert (rec.degree == 0) == rule, rec
+        marked += rule
+    assert marked == 2420
+
+
+def test_marked_index_is_answered_without_recursion():
+    # C(59, 2) + 30 = 1741 <= 1770 nodes: zero on entry, the memo untouched
+    memo = MemoStore()
+    assert severi.severi_degree(idx(60, 1770, (), (0, 30)), memo) == 0
+    assert len(memo) == 0
+    assert memo.hits == memo.misses == 0
+
+
+def test_memo_holds_no_marked_index():
+    memo = MemoStore()
+    severi.severi_degree(idx(10, 36, (), (10,)), memo)
+    assert 0 not in memo._values.values()
+
+
 @pytest.mark.parametrize("d", range(2, 13))
 def test_one_node_law(d):
     assert severi.severi_degree(idx(d, 1, (), (d,))) == 3 * (d - 1) ** 2
@@ -296,7 +332,17 @@ def test_memo_work_counters_are_pinned():
     # one memo entry per miss, and every child found in the memo is a hit
     memo = MemoStore()
     assert severi.severi_degree(idx(10, 36, (), (10,)), memo) == 178396887235408616925
-    assert (len(memo), memo.hits, memo.misses) == (4681, 41966, 4681)
+    assert (len(memo), memo.hits, memo.misses) == (3473, 25384, 3473)
+
+
+@pytest.mark.parametrize("d,expected", [
+    (9, 63057183029710500),
+    (11, 721432313134012578370940),
+    (12, 4023459098946292244977486560),
+])
+def test_genus_zero_degrees_are_pinned(d, expected):
+    # genus 0 with (), (d), as for d = 10 above
+    assert severi.severi_degree(idx(d, comb(d - 1, 2), (), (d,))) == expected
 
 
 def test_memo_write_once():
