@@ -7,23 +7,20 @@ in divided powers of u and z, so that each coefficient is a degree:
     G(u, v, z) = sum over valid indices of
         N(d, delta, alpha, beta) * u^alpha/alpha! * v^beta * z^r/r!
 
-with r the variety dimension.  Differentiating the recursion term by
-term turns it into Getzler's identity: the z-derivative of G minus the
-first-sum transfer
+with r the variety dimension.  Coefficientwise, the Caporaso-Harris
+recursion is Getzler's identity on G alone,
 
-    R := dG/dz - sum_k k * v_k * dG/du_k
+    dG/dz = sum_k k v_k dG/du_k + S,
+    S := [t^1] exp(sum_k u_k t^k) * G(u, v_k + k t^(-k), z),
 
-must equal the generating function of the degeneration (second) sums,
-
-    S := sum over valid indices with 2 <= d <= D of
-        (second-sum value) * u^alpha/alpha! * v^beta * z^(r-1)/(r-1)!.
-
-d/dz and d/du_k lower an exponent by one with no factor, so R and S have
-integer coefficients too.  getzler_residual compares them coefficientwise
-over all monomials of weight 2..D, where both sides are complete
-(weight-1 monomials belong to the d = 1 base case, which the degeneration
-sum does not generate).  An empty list verifies the identity; a single
-corrupted degree anywhere at d <= D leaves a named nonzero monomial.
+S being the degeneration sums: the substitution gives k^c * C(beta + c,
+beta), the divided-power product C(alpha, alpha'), and t^1 means
+weight(alpha - alpha') = 1 + weight(c), at the child's z-exponent.  Every
+side is an integer operator on G, so the check shares no code with the
+engine that filled the table, and a wrong coefficient there is caught.
+getzler_residual compares the sides on all monomials of weight 2..D,
+where both are complete; an empty list verifies the identity, and a
+single corrupted degree at d <= D leaves a named nonzero monomial.
 
 A monomial key is (alpha, beta, m): u-exponents, v-exponents, z-exponent.
 """
@@ -31,6 +28,7 @@ A monomial key is (alpha, beta, m): u-exponents, v-exponents, z-exponent.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from . import seqs, severi
 
@@ -44,11 +42,6 @@ class GeneratingPolynomial(namedtuple("GeneratingPolynomial", "terms")):
     __slots__ = ()
 
 
-def _table(D: int) -> list[severi.DegreeRecord]:
-    """Every row of degree at most D, from the layered table engine."""
-    return severi.severi_table(D, D * (D - 1) // 2)
-
-
 def severi_generating_function(D: int, records=None) -> GeneratingPolynomial:
     """G truncated at curve degree D (one term per valid index, zeros dropped).
 
@@ -58,7 +51,7 @@ def severi_generating_function(D: int, records=None) -> GeneratingPolynomial:
     if D < 1:
         raise ValueError("D must be >= 1, got %d" % D)
     if records is None:
-        records = _table(D)
+        records = severi.severi_table(D, D * (D - 1) // 2)
     return GeneratingPolynomial({(rec.index.alpha, rec.index.beta, rec.dim): rec.degree
                                  for rec in records if rec.degree})
 
@@ -75,29 +68,43 @@ def _transfer(g: GeneratingPolynomial) -> dict[Monomial, int]:
     return out
 
 
-def getzler_residual(D: int, records=None) -> list[Monomial]:
-    """Monomials where dG/dz - transfer disagrees with the degeneration sums.
+@lru_cache(maxsize=None)
+def _lowerings(ve):
+    """v^ve with v_k -> v_k + k t^(-k): (ve - c, C(ve, c) k^c, weight(c)) per c <= ve."""
+    return tuple((seqs.canon(e - f for e, f in zip(ve, c + (0,) * len(ve))),
+                  seqs.binomial(ve, c) * seqs.nat_power(c), seqs.weight(c))
+                 for c in seqs.subsequences(ve))
 
-    Both sides are read from one table (records, as in
-    severi_generating_function) and compared on every monomial of weight
-    2..D.  Empty list: identity verified at truncation D.
-    """
+
+@lru_cache(maxsize=None)
+def _raisings(ue, w):
+    """u^ue/ue! times the t^w part of exp(sum_k u_k t^k), a sum of u^gamma/gamma!:
+    (ue + gamma, C(ue + gamma, gamma)) per gamma in partitions(w)."""
+    return tuple((raised, seqs.binomial(raised, gamma))
+                 for gamma in seqs.partitions(w) for raised in (seqs.add(ue, gamma),))
+
+
+def _degenerate(g: GeneratingPolynomial, D: int) -> dict[Monomial, int]:
+    """S from the terms of weight below D, each feeding terms one degree up."""
+    out: dict[Monomial, int] = {}
+    for (ue, ve, m), n in g.terms.items():
+        if seqs.weight(ue) + seqs.weight(ve) < D:
+            for lowered, coeff, w in _lowerings(ve):
+                for raised, assigned in _raisings(ue, w + 1):
+                    key = (raised, lowered, m)
+                    out[key] = out.get(key, 0) + assigned * coeff * n
+    return out
+
+
+def getzler_residual(D: int, records=None) -> list[Monomial]:
+    """Monomials of weight 2..D where dG/dz - transfer - S, three operators on
+    one G (records as in severi_generating_function), is nonzero."""
     if D < 2:
         raise ValueError("D must be >= 2, got %d" % D)
-    if records is None:
-        records = _table(D)
     g = severi_generating_function(D, records)
     residual = {(ue, ve, m - 1): n for (ue, ve, m), n in g.terms.items() if m}
-    for key, n in _transfer(g).items():
-        residual[key] = residual.get(key, 0) - n
-    # the degeneration sums, each child read from the rows; an absent child
-    # has delta' > d'(d'-1)/2, so its degree is 0
-    degrees = {rec.index: rec.degree for rec in records}
-    for rec in records:
-        if rec.index.d >= 2:
-            key = (rec.index.alpha, rec.index.beta, rec.dim - 1)
-            residual[key] = residual.get(key, 0) - sum(
-                coeff * degrees.get(child, 0)
-                for coeff, child in severi.second_sum_terms(rec.index))
+    for side in (_transfer(g), _degenerate(g, D)):
+        for key, n in side.items():
+            residual[key] = residual.get(key, 0) - n
     return sorted(key for key, n in residual.items()
                   if n and 2 <= seqs.weight(key[0]) + seqs.weight(key[1]) <= D)

@@ -260,16 +260,9 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
 def _stack_room(d: int):
     """Room for _degree from degree d, which nests at most (d+1)(d+2)/2 - 2
     deep (|beta| <= d' first-sum calls per layer d'): the block raises the
-    recursion limit when it leaves less, plus a margin for callees."""
+    recursion limit by that much, plus a margin for callees."""
     frames = (d + 1) * (d + 2) // 2 + 100
     saved = sys.getrecursionlimit()
-    try:
-        deep = saved <= frames or sys._getframe(saved - frames) is not None
-    except ValueError:  # fewer than saved - frames frames below this one
-        deep = False
-    if not deep:
-        yield
-        return
     sys.setrecursionlimit(min(saved + frames, 2**31 - 1))  # the limit is a C int
     try:
         yield

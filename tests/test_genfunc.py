@@ -1,8 +1,12 @@
 """Generating polynomial of Severi degrees and the Getzler identity."""
 
+import ast
+import functools
+import pathlib
+
 import pytest
 
-from curvecount import genfunc, seqs, severi
+from curvecount import cli, genfunc, seqs, severi
 from curvecount.severi import MemoStore, SeveriIndex
 
 from helpers import all_indices
@@ -82,6 +86,22 @@ def test_transfer_operator_is_term_exact():
             assert moved.get(key, 0) == expected
 
 
+def test_degeneration_operator_is_term_exact():
+    # the coefficient of u^a/a! v^b z^(r-1)/(r-1)! in S is the engine's
+    # degeneration sum evaluated at the matching index
+    rows = table(4)
+    image = genfunc._degenerate(genfunc.severi_generating_function(4, rows), 4)
+    degrees = true_degrees()
+    checked = 0
+    for rec in rows:
+        if rec.index.d >= 2:
+            expected = sum(coeff * degrees(child)
+                           for coeff, child in severi.second_sum_terms(rec.index))
+            assert image.get((rec.index.alpha, rec.index.beta, rec.dim - 1), 0) == expected
+            checked += 1
+    assert checked == len(rows) - 2  # all but the two lines of degree 1
+
+
 # ------------------------------------------------------------ the identity
 @pytest.mark.parametrize("D", range(2, 8))
 def test_identity_holds(D):
@@ -141,3 +161,42 @@ def test_corrupting_a_zero_degree_is_detected():
     target = SeveriIndex(2, 1, (), (0, 1))  # degree 0
     assert severi.severi_degree(target) == 0
     assert genfunc.getzler_residual(3, corrupted(table(3), target))
+
+
+# ------------------------------------------------------------ independence
+def test_genfunc_reads_only_the_table_from_severi():
+    # the identity is checked with the table's numbers, none of the engine's sums
+    tree = ast.parse(pathlib.Path(genfunc.__file__).read_text(encoding="utf-8"))
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "severi"}
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[-1] == "severi" for alias in node.names}
+    assert used | imported == {"severi_table"}
+
+
+def test_identity_needs_no_engine_sums(monkeypatch):
+    def refuse(index):
+        raise AssertionError("getzler_residual asked the engine for %r" % (index,))
+
+    monkeypatch.setattr(severi, "second_sum_terms", refuse)
+    monkeypatch.setattr(severi, "first_sum_terms", refuse)
+    assert genfunc.getzler_residual(5) == []
+
+
+def test_a_wrong_degeneration_coefficient_is_caught(monkeypatch, capsys):
+    # the mutant doubles every coefficient whose beta + c has an entry of order >= 3
+    exact = severi._degenerations
+
+    @functools.lru_cache(maxsize=None)
+    def doubled(beta, budget, min_size):
+        return tuple((2 * coeff if len(b_prime) > 2 else coeff, c_size, b_prime)
+                     for coeff, c_size, b_prime in exact(beta, budget, min_size))
+
+    monkeypatch.setattr(severi, "_degenerations", doubled)
+    wrong = SeveriIndex(4, 3, (), (4,))
+    assert [rec.degree for rec in table(4) if rec.index == wrong] == [738]  # not 675
+    assert genfunc.getzler_residual(4)
+    assert cli.main(["verify", "all"]) == 1
+    assert "FAIL" in capsys.readouterr().out
