@@ -19,45 +19,43 @@ and b = 3d2 - 1 = M - a, each binomial of the splits (d1, d2) and
 
 so the two splits sum to N(d1) N(d2) C(M, a) q / (M (M-1)), with
 q = d1 d2 (2 d1 d2 a b - d2^2 a (a-1) - d1^2 b (b-1)) a small integer.
+
+The binomial rides on the larger part: for n = k+1 .. 2k-1, degree k is
+the d2 of one pair and is held as N(k) C(3n-2, 3k-1), so a pair costs one
+big product.  Each step of n multiplies it by (M+1)(M+2)(M+3) and divides
+by (a+1)(a+2)(a+3), exactly, as the quotient N(k) C(M+3, 3k-1) is an int.
+At the middle split n = 2k, and at the end of the table, the held value
+is a multiple of its binomial, and one exact division gives N(k) back.
 """
 
 from __future__ import annotations
 
+from math import comb
 
-def rational_count(d: int, table: dict[int, int] | None = None) -> int:
-    """N(d), the number of rational degree-d plane curves through 3d - 1 points.
 
-    table maps each degree known so far to its count, starting from
-    {1: 1}; it is filled bottom-up, each entry written once, so a cold
-    call never recurses.  Each pair of splits is one term of the form above,
-    C(M, a) steps from pair to pair, and M (M-1) is divided out once per n.
-    """
-    if d < 1:
-        raise ValueError("degree must be >= 1, got %d" % d)
-    if table is None:
-        table = {1: 1}
-    for n in range(2, d + 1):
-        if n in table:
-            continue
+def rational_table(d_max: int) -> list[tuple[int, int]]:
+    """Rows (d, N(d)) for 1 <= d <= d_max, ascending, filled bottom-up with
+    one int per degree held in either form above, so nothing recurses."""
+    if d_max < 1:
+        raise ValueError("d_max must be >= 1, got %d" % d_max)
+    held = [0, 1]
+    for n in range(2, d_max + 1):
         m = 3 * n - 2
-        binom = m * (m - 1) // 2  # C(M, a) at d1 = 1, a = 2
+        rise = (m + 1) * (m + 2) * (m + 3)
+        held[n - 1] *= m * (m - 1) // 2  # C(M, 3(n-1) - 1): n - 1 is now carried
         total = 0
         for d1 in range(1, n // 2 + 1):
             d2, a, b = n - d1, 3 * d1 - 1, 3 * (n - d1) - 1
             q = d1 * d2 * (2 * d1 * d2 * a * b - d2 * d2 * a * (a - 1)
                            - d1 * d1 * b * (b - 1))
-            if d1 == d2:
-                q //= 2  # the middle split once
-            total += table[d1] * table[d2] * binom * q
-            # C(M, a + 3) = C(M, a) b (b-1) (b-2) / ((a+1) (a+2) (a+3))
-            binom = binom * (b * (b - 1) * (b - 2)) // ((a + 1) * (a + 2) * (a + 3))
-        table[n] = total // (m * (m - 1))
-    return table[d]
-
-
-def rational_table(d_max: int) -> list[tuple[int, int]]:
-    """Rows (d, N(d)) for 1 <= d <= d_max, ascending."""
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1, got %d" % d_max)
-    table = {1: 1}
-    return [(d, rational_count(d, table)) for d in range(1, d_max + 1)]
+            if d1 < d2:
+                total += held[d1] * q * held[d2]
+                held[d2] = held[d2] * rise // ((a + 1) * (a + 2) * (a + 3))
+            else:  # the middle split, counted once; d2 leaves the carried form
+                plain = held[d2] // comb(m, a)
+                total += plain * (q // 2) * held[d2]
+                held[d2] = plain
+        held.append(total // (m * (m - 1)))
+    for k in range(d_max // 2 + 1, d_max):
+        held[k] //= comb(3 * d_max + 1, 3 * k - 1)
+    return [(d, held[d]) for d in range(1, d_max + 1)]

@@ -33,7 +33,6 @@ window a <= A - 3, b = 3d - 4 for 2 <= d <= d_max.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import comb, factorial
 
 from . import kontsevich
@@ -196,5 +195,6 @@ def wdvv_residual(spec: PotentialSpec, counts=None):
     for a, b in sorted(wdvv_window(spec)):
         value = residual.coeff(a, b)
         if value:
+            from fractions import Fraction  # a clean run loads neither it nor decimal
             out.append(((a, b), Fraction(value, factorial(a) * factorial(b))))
     return out

@@ -123,6 +123,24 @@ def test_kontsevich_prints_counts_past_the_int_str_digit_cap(monkeypatch, capsys
         assert digits in out
 
 
+# SHA-256 of the stdout of `kontsevich --max 580` in each format; no other
+# test checks exact values past d = 60, or any value past d = 300
+KONTSEVICH_580_SHA256 = {
+    "text": "195e90f5b87166b802028413454aa9417bb9b5589e111af6c447bafbcaaa2061",
+    "csv": "918e3b21c96b2894a7d8775007ad43a8b18ea3398cffb661ed5708d3fbc09d43",
+    "json": "7305e2c8f07e8df9781d8d091b0938a13174b5e40c6301bfbe97bce0262ac1ea",
+}
+
+
+def test_kontsevich_580_stdout_is_pinned(monkeypatch, capsys):
+    rows = kontsevich.rational_table(580)  # once, for all three formats
+    monkeypatch.setattr(kontsevich, "rational_table", lambda d_max: rows[:d_max])
+    for fmt, digest in KONTSEVICH_580_SHA256.items():
+        code, out, err = run(["kontsevich", "--max", "580", "--format", fmt], capsys)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 # ------------------------------------------------------------------ table
 def test_table_requires_cache(capsys):
     code, _, err = run(["table", "--dmax", "2", "--deltamax", "1"], capsys)

@@ -14,12 +14,12 @@ FROZEN_COUNTS = {1: 1, 2: 1, 3: 12, 4: 620, 5: 87304, 6: 26312976}
 
 @pytest.mark.parametrize("d,expected", sorted(FROZEN_COUNTS.items()))
 def test_frozen_counts(d, expected):
-    assert kontsevich.rational_count(d) == expected
+    assert kontsevich.rational_table(d)[-1] == (d, expected)
 
 
 @pytest.mark.parametrize("d", range(1, 8))
 def test_matches_naive_evaluator(d):
-    assert kontsevich.rational_count(d) == naive_rational_count(d)
+    assert kontsevich.rational_table(d)[-1] == (d, naive_rational_count(d))
 
 
 def test_table_rows():
@@ -29,16 +29,16 @@ def test_table_rows():
 
 def test_agrees_with_severi_one_node():
     # a rational cubic is a one-nodal cubic
-    assert kontsevich.rational_count(3) == severi.severi_degree(
+    assert kontsevich.rational_table(3)[-1][1] == severi.severi_degree(
         severi.SeveriIndex(3, 1, (), (3,))
     )
 
 
 def test_rejects_nonpositive_degree():
     with pytest.raises(ValueError):
-        kontsevich.rational_count(0)
-    with pytest.raises(ValueError):
         kontsevich.rational_table(0)
+    with pytest.raises(ValueError):
+        kontsevich.rational_table(-3)
 
 
 def test_paired_sum_matches_naive_evaluator_to_60():
@@ -50,34 +50,28 @@ def test_paired_sum_matches_naive_evaluator_to_60():
 
 
 def test_one_binomial_form_matches_ordered_splits_mod_p_to_300():
-    # the engine steps one C(3n-2, 3d1-1) per paired split and divides by
-    # M(M-1) once; the oracle sums every ordered split with its own
-    # binomials, modulo the Mersenne prime 2^61 - 1
+    # the engine carries C(3n-2, 3d2-1) on the larger part of each paired
+    # split and divides by M(M-1) once; the oracle sums every ordered split
+    # with its own binomials, modulo the Mersenne prime 2^61 - 1
     p = 2 ** 61 - 1
     expected = rational_counts_mod(p, 300)
     rows = kontsevich.rational_table(300)
     assert [(d, n % p) for d, n in rows] == list(enumerate(expected, start=1))
 
 
-def test_caller_table_is_filled_bottom_up():
-    table = {1: 1}
-    assert kontsevich.rational_count(4, table) == 620
-    assert table == {d: FROZEN_COUNTS[d] for d in range(1, 5)}
-
-
-def test_shared_table_reused():
-    table = {1: 1}
-    kontsevich.rational_count(6, table)
-    size = len(table)
-    assert kontsevich.rational_count(6, table) == FROZEN_COUNTS[6]
-    assert len(table) == size
+def test_every_table_end_matches_a_longer_table():
+    # the degrees in (D/2, D) still carry a binomial when the table ends at
+    # D and are divided back there; D runs over both parities
+    full = kontsevich.rational_table(81)
+    for d_max in range(1, 81):
+        assert kontsevich.rational_table(d_max) == full[:d_max], d_max
 
 
 def test_cold_call_does_not_recurse():
-    expected = kontsevich.rational_table(150)[-1][1]
+    expected = kontsevich.rational_table(150)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(120)
     try:
-        assert kontsevich.rational_count(150) == expected
+        assert kontsevich.rational_table(150) == expected
     finally:
         sys.setrecursionlimit(limit)
