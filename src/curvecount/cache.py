@@ -50,6 +50,9 @@ def exact_decimals():
 _RECORD_FORMAT = ('{"alpha": [%s], "beta": [%s], "d": %d, "degree": "%d", '
                   '"delta": %d, "dim": %d, "genus": %d, "tool-version": %s}')
 _TOOL_VERSION = json.dumps(__version__)
+# what json.loads raises on a bad line: JSONDecodeError or, for an int past the
+# digit cap, another ValueError; RecursionError for nesting too deep to decode
+_BAD_JSON = (ValueError, RecursionError)
 
 
 def _record_line(rec: DegreeRecord) -> str:
@@ -68,7 +71,7 @@ def _parse_record(line: str, lineno: int, torn: bool) -> tuple:
     """(d, delta, alpha, beta, degree, dim, genus); the caller checks the index."""
     try:
         raw = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except _BAD_JSON as exc:
         if torn:
             raise CacheCorruption("torn last line %d" % lineno) from exc
         raise CacheError("line %d: not valid JSON: %s" % (lineno, exc)) from exc
@@ -108,7 +111,7 @@ def read_cache(path) -> list[DegreeRecord]:
         raise CacheError("%s: empty file, missing header" % path)
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except _BAD_JSON as exc:
         if torn_lineno == 1:  # a crash during the first write
             raise CacheCorruption("torn header") from exc
         raise CacheError("%s: malformed header: %s" % (path, exc)) from exc
@@ -141,10 +144,10 @@ def read_cache(path) -> list[DegreeRecord]:
                 continue
             records.append(DegreeRecord(_index((d, delta, *shapes[key])),
                                         degree, dim, genus))
-    if invalid:
-        raise CacheCorruption(
-            "invalid index d=%d delta=%d alpha=%s beta=%s" % invalid[0]
-        )
+        if invalid:  # inside the block: a field may be past the digit cap
+            raise CacheCorruption(
+                "invalid index d=%d delta=%d alpha=%s beta=%s" % invalid[0]
+            )
     return records
 
 

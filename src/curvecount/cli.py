@@ -161,12 +161,10 @@ def cmd_table(args) -> int:
 
 
 def _verify_wdvv(d_max: int, x1_bound: int) -> tuple[int, list[str]]:
-    spec = series.PotentialSpec(d_max, x1_bound)
-    residual = series.wdvv_residual(spec)
-    lines = [
-        "wdvv d_max=%d x1_bound=%d window=%d nonzero=%d"
-        % (d_max, x1_bound, len(series.wdvv_window(spec)), len(residual))
-    ]
+    residual = series.wdvv_residual(d_max, x1_bound)
+    window = series.wdvv_window(d_max, x1_bound)
+    lines = ["wdvv d_max=%d x1_bound=%d window=%d nonzero=%d"
+             % (d_max, x1_bound, len(window), len(residual))]
     for (a, b), value in residual:
         lines.append("  residual x1^%d x2^%d = %s" % (a, b, value))
     return (1 if residual else 0), lines

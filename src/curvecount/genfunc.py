@@ -63,7 +63,7 @@ def _transfer(g: GeneratingPolynomial) -> dict[Monomial, int]:
         for k, e in enumerate(ue, start=1):
             if e:
                 lowered = seqs.canon(ue[:k - 1] + (e - 1,) + ue[k:])
-                key = (lowered, seqs.add(ve, seqs.unit(k)), m)
+                key = (lowered, seqs.add(ve, (0,) * (k - 1) + (1,)), m)
                 out[key] = out.get(key, 0) + k * n
     return out
 

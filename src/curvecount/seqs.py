@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, prod
 
 
 def canon(entries) -> tuple[int, ...]:
@@ -19,14 +19,10 @@ def canon(entries) -> tuple[int, ...]:
     t = tuple(int(e) for e in entries)
     if any(e < 0 for e in t):
         raise ValueError("multiplicity entries must be nonnegative: %r" % (t,))
-    while t and t[-1] == 0:
-        t = t[:-1]
-    return t
-
-
-def size(s) -> int:
-    """|s| = total number of contacts, sum of the entries."""
-    return sum(s)
+    end = len(t)
+    while end and t[end - 1] == 0:
+        end -= 1
+    return t[:end]
 
 
 def weight(s) -> int:
@@ -44,26 +40,13 @@ def add(a, b) -> tuple[int, ...]:
     return canon(x + y for x, y in zip(a, b))
 
 
-def unit(k: int) -> tuple[int, ...]:
-    """The sequence e_k with a single entry 1 at index k (1-based)."""
-    if k < 1:
-        raise ValueError("index must be >= 1")
-    return (0,) * (k - 1) + (1,)
-
-
 def binomial(top, bot) -> int:
     """Entrywise product of binomials, prod_k C(top_k, bot_k).
 
     Zero whenever some bot_k exceeds top_k, so the value doubles as the
     indicator of bot <= top.
     """
-    top, bot = _padded(top, bot)
-    result = 1
-    for t, b in zip(top, bot):
-        result *= comb(t, b) if b <= t else 0
-        if result == 0:
-            return 0
-    return result
+    return prod(map(comb, *_padded(top, bot)))
 
 
 def nat_power(c) -> int:

@@ -5,7 +5,8 @@ Gromov-Witten potential of the plane,
 
     Phi_q(x1, x2) = sum over d >= 1 of N(d) * x2^(3d-1)/(3d-1)! * e^(d x1),
 
-truncated here at x1-degree A and x2-degree 3*d_max - 1.  (The classical
+truncated here at x1-degree A and x2-degree 3*d_max - 1; each function
+below takes the two ints (d_max, x1_bound = A).  (The classical
 part (x0^2 x2 + x0 x1^2)/2 involves only x0 and drops out of every
 derivative taken below.)
 Associativity of the quantum product is one scalar equation:
@@ -32,7 +33,6 @@ window a <= A - 3, b = 3d - 4 for 2 <= d <= d_max.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import comb, factorial
 
 from . import kontsevich
@@ -125,65 +125,47 @@ class BivariateSeries:
         )
 
 
-class PotentialSpec(namedtuple("PotentialSpec", "d_max x1_bound")):
-    """Truncation request: counts up to d_max, x1-exponents up to x1_bound."""
-
-    __slots__ = ()
-
-    def __new__(cls, d_max: int, x1_bound: int):
-        if d_max < 1:
-            raise ValueError("d_max must be >= 1, got %d" % d_max)
-        if x1_bound < 0:
-            raise ValueError("x1_bound must be >= 0, got %d" % x1_bound)
-        return tuple.__new__(cls, (d_max, x1_bound))
-
-    @classmethod
-    def _make(cls, iterable):  # through __new__, so _replace checks too
-        return cls(*iterable)
-
-
-def quantum_potential(spec: PotentialSpec, counts=None) -> BivariateSeries:
-    """The truncated quantum potential as a BivariateSeries.
+def quantum_potential(d_max: int, x1_bound: int, counts=None) -> BivariateSeries:
+    """The quantum potential as a BivariateSeries, truncated at (d_max, x1_bound).
 
     Coefficient of x1^a/a! * x2^(3d-1)/(3d-1)! is N(d) * d^a.  The
     counts argument, a mapping d -> N(d), replaces the computed table
     (fault-injection hook; tests corrupt single entries through it).
     """
+    if d_max < 1:
+        raise ValueError("d_max must be >= 1, got %d" % d_max)
+    if x1_bound < 0:
+        raise ValueError("x1_bound must be >= 0, got %d" % x1_bound)
     if counts is None:
-        counts = dict(kontsevich.rational_table(spec.d_max))
-    bound2 = 3 * spec.d_max - 1
+        counts = dict(kontsevich.rational_table(d_max))
     out = {}
-    for d in range(1, spec.d_max + 1):
+    for d in range(1, d_max + 1):
         n = counts[d]
         b = 3 * d - 1
-        for a in range(spec.x1_bound + 1):
+        for a in range(x1_bound + 1):
             out[(a, b)] = n * d ** a
-    return BivariateSeries(out, bound1=spec.x1_bound, bound2=bound2)
+    return BivariateSeries(out, bound1=x1_bound, bound2=3 * d_max - 1)
 
 
-def wdvv_window(spec: PotentialSpec) -> list[tuple[int, int]]:
+def wdvv_window(d_max: int, x1_bound: int) -> list[tuple[int, int]]:
     """Exponent pairs the truncation determines completely in the residual.
 
     Three x1-derivatives cost three orders of x1, so a <= x1_bound - 3;
     every residual monomial sits at b = 3d - 4 for some 2 <= d <= d_max.
     """
-    return [
-        (a, 3 * d - 4)
-        for d in range(2, spec.d_max + 1)
-        for a in range(spec.x1_bound - 2)
-    ]
+    return [(a, 3 * d - 4) for d in range(2, d_max + 1) for a in range(x1_bound - 2)]
 
 
-def wdvv_residual(spec: PotentialSpec, counts=None):
+def wdvv_residual(d_max: int, x1_bound: int, counts=None):
     """Nonzero residual coefficients of the WDVV identity on the window.
 
     Returns a list of ((a, b), Fraction of x1^a x2^b) sorted by exponent;
     empty means the identity holds for every completely-determined coefficient.
     Requires x1_bound >= 3 (the check takes three x1-derivatives).
     """
-    if spec.x1_bound < 3:
+    if x1_bound < 3:
         raise ValueError("x1_bound must be >= 3 to form the residual")
-    f = quantum_potential(spec, counts)
+    f = quantum_potential(d_max, x1_bound, counts)
     f1 = f.partial(1)
     f11 = f1.partial(1)
     f111 = f11.partial(1)
@@ -192,7 +174,7 @@ def wdvv_residual(spec: PotentialSpec, counts=None):
     f222 = f.partial(2).partial(2).partial(2)
     residual = f222 - f112 * f112 + f111 * f122
     out = []
-    for a, b in sorted(wdvv_window(spec)):
+    for a, b in sorted(wdvv_window(d_max, x1_bound)):
         value = residual.coeff(a, b)
         if value:
             from fractions import Fraction  # a clean run loads neither it nor decimal

@@ -33,10 +33,11 @@ curve of genus g has at least 1 - g components, each meeting L at a contact
 point of its own, when |alpha| + |beta| < 1 - g; this holds for every
 delta > d(d-1)/2 and, at every d <= 12, for exactly the zero degrees.
 
-Two engines evaluate it.  severi_degree answers one index from a memo,
-recursing only into the children it needs; severi_table fills whole tables
-(for the table command and the Getzler check) bottom-up, one list by delta
-per (d, alpha, beta).  All values are exact.
+Two engines evaluate it.  severi_degree answers one index from a memo, a
+write-once dict (MemoStore), recursing only into the children it needs;
+severi_table fills whole tables (for the table command and the Getzler
+check) bottom-up, one list by delta per (d, alpha, beta).  All values are
+exact.
 """
 
 from __future__ import annotations
@@ -119,9 +120,9 @@ def dimension(index: SeveriIndex) -> int:
         d * (d + 3) // 2
         - delta
         - seqs.weight(alpha)
-        - (seqs.weight(beta) - seqs.size(beta))
+        - (seqs.weight(beta) - sum(beta))
     )
-    via_genus = 2 * d + genus(index) - 1 + seqs.size(beta)
+    via_genus = 2 * d + genus(index) - 1 + sum(beta)
     if direct != via_genus:
         raise ArithmeticError(
             "dimension forms disagree at %r: %d vs %d" % (index, direct, via_genus)
@@ -129,39 +130,30 @@ def dimension(index: SeveriIndex) -> int:
     return direct
 
 
-class MemoStore:
-    """Write-once memo of computed degrees, keyed by canonical index.
+class MemoStore(dict):
+    """Write-once memo of computed degrees, a dict keyed by canonical index.
 
-    A second put with the same value is a benign no-op; a conflicting
-    value raises, since the recursion is deterministic and a conflict
-    means corruption.  Hit and miss counters are bookkeeping only: get
-    counts both, and the engine, which probes _values in place, adds its
-    own hits to the hits attribute.
+    The engine reads it as a dict and writes it through put: a second put
+    with the same value is a benign no-op, and a conflicting value raises,
+    since the recursion is deterministic and a conflict means corruption.
+    Hit and miss counters are bookkeeping only: severi_degree counts the hit
+    of its own lookup, _degree one miss per computed index and one hit per
+    child found.
     """
 
+    __slots__ = ("hits", "misses")
+
     def __init__(self):
-        self._values: dict[SeveriIndex, int] = {}
         self.hits = 0
         self.misses = 0
 
-    def get(self, index: SeveriIndex):
-        value = self._values.get(index)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
     def put(self, index: SeveriIndex, value: int) -> None:
-        stored = self._values.setdefault(index, value)
+        stored = self.setdefault(index, value)
         if stored != value:
             raise RuntimeError(
                 "memo conflict at %r: stored %d, recomputed %d"
                 % (index, stored, value)
             )
-
-    def __len__(self) -> int:
-        return len(self._values)
 
 
 def first_sum_terms(index: SeveriIndex) -> list[tuple[int, SeveriIndex]]:
@@ -208,7 +200,7 @@ def _degenerations(beta, budget, min_size):
             if c_k:
                 b_prime[k] += c_k
                 unassigned *= comb(b_prime[k], c_k)
-        out.append((seqs.nat_power(c) * unassigned, seqs.size(c), tuple(b_prime)))
+        out.append((seqs.nat_power(c) * unassigned, sum(c), tuple(b_prime)))
     return tuple(out)
 
 
@@ -240,7 +232,8 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     """Degree of the generalized Severi variety at the given index.
 
     Evaluates the recursion in the module docstring with memoization,
-    the degeneration sum from one table per (beta, budget, min |c|).
+    the degeneration sum from one table per (beta, budget, min |c|); an
+    index already in the memo is answered from it.
     Returns 0, with the memo untouched, when delta < 0 or when
     delta >= C(d-1, 2) + |alpha| + |beta|, the vanishing rule of the module
     docstring (g = C(d-1, 2) - delta).  Termination: the first
@@ -248,10 +241,14 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     decreases d.
     """
     d, delta, alpha, beta = index
-    if delta < 0 or delta >= comb(d - 1, 2) + seqs.size(alpha) + seqs.size(beta):
+    if delta < 0 or delta >= comb(d - 1, 2) + sum(alpha) + sum(beta):
         return 0
     if memo is None:
         memo = MemoStore()
+    value = memo.get(index)
+    if value is not None:
+        memo.hits += 1
+        return value
     with _stack_room(d):
         return _degree(index, memo)
 
@@ -271,21 +268,19 @@ def _stack_room(d: int):
 
 
 def _degree(index: SeveriIndex, memo: MemoStore) -> int:
-    """Degree at an index the vanishing rule does not mark.  Each child is
-    a plain tuple, equal to the index it names, looked up in the memo in
-    place; only a miss (or d' = 1) recurses.  First-sum children keep d,
-    delta and |alpha| + |beta|; the rule marks all second-sum children of
-    an alpha' split or none, so a marked split is skipped whole."""
+    """Degree at an index the vanishing rule does not mark and the memo
+    lacks.  Each child is a plain tuple, equal to the index it names, looked
+    up in the memo; only a miss (or d' = 1) recurses.  First-sum children
+    keep d, delta and |alpha| + |beta|; the rule marks all second-sum
+    children of an alpha' split or none, so a marked split is skipped whole."""
     d, delta, alpha, beta = index
     if d == 1:
         return 1  # delta is forced to 0 here; a line through two points
-    total = memo.get(index)  # counts the hit or the miss
-    if total is not None:
-        return total
-    values = memo._values
+    memo.misses += 1
+    lookup = memo.get
     total = 0
     for j, child in _specializations(d, delta, alpha, beta):
-        value = values.get(child)
+        value = lookup(child)
         if value is None:
             value = _degree(_index(child), memo)
         else:
@@ -301,7 +296,7 @@ def _degree(index: SeveriIndex, memo: MemoStore) -> int:
         part = 0
         for coeff, c_size, b_prime in _degenerations(beta, budget, min_size):
             child = (top, shift + c_size, a_prime, b_prime)
-            value = values.get(child)
+            value = lookup(child)
             if value is None:
                 value = _degree(_index(child), memo)
             else:

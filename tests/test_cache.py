@@ -287,6 +287,48 @@ def test_malformed_header_with_its_newline_is_still_an_error(tmp_path):
         cache.read_cache(path)
 
 
+# json.loads raises RecursionError on this, not JSONDecodeError
+DEEP = "[" * 100000
+
+
+def test_deeply_nested_record_line_raises(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    write_lines(path, [cache._header_line(), DEEP])
+    with pytest.raises(CacheError, match="^line 2: not valid JSON: "):
+        cache.read_cache(path)
+
+
+def test_deeply_nested_header_raises(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    write_lines(path, [DEEP])
+    with pytest.raises(CacheError, match="malformed header"):
+        cache.read_cache(path)
+
+
+def test_deeply_nested_torn_last_line_is_corruption(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    write_lines(path, [cache._header_line(), DEEP], end="")
+    with pytest.raises(CacheCorruption, match="^torn last line 2$"):
+        cache.read_cache(path)
+
+
+def test_header_with_a_long_integer_raises(tmp_path):
+    # 5,000 digits: past the int-str digit cap, which the library leaves on
+    path = tmp_path / "long.jsonl"
+    write_lines(path, ['{"format-version": %s}' % ("9" * 5000)])
+    with pytest.raises(CacheError):
+        cache.read_cache(path)
+
+
+def test_invalid_index_with_a_long_integer_is_corruption(tmp_path):
+    path = tmp_path / "long.jsonl"
+    line = cache._record_line(records_for(1, 0)[0])
+    assert line.count('"d": 1,') == 1
+    write_lines(path, [cache._header_line(), line.replace('"d": 1,', '"d": %s,' % ("9" * 5000))])
+    with pytest.raises(CacheCorruption, match="^invalid index d=9999"):
+        cache.read_cache(path)
+
+
 def test_append_after_a_lost_final_newline_starts_a_new_line(tmp_path):
     path = tmp_path / "degrees.jsonl"
     first, second = records_for(2, 1), records_for(3, 1)[12:]

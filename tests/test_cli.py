@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from curvecount import cli, classical, genfunc, kontsevich, severi
+from curvecount import cache, cli, classical, genfunc, kontsevich, severi
 
 
 def run(argv, capsys):
@@ -79,6 +79,15 @@ def test_severi_bad_profile_is_usage_error(capsys):
         ["severi", "--d", "3", "--delta", "0", "--beta", "1,x"], capsys
     )
     assert code == 2
+
+
+def test_severi_negative_profile_entry_is_usage_error(capsys):
+    code, out, err = run(
+        ["severi", "--d", "3", "--delta", "0", "--beta", "1,-1"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--beta entries must be nonnegative, got '1,-1'" in err
 
 
 def test_severi_nonpositive_degree_is_usage_error(capsys):
@@ -414,6 +423,39 @@ def test_table_rejects_a_cache_that_is_not_utf8(tmp_path):
     assert proc.stderr.startswith("error: cannot read %s: " % path)
     assert "Traceback" not in proc.stderr
     assert path.read_bytes() == b"\xff\n"
+
+
+@pytest.mark.parametrize("text,error", [
+    ('%s\n%s\n' % (cache._header_line(), "[" * 100000), "line 2: not valid JSON: "),
+    ('{"format-version": %s}\n' % ("9" * 5000), "%s: unsupported format-version"),
+], ids=["nested-record", "long-integer-header"])
+def test_table_rejects_a_hostile_cache_without_a_traceback(tmp_path, text, error):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(text, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvecount.cli",
+         "table", "--dmax", "2", "--deltamax", "1", "--cache", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: " + error.replace("%s", str(path)))
+    assert "Traceback" not in proc.stderr
+
+
+def test_table_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "absent" / "c.jsonl"
+    code, out, err = run(
+        ["table", "--dmax", "2", "--deltamax", "1", "--cache", str(path)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write %s: " % path)
+    assert "Traceback" not in err
 
 
 def test_table_over_an_empty_cache_file_starts_it_afresh(tmp_path, capsys):

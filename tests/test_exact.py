@@ -12,7 +12,6 @@ import pytest
 
 import curvecount
 from curvecount import series
-from curvecount.series import PotentialSpec
 
 MODULES = sorted(pathlib.Path(curvecount.__file__).parent.glob("*.py"))
 
@@ -82,7 +81,7 @@ def test_the_fraction_guard_sees_each_kind():
 
 
 def test_wdvv_series_hold_ints():
-    f = series.quantum_potential(PotentialSpec(8, 40))
+    f = series.quantum_potential(8, 40)
     f112 = f.partial(1).partial(1).partial(2)
     for s in (f, f112 * f112):
         assert s.coeffs and all(type(v) is int for v in s.coeffs.values())

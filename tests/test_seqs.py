@@ -1,6 +1,7 @@
 """Multiplicity-sequence combinatorics."""
 
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -26,24 +27,22 @@ def test_canon_trims_trailing_zeros():
     assert seqs.canon(()) == ()
 
 
+def test_canon_is_linear_in_trailing_zeros():
+    # one scan for the last nonzero entry, not one slice per zero
+    start = time.perf_counter()
+    assert seqs.canon((1,) + (0,) * 200000) == (1,)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_canon_rejects_negative():
     with pytest.raises(ValueError):
         seqs.canon((1, -1))
 
 
-def test_size_and_weight():
-    assert seqs.size(()) == 0
+def test_weight():
     assert seqs.weight(()) == 0
-    assert seqs.size((2, 1)) == 3
     assert seqs.weight((2, 1)) == 4  # 1*2 + 2*1
     assert seqs.weight((0, 0, 3)) == 9
-
-
-def test_unit():
-    assert seqs.unit(1) == (1,)
-    assert seqs.unit(3) == (0, 0, 1)
-    with pytest.raises(ValueError):
-        seqs.unit(0)
 
 
 def test_add_sub_roundtrip():
@@ -53,7 +52,7 @@ def test_add_sub_roundtrip():
         b = random_seq(rng)
         total = seqs.add(a, b)
         assert seq_sub(total, b) == a
-        assert seqs.size(total) == seqs.size(a) + seqs.size(b)
+        assert sum(total) == sum(a) + sum(b)
         assert seqs.weight(total) == seqs.weight(a) + seqs.weight(b)
 
 
@@ -129,7 +128,7 @@ def test_partitions_with_min_size_filter_the_full_list(w):
     # in the order of the full list
     full = seqs.partitions(w)
     for m in range(w + 2):
-        assert seqs.partitions(w, m) == tuple(c for c in full if seqs.size(c) >= m)
+        assert seqs.partitions(w, m) == tuple(c for c in full if sum(c) >= m)
 
 
 @pytest.mark.parametrize("w", range(11))

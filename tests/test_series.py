@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from curvecount import kontsevich, series
-from curvecount.series import BivariateSeries, PotentialSpec
+from curvecount.series import BivariateSeries
 
 from helpers import oracle_wdvv_coeff, phi_coeff
 
@@ -96,13 +96,13 @@ def test_mul_commutes_and_distributes():
 # ------------------------------------------------------------- potential
 def test_potential_smallest_truncation():
     # d_max = 1, no x1 terms: just x2^2/2!, coefficient N(1) = 1
-    f = series.quantum_potential(PotentialSpec(1, 0))
+    f = series.quantum_potential(1, 0)
     assert f.coeffs == {(0, 2): 1}
     assert f.bound1 == 0 and f.bound2 == 2
 
 
 def test_potential_pinned_coefficients():
-    f = series.quantum_potential(PotentialSpec(3, 4))
+    f = series.quantum_potential(3, 4)
     # the coefficient of x1^a/a! x2^(3d-1)/(3d-1)! is N(d) * d^a
     assert f.coeff(1, 2) == 1  # N(1) * 1^1
     assert f.coeff(0, 8) == 12  # N(3) * 3^0
@@ -112,63 +112,54 @@ def test_potential_pinned_coefficients():
 @pytest.mark.parametrize("d_max,x1_bound", [(2, 3), (3, 5), (4, 4)])
 def test_potential_matches_closed_form(d_max, x1_bound):
     counts = dict(kontsevich.rational_table(d_max))
-    f = series.quantum_potential(PotentialSpec(d_max, x1_bound))
+    f = series.quantum_potential(d_max, x1_bound)
     for a in range(x1_bound + 1):
         for b in range(3 * d_max):
             assert f.coeff(a, b) == phi_coeff(a, b, counts) * factorial(a) * factorial(b)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        PotentialSpec(0, 3)
-    with pytest.raises(ValueError):
-        PotentialSpec(2, -1)
-
-
-def test_spec_replace_validates():
-    with pytest.raises(ValueError):
-        PotentialSpec(2, 3)._replace(d_max=0)
-    assert PotentialSpec(2, 3)._replace(x1_bound=5) == PotentialSpec(2, 5)
+    with pytest.raises(ValueError, match="d_max must be >= 1"):
+        series.quantum_potential(0, 3)
+    with pytest.raises(ValueError, match="x1_bound must be >= 0"):
+        series.quantum_potential(2, -1)
 
 
 # ---------------------------------------------------------------- wdvv
 def test_window_shape():
-    spec = PotentialSpec(4, 6)
-    window = series.wdvv_window(spec)
+    window = series.wdvv_window(4, 6)
     assert set(window) == {(a, b) for b in (2, 5, 8) for a in range(4)}
-    assert series.wdvv_window(PotentialSpec(1, 8)) == []
+    assert series.wdvv_window(1, 8) == []
 
 
 def test_residual_requires_three_derivatives():
     with pytest.raises(ValueError):
-        series.wdvv_residual(PotentialSpec(3, 2))
+        series.wdvv_residual(3, 2)
 
 
 @pytest.mark.parametrize("d_max", range(1, 7))
 @pytest.mark.parametrize("x1_bound", range(3, 9))
 def test_residual_empty_with_true_counts(d_max, x1_bound):
-    assert series.wdvv_residual(PotentialSpec(d_max, x1_bound)) == []
+    assert series.wdvv_residual(d_max, x1_bound) == []
 
 
 def test_residual_matches_direct_convolution():
     # engine residual coefficients equal the oracle's on the window,
     # including for corrupted inputs
-    spec = PotentialSpec(4, 6)
     counts = dict(kontsevich.rational_table(4))
     counts[3] = 13
-    got = dict(series.wdvv_residual(spec, counts))
-    for a, b in series.wdvv_window(spec):
+    got = dict(series.wdvv_residual(4, 6, counts))
+    for a, b in series.wdvv_window(4, 6):
         expected = oracle_wdvv_coeff(a, b, counts)
         assert got.get((a, b), Fraction(0)) == expected
 
 
 def test_single_corruption_always_detected():
     true_counts = dict(kontsevich.rational_table(6))
-    spec = PotentialSpec(6, 8)
     for d in range(2, 7):
         bad = dict(true_counts)
         bad[d] += 1
-        residual = series.wdvv_residual(spec, bad)
+        residual = series.wdvv_residual(6, 8, bad)
         assert residual, "corruption at d=%d went unnoticed" % d
         # the first failure appears in the window slice b = 3d - 4
         assert residual[0][0][1] == 3 * d - 4
@@ -178,5 +169,5 @@ def test_known_corruption_value():
     # N(3) -> 13 leaves residual 1/120 at x1^0 x2^5 (oracle-derived)
     counts = dict(kontsevich.rational_table(3))
     counts[3] = 13
-    residual = dict(series.wdvv_residual(PotentialSpec(3, 3), counts))
+    residual = dict(series.wdvv_residual(3, 3, counts))
     assert residual[(0, 5)] == Fraction(1, 120)
