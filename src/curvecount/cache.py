@@ -89,9 +89,11 @@ def _parse_record(line: str, lineno: int, torn: bool) -> tuple:
     return d, delta, tuple(alpha), tuple(beta), int(degree), dim, genus
 
 
-def read_cache(path) -> list[DegreeRecord]:
+def read_cache(path, expected=()) -> list[DegreeRecord]:
     """All records of an existing cache file, with checked canonical indices.
 
+    A line equal to _record_line(rec) for a record rec in expected is read
+    as rec, unparsed; every other line is parsed and checked.
     Raises CacheError when the file is unreadable, not UTF-8 or malformed,
     and CacheCorruption for an invalid index (a bad shape, or delta outside
     0..d(d-1)/2) or a torn last line: one that lacks its newline and does
@@ -126,7 +128,17 @@ def read_cache(path) -> list[DegreeRecord]:
     invalid = []
     shapes = {}  # raw (d, alpha, beta) -> canonical (alpha, beta), None if invalid
     with exact_decimals():
+        # keyed by the file's own strings: no second copy of the lines is kept
+        known = dict.fromkeys(lines)
+        for rec in expected:
+            line = _record_line(rec)
+            if line in known:
+                known[line] = rec
         for lineno, line in enumerate(lines[1:], start=2):
+            rec = known[line]
+            if rec is not None:
+                records.append(rec)
+                continue
             if not line.strip():
                 continue
             d, delta, alpha, beta, degree, dim, genus = _parse_record(

@@ -131,17 +131,18 @@ def _corruption(old, new, how: str) -> int:
 
 
 def cmd_table(args) -> int:
-    """Read and cross-check the cache first, so a bad one fails before any
-    computing; then verify the overlap with the table and append the rest."""
+    """Compute the table first, so that the cache lines it would write are
+    read as its records, unparsed; then cross-check the cache, verify the
+    overlap with the table and append the rest."""
     # a crash between creating the file and its first write leaves it empty
     fresh_file = not os.path.exists(args.cache) or os.path.getsize(args.cache) == 0
-    existing = [] if fresh_file else cache.read_cache(args.cache)
+    records = severi.severi_table(args.dmax, args.deltamax)
+    existing = [] if fresh_file else cache.read_cache(args.cache, records)
     known = {}
     for rec in existing:
         old = known.setdefault(rec.index, rec)
         if old != rec:  # identical duplicates, as overlapping runs leave, are benign
             return _corruption(old, rec, "stored again as")
-    records = severi.severi_table(args.dmax, args.deltamax)
     fresh = []
     verified = 0
     for rec in records:

@@ -318,9 +318,10 @@ def severi_table(d_max: int, delta_max: int) -> list[DegreeRecord]:
 
     Rows are ordered by (d, delta, alpha, beta).  The degeneration sum only
     shifts delta, by (d - 1) - |c|, so one list of degrees by delta per
-    (d, alpha, beta), cut at min(d(d-1)/2, delta_max), is filled bottom-up
-    from layer d - 1 alone, in ascending |beta| within layer d: no memo, no
-    recursion.  Dimension and genus fall by one per node, so both (with the
+    (d, alpha, beta), cut at min(d(d-1)/2, delta_max) and at the vanishing
+    rule, is filled bottom-up from layer d - 1 alone, in ascending |beta|
+    within layer d: no memo, no recursion.  Rows past the rule's cut read 0.
+    Dimension and genus fall by one per node, so both (with the
     cross-check of dimension) are computed once per (d, alpha, beta).
     """
     if d_max < 1:
@@ -340,7 +341,8 @@ def severi_table(d_max: int, delta_max: int) -> list[DegreeRecord]:
                         for beta in seqs.partitions(d - w))
         layer = {}
         for alpha, beta in sorted(shapes, key=lambda shape: sum(shape[1])):
-            layer[alpha, beta] = poly = [0] * span
+            size = min(span, comb(top, 2) + sum(alpha) + sum(beta))
+            layer[alpha, beta] = poly = [0] * size
             for j, (_, _, raised, lowered) in _specializations(d, 0, alpha, beta):
                 for delta, value in enumerate(layer[raised, lowered]):
                     poly[delta] += j * value
@@ -349,12 +351,16 @@ def severi_table(d_max: int, delta_max: int) -> list[DegreeRecord]:
                     continue
                 for coeff, c_size, b_prime in _degenerations(beta, budget, min_size):
                     shift = top - c_size  # delta = delta' + (d - 1) - |c|
-                    child = below[a_prime, b_prime][:span - shift]
+                    child = below[a_prime, b_prime][:size - shift]
                     factor = assigned * coeff
                     for delta, value in enumerate(child, shift):
                         poly[delta] += factor * value
         zero = [_index((d, 0, alpha, beta)) for alpha, beta in shapes]
-        rows = [(i.alpha, i.beta, layer[i[2:]], dimension(i), genus(i)) for i in zero]
+        rows = []
+        for i in zero:
+            poly = layer[i[2:]]
+            rows.append((i.alpha, i.beta, poly + [0] * (span - len(poly)),
+                         dimension(i), genus(i)))
         out += [DegreeRecord(_index((d, delta, alpha, beta)), poly[delta],
                              dim - delta, g - delta)
                 for delta in range(span) for alpha, beta, poly, dim, g in rows]

@@ -116,6 +116,37 @@ def test_record_lines_equal_sorted_json_dumps():
         assert line == json.dumps(json.loads(line), sort_keys=True)
 
 
+def test_lines_matched_by_their_bytes_read_as_parsed(tmp_path):
+    # with the table passed, its own lines are taken unparsed: the records
+    # read must not change
+    path = tmp_path / "degrees.jsonl"
+    table = records_for(6, 15)
+    cache.append_records(path, table)
+    (assigned,) = [r for r in table if r.index == (4, 1, (1,), (1, 1))]
+    raw = json.loads(cache._record_line(assigned))
+    respelled = dict(reversed(raw.items()), alpha=raw["alpha"] + [0])
+    other_version = dict(json.loads(cache._record_line(table[-1])), **{"tool-version": "0"})
+    (beyond,) = [r for r in records_for(7, 15) if r.index == (7, 15, (), (7,))]
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(cache._record_line(table[0]) + "\n")
+        handle.write(json.dumps(respelled, separators=(",", ":")) + "\n")
+        handle.write(json.dumps(other_version) + "\n")
+        handle.write(cache._record_line(beyond) + "\n")
+    parsed = cache.read_cache(path)
+    assert parsed[len(table):] == [table[0], assigned, table[-1], beyond]
+    assert cache.read_cache(path, table) == parsed
+
+
+def test_record_line_parses_back_to_its_record():
+    past_cap = DegreeRecord(SeveriIndex(9, 0, (), (9,)), 10**5000 + 7, 20, 28)
+    with cache.exact_decimals():
+        for record in records_for(6, 15) + [past_cap]:
+            d, delta, alpha, beta, degree, dim, genus = cache._parse_record(
+                cache._record_line(record), 2, False
+            )
+            assert ((d, delta, alpha, beta), degree, dim, genus) == record
+
+
 def test_missing_file_raises(tmp_path):
     with pytest.raises(CacheError):
         cache.read_cache(tmp_path / "absent.jsonl")

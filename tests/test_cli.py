@@ -200,21 +200,51 @@ def _malformed(path):
     (_torn, 1, "cache corruption: torn last line 33"),
     (_malformed, 2, "line 34: not valid JSON"),
 ], ids=["contradiction", "torn", "malformed"])
-def test_table_checks_the_cache_before_computing(
+def test_table_computes_then_checks_the_cache(
     damage, code, message, tmp_path, monkeypatch, capsys
 ):
+    # the table comes first, so canonical lines can be matched by their bytes
     path = tmp_path / "cache.jsonl"
     argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)]
     run(argv, capsys)
     damage(path)
-
-    def unreachable(d_max, delta_max):
-        raise AssertionError("computed the table over a bad cache")
-
-    monkeypatch.setattr(severi, "severi_table", unreachable)
+    damaged = path.read_bytes()
+    calls = []
+    for module, name in [(severi, "severi_table"), (cache, "read_cache")]:
+        def logged(*args, _inner=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(module, name, logged)
     got, out, err = run(argv, capsys)
     assert (got, out) == (code, "")
     assert message in err
+    assert calls == ["severi_table", "read_cache"]
+    assert path.read_bytes() == damaged
+
+
+def test_table_rerun_parses_only_lines_it_would_not_write(
+    tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "5", "--deltamax", "10", "--cache", str(path)]
+    _, first, _ = run(argv, capsys)
+    count = int(first.split("appended ")[1].split()[0])
+
+    def unparsed(line, lineno, torn):
+        raise AssertionError("parsed line %d" % lineno)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cache, "_parse_record", unparsed)
+        code, canonical, _ = run(argv, capsys)
+    assert code == 0
+    assert canonical == "cache %s\nverified %d\nappended 0\nrecords %d\n" % (
+        path, count, count)
+    # lines of another tool version take the parser and verify the same
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1:] = [json.dumps(dict(json.loads(line), **{"tool-version": "0"}))
+                 for line in lines[1:]]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(argv, capsys)[:2] == (0, canonical)
 
 
 def test_table_extends_cache(tmp_path, capsys):
