@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 
 from . import __version__
 from .severi import DegreeRecord, SeveriIndex, _index
@@ -55,9 +56,14 @@ _TOOL_VERSION = json.dumps(__version__)
 _BAD_JSON = (ValueError, RecursionError)
 
 
+@lru_cache(maxsize=None)
+def _profile_text(profile) -> str:
+    return ", ".join(map(str, profile))
+
+
 def _record_line(rec: DegreeRecord) -> str:
     d, delta, alpha, beta = rec.index
-    return _RECORD_FORMAT % (", ".join(map(str, alpha)), ", ".join(map(str, beta)),
+    return _RECORD_FORMAT % (_profile_text(alpha), _profile_text(beta),
                              d, rec.degree, delta, rec.dim, rec.genus, _TOOL_VERSION)
 
 

@@ -94,5 +94,10 @@ def partitions(w: int, min_size: int = 0) -> tuple[tuple[int, ...], ...]:
 
 
 def subsequences(a) -> list[tuple[int, ...]]:
-    """All canonical b with b <= a, sorted lexicographically."""
-    return sorted(canon(t) for t in product(*(range(e + 1) for e in a)))
+    """All canonical b with b <= a, sorted lexicographically; those of
+    length n are a prefix <= a[:n - 1] and a last entry in 1..a[n - 1]."""
+    out = [()]
+    for n, top in enumerate(a):
+        lasts = [(e,) for e in range(1, top + 1)]
+        out += [p + e for p in product(*(range(x + 1) for x in a[:n])) for e in lasts]
+    return sorted(out)

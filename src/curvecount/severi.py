@@ -47,6 +47,7 @@ from collections import namedtuple
 from contextlib import contextmanager
 from functools import lru_cache, partial
 from math import comb
+from operator import itemgetter
 
 from . import seqs
 
@@ -136,6 +137,7 @@ class MemoStore(dict):
     The engine reads it as a dict and writes it through put: a second put
     with the same value is a benign no-op, and a conflicting value raises,
     since the recursion is deterministic and a conflict means corruption.
+    Equal profiles in the engine's keys are one tuple (_share).
     Hit and miss counters are bookkeeping only: severi_degree counts the hit
     of its own lookup, _degree one miss per computed index and one hit per
     child found.
@@ -162,31 +164,42 @@ def first_sum_terms(index: SeveriIndex) -> list[tuple[int, SeveriIndex]]:
     One term per j with beta_j > 0; the child keeps d and delta and
     satisfies the weight constraint automatically.
     """
-    return [(j, _index(child)) for j, child in _specializations(*index)]
+    d, delta, alpha, beta = index
+    raised = _raisings(alpha, len(beta))
+    return [(j, _index((d, delta, raised[j - 1], lowered)))
+            for j, lowered in _lowerings(beta)]
 
 
-def _specializations(d, delta, alpha, beta):
-    """(j, child) per first-sum term, the child as a plain tuple."""
-    for j, entry in enumerate(beta, start=1):
-        if entry > 0:
-            raised = list(alpha) + [0] * (j - len(alpha))
-            raised[j - 1] += 1
-            lowered = list(beta)
-            lowered[j - 1] -= 1
-            while lowered and lowered[-1] == 0:
-                lowered.pop()
-            yield j, (d, delta, tuple(raised), tuple(lowered))
+# One tuple per profile: _share(p, p) is the first tuple equal to p it saw.
+_share = {}.setdefault
+
+
+@lru_cache(maxsize=None)
+def _raisings(alpha, n):
+    """alpha + e_j for j = 1..n."""
+    padded = alpha + (0,) * (n - len(alpha))
+    raised = (padded[:j] + (padded[j] + 1,) + alpha[j + 1:] for j in range(n))
+    return tuple(_share(r, r) for r in raised)
+
+
+@lru_cache(maxsize=None)
+def _lowerings(beta):
+    """(j, beta - e_j) per j with beta_j > 0."""
+    lowered = ((j, seqs.canon(beta[:j - 1] + (entry - 1,) + beta[j:]))
+               for j, entry in enumerate(beta, start=1) if entry)
+    return tuple((j, _share(low, low)) for j, low in lowered)
 
 
 @lru_cache(maxsize=None)
 def _assigned_splits(alpha):
-    """(alpha', C(alpha, alpha'), weight(alpha) - weight(alpha') - 1 = weight(c))
-    per alpha' <= alpha, lexicographic; weight(beta) = d - weight(alpha)."""
-    budget = seqs.weight(alpha) - 1
-    return tuple(
-        (a_prime, seqs.binomial(alpha, a_prime), budget - seqs.weight(a_prime))
-        for a_prime in seqs.subsequences(alpha)
-    )
+    """(alpha', C(alpha, alpha'), budget, |alpha'|) per alpha' <= alpha, with
+    budget = weight(alpha) - weight(alpha') - 1 = weight(c) as weight(beta) =
+    d - weight(alpha); budget descending, then alpha' lexicographic."""
+    top = seqs.weight(alpha) - 1
+    splits = [(_share(a_prime, a_prime), seqs.binomial(alpha, a_prime),
+               top - seqs.weight(a_prime), sum(a_prime))
+              for a_prime in seqs.subsequences(alpha)]
+    return tuple(sorted(splits, key=itemgetter(2), reverse=True))  # stable
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +213,8 @@ def _degenerations(beta, budget, min_size):
             if c_k:
                 b_prime[k] += c_k
                 unassigned *= comb(b_prime[k], c_k)
-        out.append((seqs.nat_power(c) * unassigned, sum(c), tuple(b_prime)))
+        b_prime = tuple(b_prime)
+        out.append((seqs.nat_power(c) * unassigned, sum(c), _share(b_prime, b_prime)))
     return tuple(out)
 
 
@@ -212,7 +226,8 @@ def second_sum_terms(index: SeveriIndex) -> list[tuple[int, SeveriIndex]]:
     (d-1, delta', alpha', beta + c) with delta' = delta - (d-1) + |c|,
     kept only when 0 <= delta' <= delta.  Coefficient:
     k^c * C(alpha, alpha') * C(beta + c, beta).  Order is deterministic:
-    alpha' lexicographic, then c in partition order.
+    alpha' by weight(c) descending, then lexicographic, then c in partition
+    order.
     """
     d, delta, alpha, beta = index
     if d < 2:
@@ -222,7 +237,7 @@ def second_sum_terms(index: SeveriIndex) -> list[tuple[int, SeveriIndex]]:
     min_size = max(top - delta, 0)
     return [
         (assigned * coeff, _index((top, delta - top + c_size, a_prime, b_prime)))
-        for a_prime, assigned, budget in _assigned_splits(alpha)
+        for a_prime, assigned, budget, _ in _assigned_splits(alpha)
         if budget >= min_size
         for coeff, c_size, b_prime in _degenerations(beta, budget, min_size)
     ]
@@ -250,7 +265,7 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
         memo.hits += 1
         return value
     with _stack_room(d):
-        return _degree(index, memo)
+        return _degree(_index((d, delta, _share(alpha, alpha), _share(beta, beta))), memo)
 
 
 @contextmanager
@@ -269,29 +284,34 @@ def _stack_room(d: int):
 
 def _degree(index: SeveriIndex, memo: MemoStore) -> int:
     """Degree at an index the vanishing rule does not mark and the memo
-    lacks.  Each child is a plain tuple, equal to the index it names, looked
-    up in the memo; only a miss (or d' = 1) recurses.  First-sum children
-    keep d, delta and |alpha| + |beta|; the rule marks all second-sum
-    children of an alpha' split or none, so a marked split is skipped whole."""
+    lacks.  Each child is a plain tuple of shared profiles, equal to the
+    index it names, looked up in the memo; only a miss (or d' = 1) recurses.
+    First-sum children keep d, delta and |alpha| + |beta|; the rule marks
+    all second-sum children of an alpha' split or none, so a marked split is
+    skipped whole.  Splits stop at the first budget below min |c|."""
     d, delta, alpha, beta = index
     if d == 1:
         return 1  # delta is forced to 0 here; a line through two points
     memo.misses += 1
     lookup = memo.get
-    total = 0
-    for j, child in _specializations(d, delta, alpha, beta):
+    hits = total = 0
+    raised = _raisings(alpha, len(beta))
+    for j, lowered in _lowerings(beta):
+        child = (d, delta, raised[j - 1], lowered)
         value = lookup(child)
         if value is None:
             value = _degree(_index(child), memo)
         else:
-            memo.hits += 1
+            hits += 1
         total += j * value
     top = d - 1
     shift = delta - top
     min_size = max(top - delta, 0)  # as in second_sum_terms
     room = shift - comb(top - 1, 2) - sum(beta)  # marked when |alpha'| <= room
-    for a_prime, assigned, budget in _assigned_splits(alpha):
-        if budget < min_size or sum(a_prime) <= room:
+    for a_prime, assigned, budget, size in _assigned_splits(alpha):
+        if budget < min_size:
+            break
+        if size <= room:
             continue
         part = 0
         for coeff, c_size, b_prime in _degenerations(beta, budget, min_size):
@@ -300,9 +320,10 @@ def _degree(index: SeveriIndex, memo: MemoStore) -> int:
             if value is None:
                 value = _degree(_index(child), memo)
             else:
-                memo.hits += 1
+                hits += 1
             part += coeff * value
         total += assigned * part
+    memo.hits += hits
     memo.put(index, total)
     return total
 
@@ -343,12 +364,13 @@ def severi_table(d_max: int, delta_max: int) -> list[DegreeRecord]:
         for alpha, beta in sorted(shapes, key=lambda shape: sum(shape[1])):
             size = min(span, comb(top, 2) + sum(alpha) + sum(beta))
             layer[alpha, beta] = poly = [0] * size
-            for j, (_, _, raised, lowered) in _specializations(d, 0, alpha, beta):
-                for delta, value in enumerate(layer[raised, lowered]):
+            raised = _raisings(alpha, len(beta))
+            for j, lowered in _lowerings(beta):
+                for delta, value in enumerate(layer[raised[j - 1], lowered]):
                     poly[delta] += j * value
-            for a_prime, assigned, budget in _assigned_splits(alpha):
+            for a_prime, assigned, budget, _ in _assigned_splits(alpha):
                 if budget < min_size:
-                    continue
+                    break
                 for coeff, c_size, b_prime in _degenerations(beta, budget, min_size):
                     shift = top - c_size  # delta = delta' + (d - 1) - |c|
                     child = below[a_prime, b_prime][:size - shift]

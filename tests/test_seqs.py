@@ -9,7 +9,7 @@ import pytest
 
 from curvecount import seqs
 
-from helpers import leq, seq_sub, seqs_of_weight
+from helpers import leq, seq_sub, seqs_of_weight, subseqs
 
 # partition numbers p(0) .. p(10)
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -159,6 +159,15 @@ def test_subsequences():
             expected_count *= e + 1
         assert len(subs) == expected_count
         assert subs == sorted(subs)
+
+
+@pytest.mark.parametrize("w", range(9))
+def test_subsequences_match_brute_force(w):
+    # every profile of weight <= 8, then with zeros inside and trailing
+    for a in seqs_of_weight(w):
+        assert seqs.subsequences(a) == subseqs(a)
+        padded = (0,) + a + (0, 0)
+        assert seqs.subsequences(padded) == subseqs(padded)
 
 
 def test_exact_arithmetic_contract():

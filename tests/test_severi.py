@@ -9,7 +9,8 @@ import pytest
 from curvecount import seqs, severi
 from curvecount.severi import MemoStore, SeveriIndex
 
-from helpers import all_indices, leq, oracle_degree, oracle_second_sum
+from helpers import (all_indices, leq, oracle_degree, oracle_second_sum, profiles,
+                     seq_add, seq_binom, seq_sub, subseqs, weight)
 
 
 def idx(d, delta, alpha=(), beta=()):
@@ -96,6 +97,16 @@ def test_first_sum_examples():
     assert severi.first_sum_terms(idx(2, 0, (), (0, 1))) == [
         (2, idx(2, 0, (0, 1), ()))
     ]
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_first_sum_matches_brute_force(d):
+    # children (alpha + e_j, beta - e_j) per j with beta_j > 0, in order of j
+    unit = [(0,) * (j - 1) + (1,) for j in range(1, d + 1)]
+    for index in indices(d, 0):
+        assert severi.first_sum_terms(index) == [
+            (j, idx(d, 0, seq_add(index.alpha, unit[j - 1]), seq_sub(index.beta, unit[j - 1])))
+            for j, entry in enumerate(index.beta, start=1) if entry]
 
 
 def test_first_sum_children_valid_and_smaller():
@@ -333,6 +344,26 @@ def test_memo_work_counters_are_pinned():
     memo = MemoStore()
     assert severi.severi_degree(idx(10, 36, (), (10,)), memo) == 178396887235408616925
     assert (len(memo), memo.hits, memo.misses) == (3473, 25384, 3473)
+
+
+def test_node_poly_sweep_keys_share_one_tuple_per_profile():
+    # N(d, delta; (), (d)) over the windows d = delta..3 delta + 1, delta <= 6
+    memo = MemoStore()
+    for delta in range(7):
+        for d in range(max(1, delta), 3 * delta + 2):
+            severi.severi_degree(idx(d, delta, (), (d,)), memo)
+    assert len(memo) == 23110
+    assert len({id(k.alpha) for k in memo}) == len({k.alpha for k in memo})
+    assert len({id(k.beta) for k in memo}) == len({k.beta for k in memo})
+
+
+@pytest.mark.parametrize("w", range(9))
+def test_assigned_splits_are_every_sub_profile_by_budget_descending(w):
+    # budget = weight(c) = w - 1 - weight(alpha'); ties keep alpha' lexicographic
+    for alpha in profiles(w):
+        expected = sorted(((a, seq_binom(alpha, a), w - 1 - weight(a), sum(a))
+                           for a in subseqs(alpha)), key=lambda s: (-s[2], s[0]))
+        assert severi._assigned_splits(alpha) == tuple(expected)
 
 
 @pytest.mark.parametrize("d,expected", [
