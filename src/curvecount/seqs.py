@@ -10,7 +10,6 @@ ints, which are arbitrary precision).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import comb, prod
 
 
@@ -51,10 +50,7 @@ def binomial(top, bot) -> int:
 
 def nat_power(c) -> int:
     """prod_k k^(c_k); the empty product is 1."""
-    result = 1
-    for k, e in enumerate(c, start=1):
-        result *= k ** e
-    return result
+    return prod(map(pow, range(1, len(c) + 1), c))
 
 
 @lru_cache(maxsize=None)
@@ -93,11 +89,12 @@ def partitions(w: int, min_size: int = 0) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def subsequences(a) -> list[tuple[int, ...]]:
-    """All canonical b with b <= a, sorted lexicographically; those of
-    length n are a prefix <= a[:n - 1] and a last entry in 1..a[n - 1]."""
-    out = [()]
-    for n, top in enumerate(a):
-        lasts = [(e,) for e in range(1, top + 1)]
-        out += [p + e for p in product(*(range(x + 1) for x in a[:n])) for e in lasts]
-    return sorted(out)
+def subsequences(a, max_weight=None) -> list[tuple[int, ...]]:
+    """All canonical b <= a with weight(b) <= max_weight (None: weight(a)),
+    sorted lexicographically; each b extends a shorter one by zeros and b_k."""
+    left = weight(a) if max_weight is None else max_weight
+    out = [((), left)] if left >= 0 else []  # (b, weight it leaves)
+    for k, top in enumerate(a, start=1):
+        out += [(b + (0,) * (k - 1 - len(b)) + (e,), rest - k * e)
+                for b, rest in out for e in range(1, min(top, rest // k) + 1)]
+    return sorted(b for b, _ in out)

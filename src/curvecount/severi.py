@@ -27,17 +27,19 @@ increment c runs over all profiles with
 and delta' = delta - (d - 1) + |c| is kept only when 0 <= delta' <= delta.
 The first sum specializes one unassigned contact to an assigned point at
 fixed degree; the second degenerates the curve to contain L, dropping
-the degree by one.  Base case: d = 1 has degree 1 (a line through two
-points) when delta = 0.  Degrees vanish when delta < 0 and, as a reduced
-curve of genus g has at least 1 - g components, each meeting L at a contact
-point of its own, when |alpha| + |beta| < 1 - g; this holds for every
-delta > d(d-1)/2 and, at every d <= 12, for exactly the zero degrees.
+the degree by one.  Base case: nodeless curves, for any alpha, have
+N(d, 0, alpha, beta) = |beta|!/prod_k beta_k! * prod_k k^beta_k.  At delta = 0
+only beta = () has a second-sum child (|c| = d - 1 = weight(c)), N(d - 1, 0,
+(), (d - 1)) = 1; else the first-sum terms are N(d, 0, alpha, beta) * beta_j
+/ |beta|.  Induction on d, then |beta|.  Degrees vanish when delta < 0 and,
+as a reduced curve of genus g has at least 1 - g components, each meeting L
+at a contact point of its own, when |alpha| + |beta| < 1 - g; this holds for
+every delta > d(d-1)/2 and, at every d <= 12, for exactly the zero degrees.
 
 Two engines evaluate it.  severi_degree answers one index from a memo, a
-write-once dict (MemoStore), recursing only into the children it needs;
-severi_table fills whole tables (for the table command and the Getzler
-check) bottom-up, one list by delta per (d, alpha, beta).  All values are
-exact.
+write-once dict (MemoStore), recursing only into the children it needs, down
+to the closed form; severi_table fills whole tables bottom-up, one list by
+delta per (d, alpha, beta), by the recursion alone.  All values are exact.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ import sys
 from collections import namedtuple
 from contextlib import contextmanager
 from functools import lru_cache, partial
-from math import comb
+from itertools import accumulate
+from math import comb, prod
 from operator import itemgetter
 
 from . import seqs
@@ -137,10 +140,10 @@ class MemoStore(dict):
     The engine reads it as a dict and writes it through put: a second put
     with the same value is a benign no-op, and a conflicting value raises,
     since the recursion is deterministic and a conflict means corruption.
-    Equal profiles in the engine's keys are one tuple (_share).
-    Hit and miss counters are bookkeeping only: severi_degree counts the hit
-    of its own lookup, _degree one miss per computed index and one hit per
-    child found.
+    Equal profiles in the engine's keys are one tuple (_share); delta = 0
+    never enters.  Hit and miss counters are bookkeeping only: severi_degree
+    counts the hit of its own lookup, _degree one miss per computed index and
+    one hit per child found.
     """
 
     __slots__ = ("hits", "misses")
@@ -191,15 +194,21 @@ def _lowerings(beta):
 
 
 @lru_cache(maxsize=None)
-def _assigned_splits(alpha):
+def _assigned_splits(alpha, min_size):
     """(alpha', C(alpha, alpha'), budget, |alpha'|) per alpha' <= alpha, with
-    budget = weight(alpha) - weight(alpha') - 1 = weight(c) as weight(beta) =
-    d - weight(alpha); budget descending, then alpha' lexicographic."""
+    budget = weight(alpha) - weight(alpha') - 1 = weight(c) >= min |c|, as
+    weight(beta) = d - weight(alpha); budget descending, alpha' lexicographic."""
     top = seqs.weight(alpha) - 1
     splits = [(_share(a_prime, a_prime), seqs.binomial(alpha, a_prime),
                top - seqs.weight(a_prime), sum(a_prime))
-              for a_prime in seqs.subsequences(alpha)]
+              for a_prime in seqs.subsequences(alpha, top - min_size)]
     return tuple(sorted(splits, key=itemgetter(2), reverse=True))  # stable
+
+
+@lru_cache(maxsize=None)
+def _nodeless(beta):
+    """N(d, 0, alpha, beta), the multinomial as binomials: beta = (d) is free."""
+    return seqs.nat_power(beta) * prod(map(comb, accumulate(beta), beta))
 
 
 @lru_cache(maxsize=None)
@@ -237,8 +246,7 @@ def second_sum_terms(index: SeveriIndex) -> list[tuple[int, SeveriIndex]]:
     min_size = max(top - delta, 0)
     return [
         (assigned * coeff, _index((top, delta - top + c_size, a_prime, b_prime)))
-        for a_prime, assigned, budget, _ in _assigned_splits(alpha)
-        if budget >= min_size
+        for a_prime, assigned, budget, _ in _assigned_splits(alpha, min_size)
         for coeff, c_size, b_prime in _degenerations(beta, budget, min_size)
     ]
 
@@ -246,14 +254,14 @@ def second_sum_terms(index: SeveriIndex) -> list[tuple[int, SeveriIndex]]:
 def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     """Degree of the generalized Severi variety at the given index.
 
-    Evaluates the recursion in the module docstring with memoization,
-    the degeneration sum from one table per (beta, budget, min |c|); an
-    index already in the memo is answered from it.
-    Returns 0, with the memo untouched, when delta < 0 or when
-    delta >= C(d-1, 2) + |alpha| + |beta|, the vanishing rule of the module
-    docstring (g = C(d-1, 2) - delta).  Termination: the first
-    sum strictly decreases |beta| at fixed d, the second strictly
-    decreases d.
+    Evaluates the recursion in the module docstring with memoization, the
+    degeneration sum from one table per (beta, budget, min |c|); an index in
+    the memo is answered from it, a nodeless one (delta = 0) from the closed
+    form, which neither recurses nor enters the memo.  Returns 0, with the
+    memo untouched, when delta < 0 or when delta >= C(d-1, 2) + |alpha| +
+    |beta|, the vanishing rule of the module docstring (g = C(d-1, 2) -
+    delta).  Termination: the first sum strictly decreases |beta| at fixed
+    d, the second strictly decreases d.
     """
     d, delta, alpha, beta = index
     if delta < 0 or delta >= comb(d - 1, 2) + sum(alpha) + sum(beta):
@@ -284,14 +292,14 @@ def _stack_room(d: int):
 
 def _degree(index: SeveriIndex, memo: MemoStore) -> int:
     """Degree at an index the vanishing rule does not mark and the memo
-    lacks.  Each child is a plain tuple of shared profiles, equal to the
-    index it names, looked up in the memo; only a miss (or d' = 1) recurses.
-    First-sum children keep d, delta and |alpha| + |beta|; the rule marks
-    all second-sum children of an alpha' split or none, so a marked split is
-    skipped whole.  Splits stop at the first budget below min |c|."""
+    lacks; delta = 0 (as at d = 1) is the closed form, not stored.  Each child
+    is a plain tuple of shared profiles, looked up in the memo; only a miss
+    recurses.  First-sum children keep d, delta and |alpha| + |beta|; the rule
+    marks all second-sum children of an alpha' split or none, so a marked
+    split is skipped whole."""
     d, delta, alpha, beta = index
-    if d == 1:
-        return 1  # delta is forced to 0 here; a line through two points
+    if delta == 0:
+        return _nodeless(beta)
     memo.misses += 1
     lookup = memo.get
     hits = total = 0
@@ -308,9 +316,7 @@ def _degree(index: SeveriIndex, memo: MemoStore) -> int:
     shift = delta - top
     min_size = max(top - delta, 0)  # as in second_sum_terms
     room = shift - comb(top - 1, 2) - sum(beta)  # marked when |alpha'| <= room
-    for a_prime, assigned, budget, size in _assigned_splits(alpha):
-        if budget < min_size:
-            break
+    for a_prime, assigned, budget, size in _assigned_splits(alpha, min_size):
         if size <= room:
             continue
         part = 0
@@ -368,20 +374,17 @@ def severi_table(d_max: int, delta_max: int) -> list[DegreeRecord]:
             for j, lowered in _lowerings(beta):
                 for delta, value in enumerate(layer[raised[j - 1], lowered]):
                     poly[delta] += j * value
-            for a_prime, assigned, budget, _ in _assigned_splits(alpha):
-                if budget < min_size:
-                    break
+            for a_prime, assigned, budget, _ in _assigned_splits(alpha, min_size):
                 for coeff, c_size, b_prime in _degenerations(beta, budget, min_size):
                     shift = top - c_size  # delta = delta' + (d - 1) - |c|
                     child = below[a_prime, b_prime][:size - shift]
                     factor = assigned * coeff
                     for delta, value in enumerate(child, shift):
                         poly[delta] += factor * value
-        zero = [_index((d, 0, alpha, beta)) for alpha, beta in shapes]
         rows = []
-        for i in zero:
-            poly = layer[i[2:]]
-            rows.append((i.alpha, i.beta, poly + [0] * (span - len(poly)),
+        for alpha, beta in shapes:
+            i, poly = _index((d, 0, alpha, beta)), layer[alpha, beta]
+            rows.append((alpha, beta, poly + [0] * (span - len(poly)),
                          dimension(i), genus(i)))
         out += [DegreeRecord(_index((d, delta, alpha, beta)), poly[delta],
                              dim - delta, g - delta)

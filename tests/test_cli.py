@@ -39,6 +39,14 @@ def test_severi_one_node_at_degree_120(capsys):
     assert out.splitlines()[1] == "degree %d" % (3 * 119 ** 2)
 
 
+def test_severi_nodeless_at_degree_66000(capsys):
+    # delta = 0 is the closed form: no recursion through 66,000 layers
+    code, out, _ = run(["severi", "--d", "66000", "--delta", "0", "--beta", "66000"],
+                       capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "degree 1"
+
+
 def test_severi_csv(capsys):
     code, out, _ = run(
         ["severi", "--d", "3", "--delta", "1", "--alpha", "3",

@@ -9,7 +9,7 @@ import pytest
 
 from curvecount import seqs
 
-from helpers import leq, seq_sub, seqs_of_weight, subseqs
+from helpers import leq, seq_sub, seqs_of_weight, subseqs, weight
 
 # partition numbers p(0) .. p(10)
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -168,6 +168,15 @@ def test_subsequences_match_brute_force(w):
         assert seqs.subsequences(a) == subseqs(a)
         padded = (0,) + a + (0, 0)
         assert seqs.subsequences(padded) == subseqs(padded)
+
+
+@pytest.mark.parametrize("w", range(9))
+def test_subsequences_with_a_weight_bound_filter_the_full_list(w):
+    for a in seqs_of_weight(w):
+        for s in (a, (0,) + a + (0,)):
+            for bound in range(-2, weight(s) + 2):
+                expected = [b for b in subseqs(s) if weight(b) <= bound]
+                assert seqs.subsequences(s, bound) == expected
 
 
 def test_exact_arithmetic_contract():

@@ -1,12 +1,15 @@
 """Severi degree engine against the brute-force oracle and frozen values."""
 
+import ast
+import inspect
 import random
 import sys
-from math import comb
+import textwrap
+from math import comb, factorial
 
 import pytest
 
-from curvecount import seqs, severi
+from curvecount import genfunc, seqs, severi
 from curvecount.severi import MemoStore, SeveriIndex
 
 from helpers import (all_indices, leq, oracle_degree, oracle_second_sum, profiles,
@@ -343,7 +346,7 @@ def test_memo_work_counters_are_pinned():
     # one memo entry per miss, and every child found in the memo is a hit
     memo = MemoStore()
     assert severi.severi_degree(idx(10, 36, (), (10,)), memo) == 178396887235408616925
-    assert (len(memo), memo.hits, memo.misses) == (3473, 25384, 3473)
+    assert (len(memo), memo.hits, memo.misses) == (3438, 25224, 3438)
 
 
 def test_node_poly_sweep_keys_share_one_tuple_per_profile():
@@ -352,18 +355,68 @@ def test_node_poly_sweep_keys_share_one_tuple_per_profile():
     for delta in range(7):
         for d in range(max(1, delta), 3 * delta + 2):
             severi.severi_degree(idx(d, delta, (), (d,)), memo)
-    assert len(memo) == 23110
+    assert len(memo) == 13815
     assert len({id(k.alpha) for k in memo}) == len({k.alpha for k in memo})
     assert len({id(k.beta) for k in memo}) == len({k.beta for k in memo})
 
 
 @pytest.mark.parametrize("w", range(9))
 def test_assigned_splits_are_every_sub_profile_by_budget_descending(w):
-    # budget = weight(c) = w - 1 - weight(alpha'); ties keep alpha' lexicographic
+    # budget = weight(c) = w - 1 - weight(alpha') >= min |c|; ties keep alpha'
+    # lexicographic
     for alpha in profiles(w):
-        expected = sorted(((a, seq_binom(alpha, a), w - 1 - weight(a), sum(a))
-                           for a in subseqs(alpha)), key=lambda s: (-s[2], s[0]))
-        assert severi._assigned_splits(alpha) == tuple(expected)
+        every = sorted(((a, seq_binom(alpha, a), w - 1 - weight(a), sum(a))
+                        for a in subseqs(alpha)), key=lambda s: (-s[2], s[0]))
+        for min_size in range(w + 1):
+            expected = tuple(s for s in every if s[2] >= min_size)
+            assert severi._assigned_splits(alpha, min_size) == expected
+
+
+def nodeless_by_factorials(beta):
+    value = factorial(sum(beta))
+    for k, entry in enumerate(beta, start=1):
+        value = value // factorial(entry) * k ** entry
+    return value
+
+
+@pytest.mark.parametrize("w", range(13))
+def test_nodeless_closed_form_satisfies_the_induction_step(w):
+    # sum_j j * f(beta - e_j) = f(beta): the first sum at delta = 0
+    for beta in profiles(w):
+        f = severi._nodeless(beta)
+        assert f == nodeless_by_factorials(beta)
+        if beta:
+            assert f == sum(j * severi._nodeless(seq_sub(beta, (0,) * (j - 1) + (1,)))
+                            for j, entry in enumerate(beta, start=1) if entry)
+    assert severi._nodeless(()) == 1
+
+
+def test_nodeless_closed_form_is_every_delta_zero_table_row():
+    rows = severi.severi_table(10, 0)
+    assert len(rows) > 0 and all(rec.index.delta == 0 for rec in rows)
+    for rec in rows:
+        assert severi._nodeless(rec.index.beta) == rec.degree
+        assert severi.severi_degree(rec.index) == rec.degree
+
+
+def test_nodeless_query_leaves_the_memo_empty():
+    memo = MemoStore()
+    for index in (idx(1, 0, (), (1,)), idx(1, 0, (1,), ()), idx(10, 0, (), (10,)),
+                  idx(9, 0, (1, 1), (0, 1, 0, 1)), idx(400, 0, (), (0, 200))):
+        assert severi.severi_degree(index, memo) == nodeless_by_factorials(index.beta)
+    assert (len(memo), memo.hits, memo.misses) == (0, 0, 0)
+
+
+def test_table_and_genfunc_never_read_the_closed_form():
+    # the delta = 0 rows of severi_table (and the generating polynomial built
+    # from them) must come from the recursion, to stay a check on _nodeless
+    pointwise = {"_nodeless", "_degree", "severi_degree"}
+    table = ast.parse(textwrap.dedent(inspect.getsource(severi.severi_table)))
+    module = ast.parse(inspect.getsource(genfunc))
+    for tree, banned in ((table, pointwise), (module, {"_nodeless"})):
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & banned
 
 
 @pytest.mark.parametrize("d,expected", [
