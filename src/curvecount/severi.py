@@ -50,7 +50,6 @@ from contextlib import contextmanager
 from functools import lru_cache, partial
 from itertools import accumulate
 from math import comb, prod
-from operator import itemgetter
 
 from . import seqs
 
@@ -161,18 +160,6 @@ class MemoStore(dict):
             )
 
 
-def first_sum_terms(index: SeveriIndex) -> list[tuple[int, SeveriIndex]]:
-    """Terms j * N(d, delta, alpha + e_j, beta - e_j) of the first sum.
-
-    One term per j with beta_j > 0; the child keeps d and delta and
-    satisfies the weight constraint automatically.
-    """
-    d, delta, alpha, beta = index
-    raised = _raisings(alpha, len(beta))
-    return [(j, _index((d, delta, raised[j - 1], lowered)))
-            for j, lowered in _lowerings(beta)]
-
-
 # One tuple per profile: _share(p, p) is the first tuple equal to p it saw.
 _share = {}.setdefault
 
@@ -197,12 +184,11 @@ def _lowerings(beta):
 def _assigned_splits(alpha, min_size):
     """(alpha', C(alpha, alpha'), budget, |alpha'|) per alpha' <= alpha, with
     budget = weight(alpha) - weight(alpha') - 1 = weight(c) >= min |c|, as
-    weight(beta) = d - weight(alpha); budget descending, alpha' lexicographic."""
+    weight(beta) = d - weight(alpha); alpha' lexicographic."""
     top = seqs.weight(alpha) - 1
-    splits = [(_share(a_prime, a_prime), seqs.binomial(alpha, a_prime),
-               top - seqs.weight(a_prime), sum(a_prime))
-              for a_prime in seqs.subsequences(alpha, top - min_size)]
-    return tuple(sorted(splits, key=itemgetter(2), reverse=True))  # stable
+    return tuple((_share(a_prime, a_prime), seqs.binomial(alpha, a_prime),
+                  top - seqs.weight(a_prime), sum(a_prime))
+                 for a_prime in seqs.subsequences(alpha, top - min_size))
 
 
 @lru_cache(maxsize=None)
@@ -225,30 +211,6 @@ def _degenerations(beta, budget, min_size):
         b_prime = tuple(b_prime)
         out.append((seqs.nat_power(c) * unassigned, sum(c), _share(b_prime, b_prime)))
     return tuple(out)
-
-
-def second_sum_terms(index: SeveriIndex) -> list[tuple[int, SeveriIndex]]:
-    """Coefficient/child pairs of the degeneration sum, for d >= 2.
-
-    Enumerates alpha' <= alpha, then increments c with
-    weight(alpha') + weight(beta) + weight(c) = d - 1; the child is
-    (d-1, delta', alpha', beta + c) with delta' = delta - (d-1) + |c|,
-    kept only when 0 <= delta' <= delta.  Coefficient:
-    k^c * C(alpha, alpha') * C(beta + c, beta).  Order is deterministic:
-    alpha' by weight(c) descending, then lexicographic, then c in partition
-    order.
-    """
-    d, delta, alpha, beta = index
-    if d < 2:
-        raise ValueError("degeneration terms need d >= 2, got d = %d" % d)
-    top = d - 1
-    # delta' <= delta as |c| <= d - 1; delta' >= 0 is |c| >= (d - 1) - delta.
-    min_size = max(top - delta, 0)
-    return [
-        (assigned * coeff, _index((top, delta - top + c_size, a_prime, b_prime)))
-        for a_prime, assigned, budget, _ in _assigned_splits(alpha, min_size)
-        for coeff, c_size, b_prime in _degenerations(beta, budget, min_size)
-    ]
 
 
 def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
@@ -314,7 +276,7 @@ def _degree(index: SeveriIndex, memo: MemoStore) -> int:
         total += j * value
     top = d - 1
     shift = delta - top
-    min_size = max(top - delta, 0)  # as in second_sum_terms
+    min_size = max(top - delta, 0)  # delta' >= 0 needs |c| >= (d - 1) - delta
     room = shift - comb(top - 1, 2) - sum(beta)  # marked when |alpha'| <= room
     for a_prime, assigned, budget, size in _assigned_splits(alpha, min_size):
         if size <= room:
@@ -362,7 +324,7 @@ def severi_table(d_max: int, delta_max: int) -> list[DegreeRecord]:
     for d in range(1, d_max + 1):
         top = d - 1
         span = min(d * top // 2, delta_max) + 1
-        min_size = max(top - delta_max, 0)  # as in second_sum_terms
+        min_size = max(top - delta_max, 0)  # as in _degree, at delta_max
         shapes = sorted((alpha, beta) for w in range(d + 1)
                         for alpha in seqs.partitions(w)
                         for beta in seqs.partitions(d - w))

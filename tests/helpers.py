@@ -108,6 +108,17 @@ def subseqs(a):
 
 
 # ------------------------------------------------- degeneration oracle
+def oracle_first_sum(d, delta, alpha, beta):
+    """Specialization terms (j, (d, delta, alpha + e_j, beta - e_j)), in order
+    of j, for every j with beta_j > 0."""
+    out = []
+    for j in range(1, len(beta) + 1):
+        if beta[j - 1] > 0:
+            e_j = canon([0] * (j - 1) + [1])
+            out.append((j, (d, delta, seq_add(alpha, e_j), seq_sub(beta, e_j))))
+    return out
+
+
 def oracle_second_sum(d, delta, alpha, beta):
     """Degeneration terms enumerated from the raw constraints.
 
@@ -147,12 +158,8 @@ def oracle_degree(d, delta, alpha, beta, memo=None):
     if key in memo:
         return memo[key]
     total = 0
-    for j in range(1, len(beta) + 1):
-        if beta[j - 1] > 0:
-            e_j = canon([0] * (j - 1) + [1])
-            total += j * oracle_degree(
-                d, delta, seq_add(alpha, e_j), seq_sub(beta, e_j), memo
-            )
+    for j, child in oracle_first_sum(d, delta, alpha, beta):
+        total += j * oracle_degree(*child, memo)
     for coeff, child in oracle_second_sum(d, delta, alpha, beta):
         total += coeff * oracle_degree(*child, memo)
     memo[key] = total

@@ -13,7 +13,8 @@ from contextlib import contextmanager
 from curvecount import cache, classical, cli, genfunc, kontsevich, seqs, series, severi
 from curvecount.severi import MemoStore, SeveriIndex
 
-from helpers import all_indices, naive_rational_count, oracle_degree, seq_sub
+from helpers import (all_indices, naive_rational_count, oracle_degree,
+                     oracle_second_sum, seq_sub)
 
 
 def _announce(number: int, label: str, verdict: str, capsys=None) -> None:
@@ -55,12 +56,10 @@ def test_criterion_2_assigned_contacts_and_decomposition(capsys):
         n = lambda *a: severi.severi_degree(SeveriIndex(*a), memo)
         assert n(3, 1, (3,), ()) == 10
 
-        # 10 = 1*3 + 2*2 + 3*1 straight from the engine's own term lists
-        index = SeveriIndex(3, 1, (3,), ())
-        assert severi.first_sum_terms(index) == []
+        # 10 = 1*3 + 2*2 + 3*1: beta = () has no first-sum term, and the
+        # degeneration terms come from the oracle, each degree from the engine
         parts = sorted(
-            coeff * severi.severi_degree(child, memo)
-            for coeff, child in severi.second_sum_terms(index)
+            coeff * n(*child) for coeff, child in oracle_second_sum(3, 1, (3,), ())
         )
         assert parts == [3, 3, 4] and sum(parts) == 10
 

@@ -9,7 +9,7 @@ import pytest
 from curvecount import cli, genfunc, seqs, severi
 from curvecount.severi import MemoStore, SeveriIndex
 
-from helpers import all_indices
+from helpers import all_indices, oracle_first_sum, oracle_second_sum
 
 
 def true_degrees():
@@ -70,7 +70,7 @@ def test_every_term_is_a_valid_index():
 
 def test_transfer_operator_is_term_exact():
     # the coefficient of u^a/a! v^b z^(r-1)/(r-1)! in the transfer image
-    # is the first sum evaluated at the matching index
+    # is the first sum, over the oracle's terms, at the matching index
     D = 3
     g = genfunc.severi_generating_function(D)
     moved = genfunc._transfer(g)
@@ -80,23 +80,23 @@ def test_transfer_operator_is_term_exact():
             r = severi.dimension(index)
             key = (index.alpha, index.beta, r - 1)
             expected = sum(
-                j * degrees(child)
-                for j, child in severi.first_sum_terms(index)
+                j * degrees(SeveriIndex(*child))
+                for j, child in oracle_first_sum(*index)
             )
             assert moved.get(key, 0) == expected
 
 
 def test_degeneration_operator_is_term_exact():
-    # the coefficient of u^a/a! v^b z^(r-1)/(r-1)! in S is the engine's
-    # degeneration sum evaluated at the matching index
+    # the coefficient of u^a/a! v^b z^(r-1)/(r-1)! in S is the degeneration
+    # sum, over the oracle's terms, evaluated at the matching index
     rows = table(4)
     image = genfunc._degenerate(genfunc.severi_generating_function(4, rows), 4)
     degrees = true_degrees()
     checked = 0
     for rec in rows:
         if rec.index.d >= 2:
-            expected = sum(coeff * degrees(child)
-                           for coeff, child in severi.second_sum_terms(rec.index))
+            expected = sum(coeff * degrees(SeveriIndex(*child))
+                           for coeff, child in oracle_second_sum(*rec.index))
             assert image.get((rec.index.alpha, rec.index.beta, rec.dim - 1), 0) == expected
             checked += 1
     assert checked == len(rows) - 2  # all but the two lines of degree 1
@@ -177,11 +177,11 @@ def test_genfunc_reads_only_the_table_from_severi():
 
 
 def test_identity_needs_no_engine_sums(monkeypatch):
-    def refuse(index):
+    def refuse(index, *memo):
         raise AssertionError("getzler_residual asked the engine for %r" % (index,))
 
-    monkeypatch.setattr(severi, "second_sum_terms", refuse)
-    monkeypatch.setattr(severi, "first_sum_terms", refuse)
+    monkeypatch.setattr(severi, "severi_degree", refuse)
+    monkeypatch.setattr(severi, "_degree", refuse)
     assert genfunc.getzler_residual(5) == []
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import pathlib
 import random
 import sys
 import textwrap
@@ -12,8 +13,9 @@ import pytest
 from curvecount import genfunc, seqs, severi
 from curvecount.severi import MemoStore, SeveriIndex
 
-from helpers import (all_indices, leq, oracle_degree, oracle_second_sum, profiles,
-                     seq_add, seq_binom, seq_sub, subseqs, weight)
+from helpers import (all_indices, leq, oracle_degree, oracle_first_sum,
+                     oracle_second_sum, profiles, seq_binom, seq_sub, subseqs,
+                     weight)
 
 
 def idx(d, delta, alpha=(), beta=()):
@@ -92,12 +94,21 @@ def test_dimension_two_forms_agree_everywhere(d):
 
 
 # ------------------------------------------------------------ first sum
+def first_sum(index):
+    """(j, child) per j with beta_j > 0, from the raisings and lowerings that
+    _degree and severi_table read."""
+    d, delta, alpha, beta = index
+    raised = severi._raisings(alpha, len(beta))
+    return [(j, idx(d, delta, raised[j - 1], lowered))
+            for j, lowered in severi._lowerings(beta)]
+
+
 def test_first_sum_examples():
-    assert severi.first_sum_terms(idx(3, 1, (), (3,))) == [
+    assert first_sum(idx(3, 1, (), (3,))) == [
         (1, idx(3, 1, (1,), (2,)))
     ]
-    assert severi.first_sum_terms(idx(3, 1, (3,), ())) == []
-    assert severi.first_sum_terms(idx(2, 0, (), (0, 1))) == [
+    assert first_sum(idx(3, 1, (3,), ())) == []
+    assert first_sum(idx(2, 0, (), (0, 1))) == [
         (2, idx(2, 0, (0, 1), ()))
     ]
 
@@ -105,70 +116,68 @@ def test_first_sum_examples():
 @pytest.mark.parametrize("d", range(1, 8))
 def test_first_sum_matches_brute_force(d):
     # children (alpha + e_j, beta - e_j) per j with beta_j > 0, in order of j
-    unit = [(0,) * (j - 1) + (1,) for j in range(1, d + 1)]
     for index in indices(d, 0):
-        assert severi.first_sum_terms(index) == [
-            (j, idx(d, 0, seq_add(index.alpha, unit[j - 1]), seq_sub(index.beta, unit[j - 1])))
-            for j, entry in enumerate(index.beta, start=1) if entry]
+        assert first_sum(index) == oracle_first_sum(*index)
 
 
 def test_first_sum_children_valid_and_smaller():
     rng = random.Random(23)
     for index in rng.sample(all_valid_indices(5), 60):
-        for j, child in severi.first_sum_terms(index):
+        for j, child in first_sum(index):
             assert child.d == index.d and child.delta == index.delta
             assert sum(child.beta) == sum(index.beta) - 1
             assert index.beta[j - 1] > 0
 
 
 # ------------------------------------------------------------ second sum
-def test_second_sum_requires_degeneration_room():
-    with pytest.raises(ValueError):
-        severi.second_sum_terms(idx(1, 0, (), (1,)))
+def second_sum(index):
+    """(coeff, child) of the degeneration sum, sorted, from the split and
+    increment tables as _degree and severi_table compose them (d >= 2)."""
+    d, delta, alpha, beta = index
+    top = d - 1
+    min_size = max(top - delta, 0)
+    return sorted(
+        (assigned * coeff, idx(top, delta - top + c_size, a_prime, b_prime))
+        for a_prime, assigned, budget, _ in severi._assigned_splits(alpha, min_size)
+        for coeff, c_size, b_prime in severi._degenerations(beta, budget, min_size))
+
+
+def oracle_terms(index):
+    return sorted(oracle_second_sum(*index))
 
 
 def test_second_sum_frozen_examples():
     # oracle-derived: the (2,0,(1),(1)) list is empty (its only candidate
     # increments are filtered by the delta' bound)
-    assert severi.second_sum_terms(idx(2, 0, (1,), (1,))) == []
-    assert severi.second_sum_terms(idx(3, 1, (), (3,))) == []
-    assert severi.second_sum_terms(idx(2, 0, (2,), ())) == [
-        (1, idx(1, 0, (), (1,)))
-    ]
-    assert severi.second_sum_terms(idx(2, 1, (2,), ())) == [
-        (1, idx(1, 1, (), (1,))),
-        (2, idx(1, 0, (1,), ())),
-    ]
-    # the three degenerations of the fully-assigned nodal cubic; the
-    # coefficient 3 is the entrywise binomial C((3), (1))
-    assert sorted(severi.second_sum_terms(idx(3, 1, (3,), ()))) == sorted(
-        [
+    frozen = {
+        idx(2, 0, (1,), (1,)): [],
+        idx(3, 1, (), (3,)): [],
+        idx(2, 0, (2,), ()): [(1, idx(1, 0, (), (1,)))],
+        idx(2, 1, (2,), ()): [
+            (1, idx(1, 1, (), (1,))),
+            (2, idx(1, 0, (1,), ())),
+        ],
+        # the three degenerations of the fully-assigned nodal cubic; the
+        # coefficient 3 is the entrywise binomial C((3), (1))
+        idx(3, 1, (3,), ()): [
             (1, idx(2, 1, (), (2,))),
             (2, idx(2, 0, (), (0, 1))),
             (3, idx(2, 0, (1,), (1,))),
-        ]
-    )
+        ],
+    }
+    for index, terms in frozen.items():
+        assert second_sum(index) == oracle_terms(index) == sorted(terms)
 
 
 @pytest.mark.parametrize("d", range(2, 6))
 def test_second_sum_matches_bruteforce_oracle(d):
     for index in indices(d):
-        got = sorted(
-            (coeff, child.d, child.delta, child.alpha, child.beta)
-            for coeff, child in severi.second_sum_terms(index)
-        )
-        expected = sorted(
-            (coeff, *child)
-            for coeff, child in oracle_second_sum(
-                index.d, index.delta, index.alpha, index.beta
-            )
-        )
-        assert got == expected
+        assert second_sum(index) == oracle_terms(index)
 
 
 def test_second_sum_children_valid():
     for index in indices(5):
-        for coeff, child in severi.second_sum_terms(index):
+        for coeff, child in second_sum(index):
             assert coeff > 0
             assert child.d == index.d - 1
             assert 0 <= child.delta <= index.delta
@@ -324,7 +333,7 @@ def test_degrees_nonnegative():
 def test_memo_transparency():
     # at every index with d <= 6, a degree computed through a warm shared
     # memo equals the same degree recomputed from scratch, and equals the
-    # recursion's right-hand side over the public term lists
+    # recursion's right-hand side over the oracle's terms
     shared = MemoStore()
     rhs_memo = MemoStore()
     for index in all_valid_indices(6):
@@ -333,11 +342,11 @@ def test_memo_transparency():
         assert warm == cold
         if index.d >= 2:
             rhs = sum(
-                j * severi.severi_degree(child, rhs_memo)
-                for j, child in severi.first_sum_terms(index)
+                j * severi.severi_degree(idx(*child), rhs_memo)
+                for j, child in oracle_first_sum(*index)
             ) + sum(
-                coeff * severi.severi_degree(child, rhs_memo)
-                for coeff, child in severi.second_sum_terms(index)
+                coeff * severi.severi_degree(idx(*child), rhs_memo)
+                for coeff, child in oracle_second_sum(*index)
             )
             assert warm == rhs
 
@@ -361,12 +370,11 @@ def test_node_poly_sweep_keys_share_one_tuple_per_profile():
 
 
 @pytest.mark.parametrize("w", range(9))
-def test_assigned_splits_are_every_sub_profile_by_budget_descending(w):
-    # budget = weight(c) = w - 1 - weight(alpha') >= min |c|; ties keep alpha'
-    # lexicographic
+def test_assigned_splits_are_every_sub_profile(w):
+    # budget = weight(c) = w - 1 - weight(alpha') >= min |c|; alpha' lexicographic
     for alpha in profiles(w):
-        every = sorted(((a, seq_binom(alpha, a), w - 1 - weight(a), sum(a))
-                        for a in subseqs(alpha)), key=lambda s: (-s[2], s[0]))
+        every = [(a, seq_binom(alpha, a), w - 1 - weight(a), sum(a))
+                 for a in subseqs(alpha)]
         for min_size in range(w + 1):
             expected = tuple(s for s in every if s[2] >= min_size)
             assert severi._assigned_splits(alpha, min_size) == expected
@@ -417,6 +425,21 @@ def test_table_and_genfunc_never_read_the_closed_form():
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not names & banned
+
+
+def test_one_degeneration_loop_per_engine():
+    # the degeneration table is read by the two engines alone, so the
+    # recursion's terms are enumerated once per engine in the whole package
+    # (a def's own name is not an ast.Name, so _degenerations' def is no reader)
+    readers = set()
+    for path in sorted(pathlib.Path(severi.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == "_degenerations"
+                        or isinstance(node, ast.Attribute)
+                        and node.attr == "_degenerations"):
+                    readers.add((path.stem, getattr(top, "name", None)))
+    assert readers == {("severi", "_degree"), ("severi", "severi_table")}
 
 
 @pytest.mark.parametrize("d,expected", [
