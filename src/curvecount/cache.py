@@ -4,7 +4,7 @@ The first line is a header carrying format-version: 1; an unknown
 version rejects the whole file (never partially parsed).  Each record
 stores d, delta, alpha, beta, degree, dim, genus and tool-version, with
 the degree as an exact decimal string so arbitrarily large values
-survive any JSON reader.  Rows are severi.DegreeRecord values.
+survive any JSON reader.  Parsed records are severi.DegreeRecord values.
 """
 
 from __future__ import annotations
@@ -95,11 +95,23 @@ def _parse_record(line: str, lineno: int, torn: bool) -> tuple:
     return d, delta, tuple(alpha), tuple(beta), int(degree), dim, genus
 
 
-def read_cache(path, expected=()) -> list[DegreeRecord]:
-    """All records of an existing cache file, with checked canonical indices.
+def table_lines(table):
+    """The record lines of a severi_table table in its row order, a layer at a time."""
+    for d, layer in enumerate(table, start=1):
+        rows = [(_profile_text(alpha), _profile_text(beta), *rest)
+                for alpha, beta, *rest in layer]
+        with exact_decimals():
+            lines = [_RECORD_FORMAT % (alpha, beta, d, degrees[delta], delta,
+                                       dim - delta, genus - delta, _TOOL_VERSION)
+                     for delta in range(len(layer[0][2]))
+                     for alpha, beta, degrees, dim, genus in rows]
+        yield from lines
 
-    A line equal to _record_line(rec) for a record rec in expected is read
-    as rec, unparsed; every other line is parsed and checked.
+
+def read_cache(path, table=()) -> list:
+    """Every record of an existing cache file, in file order: a line that
+    table_lines(table) yields as the line itself, unparsed, and every other
+    line parsed into a DegreeRecord with a checked canonical index.
     Raises CacheError when the file is unreadable, not UTF-8 or malformed,
     and CacheCorruption for an invalid index (a bad shape, or delta outside
     0..d(d-1)/2) or a torn last line: one that lacks its newline and does
@@ -134,16 +146,12 @@ def read_cache(path, expected=()) -> list[DegreeRecord]:
     invalid = []
     shapes = {}  # raw (d, alpha, beta) -> canonical (alpha, beta), None if invalid
     with exact_decimals():
-        # keyed by the file's own strings: no second copy of the lines is kept
+        # keyed by the file's own strings: the table's lines are only marks
         known = dict.fromkeys(lines)
-        for rec in expected:
-            line = _record_line(rec)
-            if line in known:
-                known[line] = rec
+        known.update((line, True) for line in table_lines(table) if line in known)
         for lineno, line in enumerate(lines[1:], start=2):
-            rec = known[line]
-            if rec is not None:
-                records.append(rec)
+            if known[line]:
+                records.append(line)
                 continue
             if not line.strip():
                 continue
@@ -169,25 +177,56 @@ def read_cache(path, expected=()) -> list[DegreeRecord]:
     return records
 
 
-def append_records(path, records) -> None:
-    """Append records, writing the header first when the file is new.
+def _conflict(old, new, how: str) -> str:
+    """'at <index>: stored <field> <old>, <how> <new>' at the first field differing."""
+    d, delta, alpha, beta = new.index
+    field, was, now = next(f for f in zip(old._fields, old, new) if f[1] != f[2])
+    return ("at d=%d delta=%d alpha=%s beta=%s: stored %s %s, %s %s"
+            % (d, delta, list(alpha), list(beta), field, was, how, now))
 
-    The batch goes out in one write, then flush and fsync, so a crash
-    leaves at most a torn last line, which read_cache reports.
-    """
-    with exact_decimals():
-        text = "".join(_record_line(rec) + "\n" for rec in records)
+
+def check_records(table, records) -> tuple:
+    """(conflict, verified, fresh) for what read_cache(path, table) read, table
+    lines standing for the table's records: the first record that differs from
+    the first of its index or from the table's, else None; then the number of
+    table rows whose index the cache has, and the lines of the others."""
+    shapes = {(d, *row[:2]): row[2:] for d, layer in enumerate(table, 1) for row in layer}
+    # the table's record, by its line, at each index of a parsed record inside it
+    ours = {_record_line(mine): mine for mine in (
+        DegreeRecord(rec.index, degrees[delta], dim - delta, genus - delta)
+        for rec in records if type(rec) is not str
+        for (d, delta, alpha, beta) in [rec.index]
+        for degrees, dim, genus in [shapes.get((d, alpha, beta), ((), 0, 0))]
+        if delta < len(degrees))}
+    known = {}
+    for rec in filter(None, (ours.get(r) if type(r) is str else r for r in records)):
+        if known.setdefault(rec.index, rec) != rec:  # equal duplicates are benign
+            return _conflict(known[rec.index], rec, "stored again as"), 0, []
+    for mine in sorted(ours.values()):
+        if known[mine.index] != mine:
+            return _conflict(known[mine.index], mine, "recomputed"), 0, []
+    done = {rec for rec in records if type(rec) is str}.union(ours)
+    rows = sum(len(layer) * len(layer[0][2]) for layer in table)
+    return None, len(done), [line for line in table_lines(table)
+                             if line not in done] if len(done) < rows else []
+
+
+def append_records(path, lines) -> None:
+    """Append record lines (from table_lines), writing the header first if the
+    file is new: whole lines in batches, then one flush and fsync, so a crash
+    leaves at most a torn last line, which read_cache reports."""
     try:
         with open(path, "a+b") as handle:
             end = handle.seek(0, os.SEEK_END)
             if end == 0:
-                text = _header_line() + "\n" + text
-            elif text:
+                handle.write(_header_line().encode() + b"\n")
+            elif lines:
                 handle.seek(end - 1)
                 if handle.read(1) != b"\n":
                     # a crash cut the last record just before its newline
-                    text = "\n" + text
-            handle.write(text.encode("utf-8"))
+                    handle.write(b"\n")
+            for start in range(0, len(lines), 2048):  # whole lines, 2048 a write
+                handle.write(("\n".join(lines[start:start + 2048]) + "\n").encode())
             handle.flush()
             os.fsync(handle.fileno())
     except OSError as exc:

@@ -119,40 +119,16 @@ def cmd_kontsevich(args) -> int:
     return 0
 
 
-def _corruption(old, new, how: str) -> int:
-    """Report two records of one index by the first field that differs:
-    'stored <field> <old value>, <how> <new value>'."""
-    d, delta, alpha, beta = new.index
-    field, was, now = next(item for item in zip(old._fields, old, new)
-                           if item[1] != item[2])
-    print("cache corruption at d=%d delta=%d alpha=%s beta=%s: stored %s %s, %s %s"
-          % (d, delta, list(alpha), list(beta), field, was, how, now), file=sys.stderr)
-    return 1
-
-
 def cmd_table(args) -> int:
-    """Compute the table first, so that the cache lines it would write are
-    read as its records, unparsed; then cross-check the cache, verify the
-    overlap with the table and append the rest."""
+    """Compute the table, read and check the cache, append the rows it lacks."""
     # a crash between creating the file and its first write leaves it empty
     fresh_file = not os.path.exists(args.cache) or os.path.getsize(args.cache) == 0
-    records = severi.severi_table(args.dmax, args.deltamax)
-    existing = [] if fresh_file else cache.read_cache(args.cache, records)
-    known = {}
-    for rec in existing:
-        old = known.setdefault(rec.index, rec)
-        if old != rec:  # identical duplicates, as overlapping runs leave, are benign
-            return _corruption(old, rec, "stored again as")
-    fresh = []
-    verified = 0
-    for rec in records:
-        old = known.get(rec.index)
-        if old is None:
-            fresh.append(rec)
-            continue
-        if old != rec:
-            return _corruption(old, rec, "recomputed")
-        verified += 1
+    table = severi.severi_table(args.dmax, args.deltamax)
+    existing = [] if fresh_file else cache.read_cache(args.cache, table)
+    conflict, verified, fresh = cache.check_records(table, existing)
+    if conflict:
+        print("cache corruption %s" % conflict, file=sys.stderr)
+        return 1
     cache.append_records(args.cache, fresh)
     print("cache %s" % args.cache)
     print("verified %d" % verified)

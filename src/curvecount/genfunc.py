@@ -42,18 +42,19 @@ class GeneratingPolynomial(namedtuple("GeneratingPolynomial", "terms")):
     __slots__ = ()
 
 
-def severi_generating_function(D: int, records=None) -> GeneratingPolynomial:
+def severi_generating_function(D: int, table=None) -> GeneratingPolynomial:
     """G truncated at curve degree D (one term per valid index, zeros dropped).
 
-    records: optional rows replacing severi_table(D, D(D-1)/2); the
-    fault-injection tests corrupt single degrees through them.
+    table: optional layers replacing severi_table(D, D(D-1)/2); the
+    fault-injection tests corrupt single degrees in them.
     """
     if D < 1:
         raise ValueError("D must be >= 1, got %d" % D)
-    if records is None:
-        records = severi.severi_table(D, D * (D - 1) // 2)
-    return GeneratingPolynomial({(rec.index.alpha, rec.index.beta, rec.dim): rec.degree
-                                 for rec in records if rec.degree})
+    if table is None:
+        table = severi.severi_table(D, D * (D - 1) // 2)
+    return GeneratingPolynomial({(alpha, beta, dim - delta): n for layer in table
+                                 for alpha, beta, degrees, dim, _ in layer
+                                 for delta, n in enumerate(degrees) if n})
 
 
 def _transfer(g: GeneratingPolynomial) -> dict[Monomial, int]:
@@ -96,12 +97,12 @@ def _degenerate(g: GeneratingPolynomial, D: int) -> dict[Monomial, int]:
     return out
 
 
-def getzler_residual(D: int, records=None) -> list[Monomial]:
+def getzler_residual(D: int, table=None) -> list[Monomial]:
     """Monomials of weight 2..D where dG/dz - transfer - S, three operators on
-    one G (records as in severi_generating_function), is nonzero."""
+    one G (table as in severi_generating_function), is nonzero."""
     if D < 2:
         raise ValueError("D must be >= 2, got %d" % D)
-    g = severi_generating_function(D, records)
+    g = severi_generating_function(D, table)
     residual = {(ue, ve, m - 1): n for (ue, ve, m), n in g.terms.items() if m}
     for side in (_transfer(g), _degenerate(g, D)):
         for key, n in side.items():

@@ -38,8 +38,9 @@ every delta > d(d-1)/2 and, at every d <= 12, for exactly the zero degrees.
 
 Two engines evaluate it.  severi_degree answers one index from a memo, a
 write-once dict (MemoStore), recursing only into the children it needs, down
-to the closed form; severi_table fills whole tables bottom-up, one list by
-delta per (d, alpha, beta), by the recursion alone.  All values are exact.
+to the closed form; severi_table fills whole tables bottom-up, by the
+recursion alone, and returns them as one list by delta per (d, alpha, beta),
+with no object per row.  All values are exact.
 """
 
 from __future__ import annotations
@@ -297,21 +298,19 @@ def _degree(index: SeveriIndex, memo: MemoStore) -> int:
 
 
 class DegreeRecord(namedtuple("DegreeRecord", "index degree dim genus")):
-    """One table row: an index with its degree, dimension and genus."""
+    """One cache record: an index with its degree, dimension and genus."""
 
     __slots__ = ()
 
 
-def severi_table(d_max: int, delta_max: int) -> list[DegreeRecord]:
-    """Degree records for every valid index with d <= d_max and delta <= delta_max.
+def severi_table(d_max: int, delta_max: int) -> list[list[tuple]]:
+    """Degrees at d <= d_max, delta <= delta_max, as a list of layers d = 1..d_max.
 
-    Rows are ordered by (d, delta, alpha, beta).  The degeneration sum only
-    shifts delta, by (d - 1) - |c|, so one list of degrees by delta per
-    (d, alpha, beta), cut at min(d(d-1)/2, delta_max) and at the vanishing
-    rule, is filled bottom-up from layer d - 1 alone, in ascending |beta|
-    within layer d: no memo, no recursion.  Rows past the rule's cut read 0.
-    Dimension and genus fall by one per node, so both (with the
-    cross-check of dimension) are computed once per (d, alpha, beta).
+    Layer d lists (alpha, beta, degrees, dim, genus) per shape, sorted; row (d,
+    delta, alpha, beta) is (degrees[delta], dim - delta, genus - delta) for delta <=
+    min(d(d-1)/2, delta_max).  The degeneration sum only shifts delta, by (d-1) - |c|,
+    so each list, cut at the vanishing rule (zeros past it), is filled bottom-up
+    from layer d - 1 alone, |beta| ascending: no memo, no recursion.
     """
     if d_max < 1:
         raise NonPositiveDegree("d_max must be >= 1, got %d" % d_max)
@@ -343,13 +342,8 @@ def severi_table(d_max: int, delta_max: int) -> list[DegreeRecord]:
                     factor = assigned * coeff
                     for delta, value in enumerate(child, shift):
                         poly[delta] += factor * value
-        rows = []
-        for alpha, beta in shapes:
-            i, poly = _index((d, 0, alpha, beta)), layer[alpha, beta]
-            rows.append((alpha, beta, poly + [0] * (span - len(poly)),
-                         dimension(i), genus(i)))
-        out += [DegreeRecord(_index((d, delta, alpha, beta)), poly[delta],
-                             dim - delta, g - delta)
-                for delta in range(span) for alpha, beta, poly, dim, g in rows]
+        out.append([(alpha, beta, poly + [0] * (span - len(poly)), dimension(i), genus(i))
+                    for alpha, beta in shapes
+                    for i, poly in [(_index((d, 0, alpha, beta)), layer[alpha, beta])]])
         below = layer
     return out

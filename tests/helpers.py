@@ -7,6 +7,8 @@ from its constraints, the rational counts sum every split (d1, d - d1)
 on its own (exactly, and modulo a prime at higher degree), and potential
 coefficients come from the closed form.
 Expected values frozen in the tests were produced by these oracles.
+The last section only reshapes severi_table's layers for the tests: into
+one DegreeRecord per row, or with one degree corrupted.
 """
 
 from __future__ import annotations
@@ -251,3 +253,28 @@ def oracle_wdvv_coeff(a, b, counts):
                 a2, b2, 1, 2, counts
             )
     return r
+
+
+# ------------------------------------------- severi_table layers, reshaped
+def table_rows(table):
+    """One DegreeRecord per (d, delta, alpha, beta) of a severi_table table,
+    ordered by (d, delta, alpha, beta), as the cache writes its lines."""
+    from curvecount.severi import DegreeRecord, SeveriIndex
+
+    return [DegreeRecord(SeveriIndex(d, delta, alpha, beta), degrees[delta],
+                         dim - delta, genus - delta)
+            for d, layer in enumerate(table, start=1)
+            for delta in range(len(layer[0][2]))
+            for alpha, beta, degrees, dim, genus in layer]
+
+
+def corrupted(table, target, shift=1):
+    """A copy of the table with shift added to the degree at the target index."""
+    d, delta, alpha, beta = target
+    out = [list(layer) for layer in table]
+    for i, (a, b, degrees, dim, genus) in enumerate(out[d - 1]):
+        if (a, b) == (alpha, beta):
+            degrees = list(degrees)
+            degrees[delta] += shift
+            out[d - 1][i] = (a, b, degrees, dim, genus)
+    return out

@@ -13,8 +13,8 @@ from contextlib import contextmanager
 from curvecount import cache, classical, cli, genfunc, kontsevich, seqs, series, severi
 from curvecount.severi import MemoStore, SeveriIndex
 
-from helpers import (all_indices, naive_rational_count, oracle_degree,
-                     oracle_second_sum, seq_sub)
+from helpers import (all_indices, corrupted, naive_rational_count, oracle_degree,
+                     oracle_second_sum, seq_sub, table_rows)
 
 
 def _announce(number: int, label: str, verdict: str, capsys=None) -> None:
@@ -126,13 +126,11 @@ def test_criterion_6_getzler(capsys):
                    capsys):
         start = timed()
         assert genfunc.getzler_residual(4) == []
-        rows = severi.severi_table(4, 6)
+        table = severi.severi_table(4, 6)
 
         for d in range(1, 4):
             for index in all_indices(d):
-                bad = genfunc.getzler_residual(4, [
-                    rec._replace(degree=rec.degree + 1) if rec.index == index else rec
-                    for rec in rows])
+                bad = genfunc.getzler_residual(4, corrupted(table, index))
                 assert bad, "corruption at %r went unnoticed" % (index,)
         elapsed = timed() - start
         assert elapsed < 60.0, "took %.3fs" % elapsed
@@ -189,7 +187,7 @@ def test_criterion_8_engine_properties(tmp_path, capsys):
         assert cli.main(
             ["table", "--dmax", "3", "--deltamax", "1", "--cache", path]
         ) == 0
-        assert cache.read_cache(path) == severi.severi_table(3, 1)
+        assert cache.read_cache(path) == table_rows(severi.severi_table(3, 1))
         assert cli.main(
             ["table", "--dmax", "3", "--deltamax", "1", "--cache", path]
         ) == 0  # idempotent re-run verifies every record

@@ -9,9 +9,17 @@ from curvecount import __version__, cache, severi
 from curvecount.cache import CacheCorruption, CacheError
 from curvecount.severi import DegreeRecord, SeveriIndex
 
+from helpers import table_rows
+
 
 def records_for(d_max, delta_max):
-    return severi.severi_table(d_max, delta_max)
+    return table_rows(severi.severi_table(d_max, delta_max))
+
+
+def append(path, records):
+    """append_records with the lines of these records."""
+    with cache.exact_decimals():
+        cache.append_records(path, [cache._record_line(rec) for rec in records])
 
 
 def write_lines(path, lines, end="\n"):
@@ -21,20 +29,20 @@ def write_lines(path, lines, end="\n"):
 def test_round_trip(tmp_path):
     path = tmp_path / "degrees.jsonl"
     records = records_for(3, 1)
-    cache.append_records(path, records)
+    append(path, records)
     assert cache.read_cache(path) == records
 
 
 def test_header_line_is_pinned(tmp_path):
     path = tmp_path / "degrees.jsonl"
-    cache.append_records(path, records_for(2, 1))
+    append(path, records_for(2, 1))
     first = path.read_text(encoding="utf-8").splitlines()[0]
     assert json.loads(first) == {"format-version": "1", "tool": "curvecount"}
 
 
 def test_record_lines_are_valid_json_with_string_degree(tmp_path):
     path = tmp_path / "degrees.jsonl"
-    cache.append_records(path, records_for(3, 1))
+    append(path, records_for(3, 1))
     lines = path.read_text(encoding="utf-8").splitlines()[1:]
     assert len(lines) == 32  # number of valid (delta, alpha, beta) for d <= 3
     for line in lines:
@@ -47,8 +55,8 @@ def test_record_lines_are_valid_json_with_string_degree(tmp_path):
 def test_append_preserves_existing_records(tmp_path):
     path = tmp_path / "degrees.jsonl"
     first, second = records_for(2, 1), records_for(3, 1)[10:]
-    cache.append_records(path, first)
-    cache.append_records(path, second)
+    append(path, first)
+    append(path, second)
     assert cache.read_cache(path) == first + second
     # exactly one header line
     text = path.read_text(encoding="utf-8")
@@ -59,7 +67,7 @@ def test_huge_degree_survives(tmp_path):
     path = tmp_path / "degrees.jsonl"
     big = 10**40 + 7
     record = DegreeRecord(SeveriIndex(9, 0, (), (9,)), big, 20, 28)
-    cache.append_records(path, [record])
+    append(path, [record])
     (loaded,) = cache.read_cache(path)
     assert loaded.degree == big
     assert isinstance(json.loads(path.read_text().splitlines()[1])["degree"], str)
@@ -71,7 +79,7 @@ def test_degree_past_int_str_digit_cap_survives(tmp_path):
     big = 10**5000 + 7
     cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
     record = DegreeRecord(SeveriIndex(9, 0, (), (9,)), big, 20, 28)
-    cache.append_records(path, [record])
+    append(path, [record])
     (loaded,) = cache.read_cache(path)
     assert loaded.degree == big
     assert ('"degree": "1' + "0" * 4999 + '7"') in path.read_text()
@@ -116,12 +124,19 @@ def test_record_lines_equal_sorted_json_dumps():
         assert line == json.dumps(json.loads(line), sort_keys=True)
 
 
+def test_table_lines_are_the_record_lines_of_the_rows_in_order():
+    layers = severi.severi_table(6, 15)
+    assert list(cache.table_lines(layers)) == [
+        cache._record_line(rec) for rec in table_rows(layers)]
+
+
 def test_lines_matched_by_their_bytes_read_as_parsed(tmp_path):
-    # with the table passed, its own lines are taken unparsed: the records
-    # read must not change
+    # with the table passed, its own lines are read as themselves, unparsed;
+    # the other lines parse as without it
     path = tmp_path / "degrees.jsonl"
-    table = records_for(6, 15)
-    cache.append_records(path, table)
+    layers = severi.severi_table(6, 15)
+    table = table_rows(layers)
+    append(path, table)
     (assigned,) = [r for r in table if r.index == (4, 1, (1,), (1, 1))]
     raw = json.loads(cache._record_line(assigned))
     respelled = dict(reversed(raw.items()), alpha=raw["alpha"] + [0])
@@ -134,7 +149,8 @@ def test_lines_matched_by_their_bytes_read_as_parsed(tmp_path):
         handle.write(cache._record_line(beyond) + "\n")
     parsed = cache.read_cache(path)
     assert parsed[len(table):] == [table[0], assigned, table[-1], beyond]
-    assert cache.read_cache(path, table) == parsed
+    read = cache.read_cache(path, layers)
+    assert read == [cache._record_line(rec) for rec in table + [table[0]]] + parsed[-3:]
 
 
 def test_record_line_parses_back_to_its_record():
@@ -184,7 +200,7 @@ def test_header_without_version_rejected(tmp_path):
 
 def test_malformed_record_line_raises(tmp_path):
     path = tmp_path / "bad.jsonl"
-    cache.append_records(path, records_for(2, 0))
+    append(path, records_for(2, 0))
     with open(path, "a", encoding="utf-8") as handle:
         handle.write("not json\n")
     with pytest.raises(CacheError, match="not valid JSON"):
@@ -238,7 +254,7 @@ def test_non_integer_field_is_malformed(tmp_path, fields):
 def test_blank_lines_are_tolerated(tmp_path):
     path = tmp_path / "gaps.jsonl"
     records = records_for(2, 1)
-    cache.append_records(path, records)
+    append(path, records)
     with open(path, "a", encoding="utf-8") as handle:
         handle.write("\n")
     assert cache.read_cache(path) == records
@@ -295,7 +311,7 @@ def test_malformed_record_is_reported_before_an_invalid_index(tmp_path):
 @pytest.mark.parametrize("cut", [1, 20, -2])
 def test_torn_last_line_is_corruption(tmp_path, cut):
     path = tmp_path / "degrees.jsonl"
-    cache.append_records(path, records_for(3, 1))
+    append(path, records_for(3, 1))
     data = path.read_bytes()
     last = data.rstrip(b"\n").rfind(b"\n") + 1
     path.write_bytes(data[:last + cut] if cut > 0 else data[:cut])
@@ -363,19 +379,19 @@ def test_invalid_index_with_a_long_integer_is_corruption(tmp_path):
 def test_append_after_a_lost_final_newline_starts_a_new_line(tmp_path):
     path = tmp_path / "degrees.jsonl"
     first, second = records_for(2, 1), records_for(3, 1)[12:]
-    cache.append_records(path, first)
+    append(path, first)
     path.write_bytes(path.read_bytes()[:-1])
     assert cache.read_cache(path) == first  # the last record is whole
-    cache.append_records(path, second)
+    append(path, second)
     assert cache.read_cache(path) == first + second
 
 
 def test_append_fsyncs_each_batch(tmp_path, monkeypatch):
     path = tmp_path / "degrees.jsonl"
-    cache.append_records(path, records_for(2, 1))
+    append(path, records_for(2, 1))
     synced = []
     monkeypatch.setattr(cache.os, "fsync", synced.append)
     size = path.stat().st_size
-    cache.append_records(path, records_for(3, 1)[12:])
+    append(path, records_for(3, 1)[12:])
     assert len(synced) == 1
     assert path.stat().st_size > size

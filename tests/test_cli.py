@@ -10,6 +10,8 @@ import pytest
 
 from curvecount import cache, cli, classical, genfunc, kontsevich, severi
 
+from helpers import corrupted
+
 
 def run(argv, capsys):
     code = cli.main(argv)
@@ -255,6 +257,22 @@ def test_table_rerun_parses_only_lines_it_would_not_write(
     assert run(argv, capsys)[:2] == (0, canonical)
 
 
+def test_table_makes_no_record_for_a_line_it_would_write(tmp_path, monkeypatch, capsys):
+    # a fresh write streams the table's lines; a clean re-run verifies them by
+    # their bytes: neither builds a row record
+    def refuse(*args):
+        raise AssertionError("built a DegreeRecord for %r" % (args,))
+
+    monkeypatch.setattr(severi, "DegreeRecord", refuse)
+    monkeypatch.setattr(cache, "DegreeRecord", refuse)
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "5", "--deltamax", "10", "--cache", str(path)]
+    assert run(argv, capsys) == (
+        0, "cache %s\nverified 0\nappended 588\nrecords 588\n" % path, "")
+    assert run(argv, capsys) == (
+        0, "cache %s\nverified 588\nappended 0\nrecords 588\n" % path, "")
+
+
 def test_table_extends_cache(tmp_path, capsys):
     path = str(tmp_path / "cache.jsonl")
     run(["table", "--dmax", "2", "--deltamax", "1", "--cache", path], capsys)
@@ -287,14 +305,15 @@ def test_table_detects_tampering(tmp_path, capsys):
     assert "stored degree 13, recomputed 12" in err
 
 
-def _duplicate_hero_record(path, degree):
-    """Insert a copy of the N(3,1;(),(3)) record, with this degree, before it."""
+def _duplicate_hero_record(path, degree, after=False):
+    """Insert a copy of the N(3,1;(),(3)) record, with this degree, before it
+    (or after it)."""
     lines = path.read_text(encoding="utf-8").splitlines()
     for i, line in enumerate(lines[1:], start=1):
         record = json.loads(line)
         if (record["d"], record["delta"], record["beta"]) == (3, 1, [3]):
             record["degree"] = degree
-            lines.insert(i, json.dumps(record, sort_keys=True))
+            lines.insert(i + after, json.dumps(record, sort_keys=True))
             break
     else:
         pytest.fail("expected record not found")
@@ -328,6 +347,55 @@ def test_table_accepts_identical_duplicate_records(tmp_path, capsys):
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert out == "cache %s\nverified 32\nappended 0\nrecords 33\n" % path
+    assert path.read_bytes() == before
+
+
+def test_table_reports_a_contradicting_copy_after_its_table_line(tmp_path, capsys):
+    # the byte-identical table line comes first, so it is the stored record
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)]
+    run(argv, capsys)
+    _duplicate_hero_record(path, "13", after=True)
+    before = path.read_bytes()
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "cache corruption at d=3 delta=1 alpha=[] beta=[3]: "
+        "stored degree 12, stored again as 13\n"
+    )
+    assert path.read_bytes() == before
+
+
+def test_table_reads_but_does_not_verify_lines_outside_its_bounds(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    run(["table", "--dmax", "4", "--deltamax", "3", "--cache", str(path)], capsys)
+    before = path.read_bytes()
+    code, out, err = run(
+        ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)], capsys
+    )
+    assert (code, err) == (0, "")
+    assert out == "cache %s\nverified 32\nappended 0\nrecords 132\n" % path
+    assert path.read_bytes() == before
+
+
+def test_table_detects_tampering_among_lines_of_another_version(tmp_path, capsys):
+    # no line is byte-identical to a table line: every one is parsed and compared
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)]
+    run(argv, capsys)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    records = [dict(json.loads(line), **{"tool-version": "0"}) for line in lines[1:]]
+    (hero,) = [r for r in records if (r["d"], r["delta"], r["beta"]) == (3, 1, [3])]
+    hero["degree"] = "13"
+    lines[1:] = [json.dumps(record, sort_keys=True) for record in records]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    before = path.read_bytes()
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "cache corruption at d=3 delta=1 alpha=[] beta=[3]: "
+        "stored degree 13, recomputed 12\n"
+    )
     assert path.read_bytes() == before
 
 
@@ -675,8 +743,7 @@ def test_verify_getzler_detects_corrupt_degree(monkeypatch, capsys):
     target = severi.SeveriIndex(3, 1, (), (3,))
 
     def corrupt(d_max, delta_max):
-        return [rec._replace(degree=rec.degree + 1) if rec.index == target else rec
-                for rec in true_table(d_max, delta_max)]
+        return corrupted(true_table(d_max, delta_max), target)
 
     monkeypatch.setattr(genfunc.severi, "severi_table", corrupt)
     code, out, _ = run(["verify", "getzler", "--D", "4"], capsys)

@@ -9,7 +9,8 @@ import pytest
 from curvecount import cli, genfunc, seqs, severi
 from curvecount.severi import MemoStore, SeveriIndex
 
-from helpers import all_indices, oracle_first_sum, oracle_second_sum
+from helpers import (all_indices, corrupted, oracle_first_sum, oracle_second_sum,
+                     table_rows)
 
 
 def true_degrees():
@@ -19,12 +20,6 @@ def true_degrees():
 
 def table(D):
     return severi.severi_table(D, D * (D - 1) // 2)
-
-
-def corrupted(rows, target, shift=1):
-    """The rows with shift added to the degree of the target index."""
-    return [rec._replace(degree=rec.degree + shift) if rec.index == target else rec
-            for rec in rows]
 
 
 # ------------------------------------------------------------ the polynomial
@@ -89,10 +84,11 @@ def test_transfer_operator_is_term_exact():
 def test_degeneration_operator_is_term_exact():
     # the coefficient of u^a/a! v^b z^(r-1)/(r-1)! in S is the degeneration
     # sum, over the oracle's terms, evaluated at the matching index
-    rows = table(4)
-    image = genfunc._degenerate(genfunc.severi_generating_function(4, rows), 4)
+    layers = table(4)
+    image = genfunc._degenerate(genfunc.severi_generating_function(4, layers), 4)
     degrees = true_degrees()
     checked = 0
+    rows = table_rows(layers)
     for rec in rows:
         if rec.index.d >= 2:
             expected = sum(coeff * degrees(SeveriIndex(*child))
@@ -140,20 +136,21 @@ def test_single_corruption_is_named():
 
 def test_corrupting_any_small_degree_is_detected():
     # every row of the D = 4 table, d = 4 included, raised and lowered by one
-    rows = table(4)
+    layers = table(4)
+    rows = table_rows(layers)
     assert len(rows) == 192
     assert max(rec.index.d for rec in rows) == 4
     for rec in rows:
         for shift in (1, -1):
-            bad = genfunc.getzler_residual(4, corrupted(rows, rec.index, shift))
+            bad = genfunc.getzler_residual(4, corrupted(layers, rec.index, shift))
             assert bad, "corruption %+d at %r went unnoticed" % (shift, rec.index)
 
 
 def test_corrupting_a_degree_six_row_is_detected_at_seven():
     target = SeveriIndex(6, 10, (), (6,))
-    rows = table(7)
-    assert [rec.degree for rec in rows if rec.index == target] == [40047888]
-    bad = genfunc.getzler_residual(7, corrupted(rows, target))
+    layers = table(7)
+    assert [rec.degree for rec in table_rows(layers) if rec.index == target] == [40047888]
+    bad = genfunc.getzler_residual(7, corrupted(layers, target))
     assert ((), (6,), 16) in bad
 
 
@@ -196,7 +193,7 @@ def test_a_wrong_degeneration_coefficient_is_caught(monkeypatch, capsys):
 
     monkeypatch.setattr(severi, "_degenerations", doubled)
     wrong = SeveriIndex(4, 3, (), (4,))
-    assert [rec.degree for rec in table(4) if rec.index == wrong] == [738]  # not 675
+    assert [rec.degree for rec in table_rows(table(4)) if rec.index == wrong] == [738]  # not 675
     assert genfunc.getzler_residual(4)
     assert cli.main(["verify", "all"]) == 1
     assert "FAIL" in capsys.readouterr().out

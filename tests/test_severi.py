@@ -15,7 +15,7 @@ from curvecount.severi import MemoStore, SeveriIndex
 
 from helpers import (all_indices, leq, oracle_degree, oracle_first_sum,
                      oracle_second_sum, profiles, seq_binom, seq_sub, subseqs,
-                     weight)
+                     table_rows, weight)
 
 
 def idx(d, delta, alpha=(), beta=()):
@@ -232,7 +232,7 @@ def test_decomposition_of_the_twelve():
 def test_vanishing_rule_marks_exactly_the_zero_rows():
     # a reduced curve of genus g has at least 1 - g components, each with a
     # contact point of its own on L: degree 0 exactly when |alpha| + |beta| < 1 - g
-    rows = severi.severi_table(9, 36)
+    rows = table_rows(severi.severi_table(9, 36))
     assert len(rows) == 20513
     marked = 0
     for rec in rows:
@@ -400,7 +400,7 @@ def test_nodeless_closed_form_satisfies_the_induction_step(w):
 
 
 def test_nodeless_closed_form_is_every_delta_zero_table_row():
-    rows = severi.severi_table(10, 0)
+    rows = table_rows(severi.severi_table(10, 0))
     assert len(rows) > 0 and all(rec.index.delta == 0 for rec in rows)
     for rec in rows:
         assert severi._nodeless(rec.index.beta) == rec.degree
@@ -474,7 +474,7 @@ def test_memo_counters_move():
 
 # ----------------------------------------------------------------- table
 def test_severi_table_contents():
-    table = severi.severi_table(3, 1)
+    table = table_rows(severi.severi_table(3, 1))
     keys = [rec.index for rec in table]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
@@ -489,9 +489,18 @@ def test_severi_table_contents():
         assert rec.genus == severi.genus(rec.index)
 
 
+def test_severi_table_returns_the_layers():
+    # per d, (alpha, beta, degrees by delta, dim, genus at delta = 0), shapes sorted
+    table = severi.severi_table(3, 1)
+    assert type(table) is list and [len(layer) for layer in table] == [2, 5, 10]
+    assert table[0] == [((), (1,), [1], 2, 0), ((1,), (), [1], 1, 0)]
+    assert ((), (3,), [1, 12], 9, 1) in table[2]
+    assert [shape[:2] for shape in table[2]] == sorted(shape[:2] for shape in table[2])
+
+
 def test_severi_table_delta_cap():
     # delta_max exceeding d(d-1)/2 is capped per degree
-    table = severi.severi_table(2, 99)
+    table = table_rows(severi.severi_table(2, 99))
     assert {rec.index.delta for rec in table if rec.index.d == 1} == {0}
     assert {rec.index.delta for rec in table if rec.index.d == 2} == {0, 1}
 
@@ -516,7 +525,7 @@ def table_indices(d_max, delta_max):
 def test_severi_table_equals_the_pointwise_engine_through_degree_8():
     # the layered table engine against severi_degree, one shared memo
     memo = MemoStore()
-    table = severi.severi_table(8, 100)
+    table = table_rows(severi.severi_table(8, 100))
     assert len(table) == 9413
     assert [rec.index for rec in table] == table_indices(8, 100)
     for rec in table:
@@ -528,7 +537,7 @@ def test_severi_table_equals_the_pointwise_engine_through_degree_8():
 @pytest.mark.parametrize("d_max,delta_max", [(11, 2), (13, 0), (9, 5)])
 def test_truncated_severi_table_equals_the_pointwise_engine(d_max, delta_max):
     memo = MemoStore()
-    table = severi.severi_table(d_max, delta_max)
+    table = table_rows(severi.severi_table(d_max, delta_max))
     assert [rec.index for rec in table] == table_indices(d_max, delta_max)
     for rec in table:
         assert rec == severi.DegreeRecord(
