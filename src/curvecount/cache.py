@@ -190,22 +190,24 @@ def check_records(table, records) -> tuple:
     lines standing for the table's records: the first record that differs from
     the first of its index or from the table's, else None; then the number of
     table rows whose index the cache has, and the lines of the others."""
-    shapes = {(d, *row[:2]): row[2:] for d, layer in enumerate(table, 1) for row in layer}
-    # the table's record, by its line, at each index of a parsed record inside it
-    ours = {_record_line(mine): mine for mine in (
-        DegreeRecord(rec.index, degrees[delta], dim - delta, genus - delta)
-        for rec in records if type(rec) is not str
-        for (d, delta, alpha, beta) in [rec.index]
-        for degrees, dim, genus in [shapes.get((d, alpha, beta), ((), 0, 0))]
-        if delta < len(degrees))}
-    known = {}
-    for rec in filter(None, (ours.get(r) if type(r) is str else r for r in records)):
-        if known.setdefault(rec.index, rec) != rec:  # equal duplicates are benign
-            return _conflict(known[rec.index], rec, "stored again as"), 0, []
-    for mine in sorted(ours.values()):
-        if known[mine.index] != mine:
-            return _conflict(known[mine.index], mine, "recomputed"), 0, []
-    done = {rec for rec in records if type(rec) is str}.union(ours)
+    done = {rec for rec in records if type(rec) is str}
+    if len(done) < len(records):  # read_cache parsed a record, or a line repeats
+        shapes = {(d, *row[:2]): row[2:] for d, layer in enumerate(table, 1) for row in layer}
+        # the table's record, by its line, at each index of a parsed record inside it
+        ours = {_record_line(mine): mine for mine in (
+            DegreeRecord(rec.index, degrees[delta], dim - delta, genus - delta)
+            for rec in records if type(rec) is not str
+            for (d, delta, alpha, beta) in [rec.index]
+            for degrees, dim, genus in [shapes.get((d, alpha, beta), ((), 0, 0))]
+            if delta < len(degrees))}
+        known = {}
+        for rec in filter(None, (ours.get(r) if type(r) is str else r for r in records)):
+            if known.setdefault(rec.index, rec) != rec:  # equal duplicates are benign
+                return _conflict(known[rec.index], rec, "stored again as"), 0, []
+        for mine in sorted(ours.values()):
+            if known[mine.index] != mine:
+                return _conflict(known[mine.index], mine, "recomputed"), 0, []
+        done.update(ours)
     rows = sum(len(layer) * len(layer[0][2]) for layer in table)
     return None, len(done), [line for line in table_lines(table)
                              if line not in done] if len(done) < rows else []

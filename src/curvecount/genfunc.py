@@ -1,4 +1,4 @@
-"""Generating polynomial of Severi degrees and Getzler's identity check.
+"""Generating function of Severi degrees and Getzler's identity check.
 
 All degrees with d <= D pack into one polynomial in variables u_k (one
 per assigned contact order), v_k (unassigned) and z (point conditions),
@@ -22,12 +22,13 @@ getzler_residual compares the sides on all monomials of weight 2..D,
 where both are complete; an empty list verifies the identity, and a
 single corrupted degree at d <= D leaves a named nonzero monomial.
 
-A monomial key is (alpha, beta, m): u-exponents, v-exponents, z-exponent.
+A monomial is (alpha, beta, m): u-, v- and z-exponents.  d/dz shifts m by
+one and the other operators keep it, so G is one z-series {m: n} per shape
+(alpha, beta), a table row, and each operator acts once per pair of shapes.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 
 from . import seqs, severi
@@ -35,38 +36,17 @@ from . import seqs, severi
 Monomial = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
-class GeneratingPolynomial(namedtuple("GeneratingPolynomial", "terms")):
-    """Sparse polynomial in divided powers of (u, z) times powers of v:
-    terms[(alpha, beta, m)] is the coefficient of u^alpha/alpha! v^beta z^m/m!."""
-
-    __slots__ = ()
-
-
-def severi_generating_function(D: int, table=None) -> GeneratingPolynomial:
-    """G truncated at curve degree D (one term per valid index, zeros dropped).
-
-    table: optional layers replacing severi_table(D, D(D-1)/2); the
-    fault-injection tests corrupt single degrees in them.
-    """
-    if D < 1:
-        raise ValueError("D must be >= 1, got %d" % D)
-    if table is None:
-        table = severi.severi_table(D, D * (D - 1) // 2)
-    return GeneratingPolynomial({(alpha, beta, dim - delta): n for layer in table
-                                 for alpha, beta, degrees, dim, _ in layer
-                                 for delta, n in enumerate(degrees) if n})
+def _series(table) -> dict:
+    """G by shape: (alpha, beta) -> {m: n}, each row's nonzero degrees keyed by
+    z-exponent m = dim - delta, n the coefficient of u^alpha/alpha! v^beta z^m/m!."""
+    return {(alpha, beta): {dim - delta: n for delta, n in enumerate(degrees) if n}
+            for layer in table for alpha, beta, degrees, dim, _ in layer}
 
 
-def _transfer(g: GeneratingPolynomial) -> dict[Monomial, int]:
-    """sum_k k * v_k * dG/du_k: moves one assigned contact back to unassigned."""
-    out: dict[Monomial, int] = {}
-    for (ue, ve, m), n in g.terms.items():
-        for k, e in enumerate(ue, start=1):
-            if e:
-                lowered = seqs.canon(ue[:k - 1] + (e - 1,) + ue[k:])
-                key = (lowered, seqs.add(ve, (0,) * (k - 1) + (1,)), m)
-                out[key] = out.get(key, 0) + k * n
-    return out
+def _transfers(ue, ve):
+    """sum_k k v_k d/du_k on u^ue/ue! v^ve: (ue - e_k, ve + e_k) and k, per ue_k > 0."""
+    return [((seqs.canon(ue[:k - 1] + (e - 1,) + ue[k:]), seqs.add(ve, (0,) * (k - 1) + (1,))),
+             k) for k, e in enumerate(ue, start=1) if e]
 
 
 @lru_cache(maxsize=None)
@@ -85,27 +65,36 @@ def _raisings(ue, w):
                  for gamma in seqs.partitions(w) for raised in (seqs.add(ue, gamma),))
 
 
-def _degenerate(g: GeneratingPolynomial, D: int) -> dict[Monomial, int]:
-    """S from the terms of weight below D, each feeding terms one degree up."""
-    out: dict[Monomial, int] = {}
-    for (ue, ve, m), n in g.terms.items():
-        if seqs.weight(ue) + seqs.weight(ve) < D:
-            for lowered, coeff, w in _lowerings(ve):
-                for raised, assigned in _raisings(ue, w + 1):
-                    key = (raised, lowered, m)
-                    out[key] = out.get(key, 0) + assigned * coeff * n
-    return out
+def _feeds(ue, ve):
+    """S on u^ue/ue! v^ve, shapes one degree up: (ue + gamma, ve - c) and its factor."""
+    return [((raised, lowered), assigned * coeff) for lowered, coeff, w in _lowerings(ve)
+            for raised, assigned in _raisings(ue, w + 1)]
+
+
+def _subtract(residual, series, targets) -> None:
+    """Subtract from residual the operator, on series, that sends the z-series of
+    shape (alpha, beta) to factor times itself at each (shape, factor) of targets."""
+    for shape, terms in series.items():
+        for target, factor in targets(*shape):
+            out = residual.setdefault(target, {})
+            for m, n in terms.items():
+                out[m] = out.get(m, 0) - factor * n
 
 
 def getzler_residual(D: int, table=None) -> list[Monomial]:
     """Monomials of weight 2..D where dG/dz - transfer - S, three operators on
-    one G (table as in severi_generating_function), is nonzero."""
+    one G, is nonzero.  table: optional layers replacing severi_table(D,
+    D(D-1)/2); the fault-injection tests corrupt single degrees in them."""
     if D < 2:
         raise ValueError("D must be >= 2, got %d" % D)
-    g = severi_generating_function(D, table)
-    residual = {(ue, ve, m - 1): n for (ue, ve, m), n in g.terms.items() if m}
-    for side in (_transfer(g), _degenerate(g, D)):
-        for key, n in side.items():
-            residual[key] = residual.get(key, 0) - n
-    return sorted(key for key, n in residual.items()
-                  if n and 2 <= seqs.weight(key[0]) + seqs.weight(key[1]) <= D)
+    if table is None:
+        table = severi.severi_table(D, D * (D - 1) // 2)
+    g = _series(table)
+    residual = {shape: {m - 1: n for m, n in terms.items() if m}  # dG/dz
+                for shape, terms in g.items()}
+    _subtract(residual, g, _transfers)
+    _subtract(residual, {(ue, ve): terms for (ue, ve), terms in g.items()
+                         if seqs.weight(ue) + seqs.weight(ve) < D}, _feeds)
+    return sorted((ue, ve, m) for (ue, ve), terms in residual.items()
+                  if 2 <= seqs.weight(ue) + seqs.weight(ve) <= D
+                  for m, n in terms.items() if n)

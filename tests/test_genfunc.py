@@ -1,4 +1,5 @@
-"""Generating polynomial of Severi degrees and the Getzler identity."""
+"""Generating function of Severi degrees, one z-series per shape, and the
+Getzler identity."""
 
 import ast
 import functools
@@ -22,70 +23,84 @@ def table(D):
     return severi.severi_table(D, D * (D - 1) // 2)
 
 
+def series(D, layers=None):
+    # G truncated at curve degree D: one z-series {m: n} per shape (alpha, beta)
+    return genfunc._series(table(D) if layers is None else layers)
+
+
+def image(g, targets):
+    # one operator's image of the per-shape series (_subtract takes it away)
+    negated = {}
+    genfunc._subtract(negated, g, targets)
+    return {shape: {m: -n for m, n in terms.items()} for shape, terms in negated.items()}
+
+
 # ------------------------------------------------------------ the polynomial
 def test_generating_function_smallest_truncation():
     # d = 1 contributes 1 * u1 z / 1! and 1 * v1 z^2 / 2!
-    g = genfunc.severi_generating_function(1)
-    assert g.terms == {((1,), (), 1): 1, ((), (1,), 2): 1}
+    assert series(1) == {((1,), ()): {1: 1}, ((), (1,)): {2: 1}}
 
 
 def test_generating_function_hero_term():
-    g = genfunc.severi_generating_function(3)
+    g = series(3)
     # 12 rational cubics: coefficient 12 on v1^3 z^8/8!
-    assert g.terms[(), (3,), 8] == 12
+    assert g[(), (3,)][8] == 12
     # zero degrees contribute no term
-    assert ((0, 1), (), 1) not in g.terms
-    assert all(type(n) is int for n in g.terms.values())
+    assert 1 not in g[(0, 1), ()]
+    assert all(type(n) is int and n for terms in g.values() for n in terms.values())
 
 
 def test_generating_function_z_exponent_bound():
     for D in (1, 2, 3):
-        g = genfunc.severi_generating_function(D)
-        assert all(m <= D * (D + 3) // 2 for _, _, m in g.terms)
+        assert all(m <= D * (D + 3) // 2 for terms in series(D).values() for m in terms)
 
 
 def test_generating_function_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        genfunc.severi_generating_function(0)
+    # no truncation below degree 1 has a table, and the check wants D >= 2
+    for D in (0, -1):
+        with pytest.raises(ValueError):
+            table(D)
+        with pytest.raises(ValueError):
+            genfunc.getzler_residual(D)
 
 
 def test_every_term_is_a_valid_index():
-    g = genfunc.severi_generating_function(3)
     degrees = true_degrees()
-    for (alpha, beta, m), n in g.terms.items():
+    for (alpha, beta), terms in series(3).items():
         d = seqs.weight(alpha) + seqs.weight(beta)
         assert 1 <= d <= 3
-        # reconstruct delta from the z-exponent and check the coefficient
-        base_dim = severi.dimension(SeveriIndex(d, 0, alpha, beta))
-        delta = base_dim - m
-        index = SeveriIndex(d, delta, alpha, beta)
-        assert severi.dimension(index) == m
-        assert n == degrees(index)
+        for m, n in terms.items():
+            # reconstruct delta from the z-exponent and check the coefficient
+            base_dim = severi.dimension(SeveriIndex(d, 0, alpha, beta))
+            delta = base_dim - m
+            index = SeveriIndex(d, delta, alpha, beta)
+            assert severi.dimension(index) == m
+            assert n == degrees(index)
 
 
 def test_transfer_operator_is_term_exact():
     # the coefficient of u^a/a! v^b z^(r-1)/(r-1)! in the transfer image
     # is the first sum, over the oracle's terms, at the matching index
     D = 3
-    g = genfunc.severi_generating_function(D)
-    moved = genfunc._transfer(g)
+    moved = image(series(D), genfunc._transfers)
     degrees = true_degrees()
     for d in range(1, D + 1):
         for index in (SeveriIndex(*raw) for raw in all_indices(d)):
             r = severi.dimension(index)
-            key = (index.alpha, index.beta, r - 1)
             expected = sum(
                 j * degrees(SeveriIndex(*child))
                 for j, child in oracle_first_sum(*index)
             )
-            assert moved.get(key, 0) == expected
+            assert moved.get((index.alpha, index.beta), {}).get(r - 1, 0) == expected
 
 
 def test_degeneration_operator_is_term_exact():
     # the coefficient of u^a/a! v^b z^(r-1)/(r-1)! in S is the degeneration
     # sum, over the oracle's terms, evaluated at the matching index
     layers = table(4)
-    image = genfunc._degenerate(genfunc.severi_generating_function(4, layers), 4)
+    below = {shape: terms for shape, terms in series(4, layers).items()
+             if seqs.weight(shape[0]) + seqs.weight(shape[1]) < 4}
+    fed = image(below, genfunc._feeds)
     degrees = true_degrees()
     checked = 0
     rows = table_rows(layers)
@@ -93,13 +108,14 @@ def test_degeneration_operator_is_term_exact():
         if rec.index.d >= 2:
             expected = sum(coeff * degrees(SeveriIndex(*child))
                            for coeff, child in oracle_second_sum(*rec.index))
-            assert image.get((rec.index.alpha, rec.index.beta, rec.dim - 1), 0) == expected
+            shape = (rec.index.alpha, rec.index.beta)
+            assert fed.get(shape, {}).get(rec.dim - 1, 0) == expected
             checked += 1
     assert checked == len(rows) - 2  # all but the two lines of degree 1
 
 
 # ------------------------------------------------------------ the identity
-@pytest.mark.parametrize("D", range(2, 8))
+@pytest.mark.parametrize("D", range(2, 10))
 def test_identity_holds(D):
     assert genfunc.getzler_residual(D) == []
 
@@ -144,6 +160,16 @@ def test_corrupting_any_small_degree_is_detected():
         for shift in (1, -1):
             bad = genfunc.getzler_residual(4, corrupted(layers, rec.index, shift))
             assert bad, "corruption %+d at %r went unnoticed" % (shift, rec.index)
+
+
+def test_corrupting_any_top_layer_degree_is_detected():
+    # every d = 5 row of the D = 5 table raised by one, from delta = 0 to 10
+    layers = table(5)
+    top = [rec for rec in table_rows(layers) if rec.index.d == 5]
+    assert len(top) == 396
+    for rec in top:
+        assert genfunc.getzler_residual(5, corrupted(layers, rec.index)), \
+            "corruption at %r went unnoticed" % (rec.index,)
 
 
 def test_corrupting_a_degree_six_row_is_detected_at_seven():
