@@ -25,8 +25,6 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .series import BivariateSeries
-
 # Combinatorial inputs for the cubic case studies.  A pencil of cubics
 # through 7 general points plus one more general point fixes a member;
 # the case studies track its reducible fibers.
@@ -52,14 +50,9 @@ def chow_one_node(d: int) -> int:
     """Degree of (h1 + (d-1) h2)^3 in P1 x P2: nodal members of a pencil."""
     if d < 1:
         raise ValueError("degree must be >= 1, got %d" % d)
-    # The Chow ring Q[h1, h2]/(h1^2, h2^3) has a monomial ideal, so its product is
-    # the truncated product of BivariateSeries, in the basis h1^i/i! h2^j/j!.  The
-    # point class h1 h2^2 is 2 (h1 h2^2/(1! 2!)): a degree is half the (1, 2) entry.
-    h = BivariateSeries({(1, 0): 1, (0, 1): d - 1}, bound1=1, bound2=2)
-    value = (h * h * h).coeff(1, 2)
-    if value % 2:
-        raise ArithmeticMismatch("odd point coefficient %d" % value)
-    return value // 2
+    # In Z[h1, h2]/(h1^2, h2^3) the binomial term C(3, k) h1^k ((d-1) h2)^(3-k)
+    # survives only at k = 1, on the point class h1 h2^2, whose degree is 1.
+    return sum(comb(3, k) * (d - 1) ** (3 - k) for k in range(4) if k < 2 and 3 - k < 3)
 
 
 def euler_one_node(d: int) -> int:

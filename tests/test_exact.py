@@ -11,7 +11,6 @@ import sys
 import pytest
 
 import curvecount
-from curvecount import series
 
 MODULES = sorted(pathlib.Path(curvecount.__file__).parent.glob("*.py"))
 
@@ -80,13 +79,6 @@ def test_the_fraction_guard_sees_each_kind():
     ]
 
 
-def test_wdvv_series_hold_ints():
-    f = series.quantum_potential(8, 40)
-    f112 = f.partial(1).partial(1).partial(2)
-    for s in (f, f112 * f112):
-        assert s.coeffs and all(type(v) is int for v in s.coeffs.values())
-
-
 def modules_after(statement):
     """Names in sys.modules of a fresh interpreter once it has run statement."""
     src = os.path.dirname(os.path.dirname(curvecount.__file__))
@@ -110,4 +102,8 @@ def test_imports_load_only_what_they_use():
     loaded = modules_after("from curvecount import severi")
     assert {name for name in loaded if name.split(".")[0] == "curvecount"} == {
         "curvecount", "curvecount.seqs", "curvecount.severi",
+    }
+    loaded = modules_after("from curvecount import classical")
+    assert {name for name in loaded if name.split(".")[0] == "curvecount"} == {
+        "curvecount", "curvecount.classical",
     }
