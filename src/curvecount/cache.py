@@ -4,7 +4,8 @@ The first line is a header carrying format-version: 1; an unknown
 version rejects the whole file (never partially parsed).  Each record
 stores d, delta, alpha, beta, degree, dim, genus and tool-version, with
 the degree as an exact decimal string so arbitrarily large values
-survive any JSON reader.  Parsed records are severi.DegreeRecord values.
+survive any JSON reader.  A parsed record is a DegreeRecord, which holds
+a checked severi.SeveriIndex.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
 from functools import lru_cache
 
 from . import __version__
-from .severi import DegreeRecord, SeveriIndex, _index
+from .severi import SeveriIndex
 
 FORMAT_VERSION = "1"
 
@@ -30,6 +32,12 @@ class CacheError(Exception):
 
 class CacheCorruption(Exception):
     """A cache record with an invalid index, a torn last line or a torn header."""
+
+
+class DegreeRecord(namedtuple("DegreeRecord", "index degree dim genus")):
+    """One cache record: an index with its degree, dimension and genus."""
+
+    __slots__ = ()
 
 
 @contextmanager
@@ -144,7 +152,6 @@ def read_cache(path, table=()) -> list:
         )
     records = []
     invalid = []
-    shapes = {}  # raw (d, alpha, beta) -> canonical (alpha, beta), None if invalid
     with exact_decimals():
         # keyed by the file's own strings: the table's lines are only marks
         known = dict.fromkeys(lines)
@@ -158,18 +165,15 @@ def read_cache(path, table=()) -> list:
             d, delta, alpha, beta, degree, dim, genus = _parse_record(
                 line, lineno, lineno == torn_lineno
             )
-            key = (d, alpha, beta)
-            if key not in shapes:  # a shape's validity does not depend on delta
-                try:
-                    shapes[key] = SeveriIndex(d, 0, alpha, beta)[2:]
-                except ValueError:  # weight mismatch, d < 1 or a negative entry
-                    shapes[key] = None
+            try:
+                index = SeveriIndex(d, delta, alpha, beta)
+            except ValueError:  # weight mismatch, d < 1 or a negative entry
+                index = None
             # severi_table writes no row outside 0 <= delta <= d(d-1)/2
-            if shapes[key] is None or not 0 <= delta <= d * (d - 1) // 2:
+            if index is None or not 0 <= delta <= d * (d - 1) // 2:
                 invalid.append((d, delta, list(alpha), list(beta)))
                 continue
-            records.append(DegreeRecord(_index((d, delta, *shapes[key])),
-                                        degree, dim, genus))
+            records.append(DegreeRecord(index, degree, dim, genus))
         if invalid:  # inside the block: a field may be past the digit cap
             raise CacheCorruption(
                 "invalid index d=%d delta=%d alpha=%s beta=%s" % invalid[0]

@@ -142,8 +142,8 @@ class MemoStore(dict):
     since the recursion is deterministic and a conflict means corruption.
     Equal profiles in the engine's keys are one tuple (_share); delta = 0
     never enters.  Hit and miss counters are bookkeeping only: severi_degree
-    counts the hit of its own lookup, _degree one miss per computed index and
-    one hit per child found.
+    counts the hit of its own lookup, _degree one miss per call (each computes
+    one index) and one hit per child found.
     """
 
     __slots__ = ("hits", "misses")
@@ -218,17 +218,19 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     """Degree of the generalized Severi variety at the given index.
 
     Evaluates the recursion in the module docstring with memoization, the
-    degeneration sum from one table per (beta, budget, min |c|); an index in
-    the memo is answered from it, a nodeless one (delta = 0) from the closed
-    form, which neither recurses nor enters the memo.  Returns 0, with the
-    memo untouched, when delta < 0 or when delta >= C(d-1, 2) + |alpha| +
-    |beta|, the vanishing rule of the module docstring (g = C(d-1, 2) -
-    delta).  Termination: the first sum strictly decreases |beta| at fixed
-    d, the second strictly decreases d.
+    degeneration sum from one table per (beta, budget, min |c|); a nodeless
+    index (delta = 0) is answered from the closed form before the memo is
+    read, and one in the memo from it.  Returns 0, with the memo untouched,
+    when delta < 0 or when delta >= C(d-1, 2) + |alpha| + |beta|, the
+    vanishing rule of the module docstring (g = C(d-1, 2) - delta).
+    Termination: the first sum strictly decreases |beta| at fixed d, the
+    second strictly decreases d.
     """
     d, delta, alpha, beta = index
     if delta < 0 or delta >= comb(d - 1, 2) + sum(alpha) + sum(beta):
         return 0
+    if delta == 0:
+        return _nodeless(beta)
     if memo is None:
         memo = MemoStore()
     value = memo.get(index)
@@ -254,15 +256,14 @@ def _stack_room(d: int):
 
 
 def _degree(index: SeveriIndex, memo: MemoStore) -> int:
-    """Degree at an index the vanishing rule does not mark and the memo
-    lacks; delta = 0 (as at d = 1) is the closed form, not stored.  Each child
-    is a plain tuple of shared profiles, looked up in the memo; only a miss
-    recurses.  First-sum children keep d, delta and |alpha| + |beta|; the rule
+    """Degree at an index with delta > 0 that the vanishing rule does not mark
+    and the memo lacks: each call is one memo miss.  Each child is a plain
+    tuple of shared profiles, looked up in the memo; a miss recurses, except at
+    a second-sum child with delta' = 0, which is the closed form and never
+    stored.  First-sum children keep d, delta and |alpha| + |beta|; the rule
     marks all second-sum children of an alpha' split or none, so a marked
     split is skipped whole."""
     d, delta, alpha, beta = index
-    if delta == 0:
-        return _nodeless(beta)
     memo.misses += 1
     lookup = memo.get
     hits = total = 0
@@ -287,7 +288,7 @@ def _degree(index: SeveriIndex, memo: MemoStore) -> int:
             child = (top, shift + c_size, a_prime, b_prime)
             value = lookup(child)
             if value is None:
-                value = _degree(_index(child), memo)
+                value = _degree(_index(child), memo) if shift + c_size else _nodeless(b_prime)
             else:
                 hits += 1
             part += coeff * value
@@ -295,12 +296,6 @@ def _degree(index: SeveriIndex, memo: MemoStore) -> int:
     memo.hits += hits
     memo.put(index, total)
     return total
-
-
-class DegreeRecord(namedtuple("DegreeRecord", "index degree dim genus")):
-    """One cache record: an index with its degree, dimension and genus."""
-
-    __slots__ = ()
 
 
 def severi_table(d_max: int, delta_max: int) -> list[list[tuple]]:

@@ -259,7 +259,8 @@ def oracle_wdvv_coeff(a, b, counts):
 def table_rows(table):
     """One DegreeRecord per (d, delta, alpha, beta) of a severi_table table,
     ordered by (d, delta, alpha, beta), as the cache writes its lines."""
-    from curvecount.severi import DegreeRecord, SeveriIndex
+    from curvecount.cache import DegreeRecord
+    from curvecount.severi import SeveriIndex
 
     return [DegreeRecord(SeveriIndex(d, delta, alpha, beta), degrees[delta],
                          dim - delta, genus - delta)

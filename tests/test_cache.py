@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from curvecount import __version__, cache, severi
-from curvecount.cache import CacheCorruption, CacheError
-from curvecount.severi import DegreeRecord, SeveriIndex
+from curvecount.cache import CacheCorruption, CacheError, DegreeRecord
+from curvecount.severi import SeveriIndex
 
 from helpers import table_rows
 
@@ -103,8 +103,8 @@ def test_record_key_reconstructs_index(tmp_path):
 
 
 def test_one_raw_shape_reads_back_at_each_delta(tmp_path):
-    # validation is shared by the records of one raw (d, alpha, beta);
-    # each record keeps its own delta
+    # records of one raw (d, alpha, beta) each read back as the canonical
+    # index at their own delta
     path = tmp_path / "degrees.jsonl"
     raw = {"d": 3, "alpha": [], "beta": [3, 0], "tool-version": __version__}
     write_lines(path, [

@@ -263,7 +263,6 @@ def test_table_makes_no_record_for_a_line_it_would_write(tmp_path, monkeypatch, 
     def refuse(*args):
         raise AssertionError("built a DegreeRecord for %r" % (args,))
 
-    monkeypatch.setattr(severi, "DegreeRecord", refuse)
     monkeypatch.setattr(cache, "DegreeRecord", refuse)
     path = tmp_path / "cache.jsonl"
     argv = ["table", "--dmax", "5", "--deltamax", "10", "--cache", str(path)]

@@ -93,6 +93,34 @@ def modules_after(statement):
     return set(proc.stdout.split())
 
 
+def private_reaches(tree, siblings):
+    """(line, name) for each private name of a sibling module that the tree
+    imports (from .sibling import _x; from . import _x) or reads (sibling._x)."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if private(alias.name):
+                    yield node.lineno, alias.name
+        elif (isinstance(node, ast.Attribute) and private(node.attr)
+              and isinstance(node.value, ast.Name) and node.value.id in siblings):
+            yield node.lineno, "%s.%s" % (node.value.id, node.attr)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reaches_a_private_name_of_another(path):
+    siblings = {module.stem for module in MODULES}
+    assert list(private_reaches(ast.parse(path.read_text()), siblings)) == []
+
+
+def test_a_private_reach_is_detected():
+    source = "from .severi import SeveriIndex, _index\nseqs._padded\nseqs.canon\n"
+    assert list(private_reaches(ast.parse(source), {"seqs"})) == [
+        (1, "_index"), (2, "seqs._padded")]
+
+
 def test_imports_load_only_what_they_use():
     # the WDVV residual imports fractions, and with it decimal, only to
     # report a nonzero entry

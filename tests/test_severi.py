@@ -11,6 +11,7 @@ from math import comb, factorial
 import pytest
 
 from curvecount import genfunc, seqs, severi
+from curvecount.cache import DegreeRecord
 from curvecount.severi import MemoStore, SeveriIndex
 
 from helpers import (all_indices, leq, oracle_degree, oracle_first_sum,
@@ -358,6 +359,25 @@ def test_memo_work_counters_are_pinned():
     assert (len(memo), memo.hits, memo.misses) == (3438, 25224, 3438)
 
 
+def test_degree_runs_once_per_miss_and_never_at_delta_zero(monkeypatch):
+    # the node-poly sweep, d = delta..3 delta + 1 for delta <= 6, one memo:
+    # delta = 0 is the closed form, so every _degree call is one memo miss
+    deltas = []
+    degree = severi._degree
+
+    def counted(index, memo):
+        deltas.append(index.delta)
+        return degree(index, memo)
+
+    monkeypatch.setattr(severi, "_degree", counted)
+    memo = MemoStore()
+    for delta in range(7):
+        for d in range(max(1, delta), 3 * delta + 2):
+            severi.severi_degree(idx(d, delta, (), (d,)), memo)
+    assert 0 not in deltas
+    assert len(deltas) == memo.misses == 13815
+
+
 def test_node_poly_sweep_keys_share_one_tuple_per_profile():
     # N(d, delta; (), (d)) over the windows d = delta..3 delta + 1, delta <= 6
     memo = MemoStore()
@@ -540,7 +560,7 @@ def test_truncated_severi_table_equals_the_pointwise_engine(d_max, delta_max):
     table = table_rows(severi.severi_table(d_max, delta_max))
     assert [rec.index for rec in table] == table_indices(d_max, delta_max)
     for rec in table:
-        assert rec == severi.DegreeRecord(
+        assert rec == DegreeRecord(
             rec.index, severi.severi_degree(rec.index, memo),
             severi.dimension(rec.index), severi.genus(rec.index),
         )
