@@ -199,7 +199,7 @@ def _verify_case_studies() -> tuple[int, list[str]]:
 # suite -> (runner, (flag attribute, default, low, high) per argument)
 VERIFY_SUITES = {
     "wdvv": (_verify_wdvv, (("dmax", 6, 1, 16), ("x1", 8, 3, 64))),
-    "getzler": (_verify_getzler, (("D", 4, 2, 7),)),
+    "getzler": (_verify_getzler, (("D", 4, 2, 10),)),
     "one-node": (_verify_one_node, (("dmax", 12, 2, 12),)),
     "case-studies": (_verify_case_studies, ()),
 }

@@ -206,5 +206,5 @@ def test_criterion_8_engine_properties(tmp_path, capsys):
         assert cli.main(
             ["severi", "--d", "3", "--delta", "0", "--alpha", "1", "--beta", "1"]
         ) == 2  # weight mismatch is a usage error
-        assert cli.main(["verify", "getzler", "--D", "9"]) == 2
+        assert cli.main(["verify", "getzler", "--D", "11"]) == 2
         capsys.readouterr()  # swallow the CLI output

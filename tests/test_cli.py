@@ -623,6 +623,11 @@ def test_verify_getzler_passes(capsys):
     assert out.splitlines()[-1] == "ok"
 
 
+def test_verify_getzler_passes_at_its_bound(capsys):
+    assert run(["verify", "getzler", "--D", "10"], capsys) == (
+        0, "getzler D=10 violations=0\nok\n", "")
+
+
 def test_verify_one_node_passes(capsys):
     code, out, _ = run(["verify", "one-node", "--dmax", "12"], capsys)
     assert code == 0
@@ -659,7 +664,7 @@ options:
   -h, --help            show this help message and exit
   --dmax DMAX           bound for wdvv (<= 16) or one-node (<= 12)
   --x1 X1               x1 truncation for wdvv (3..64)
-  --D D                 degree truncation for getzler (2..7)
+  --D D                 degree truncation for getzler (2..10)
 """
 
 
@@ -674,8 +679,8 @@ VERIFY_BOUND_ERRORS = [
     (["verify", "wdvv", "--dmax", "17"], "error: wdvv supports 1 <= dmax <= 16\n"),
     (["verify", "wdvv", "--x1", "2"], "error: wdvv supports 3 <= x1 <= 64\n"),
     (["verify", "wdvv", "--x1", "65"], "error: wdvv supports 3 <= x1 <= 64\n"),
-    (["verify", "getzler", "--D", "8"], "error: getzler supports 2 <= D <= 7\n"),
-    (["verify", "getzler", "--D", "1"], "error: getzler supports 2 <= D <= 7\n"),
+    (["verify", "getzler", "--D", "11"], "error: getzler supports 2 <= D <= 10\n"),
+    (["verify", "getzler", "--D", "1"], "error: getzler supports 2 <= D <= 10\n"),
     (["verify", "one-node", "--dmax", "13"],
      "error: one-node supports 2 <= dmax <= 12\n"),
     (["verify", "one-node", "--dmax", "1"],
