@@ -117,9 +117,11 @@ def table_lines(table):
 
 
 def read_cache(path, table=()) -> list:
-    """Every record of an existing cache file, in file order: a line that
-    table_lines(table) yields as the line itself, unparsed, and every other
-    line parsed into a DegreeRecord with a checked canonical index.
+    """Every record of a cache file, in file order, none if it is missing or
+    empty (as a crash before append_records' first write leaves it): a line
+    that table_lines(table) yields as the line itself, unparsed, and every
+    other line parsed into a DegreeRecord with a checked canonical index.
+    Lines end at "\n" alone; JSON strings may hold other line breaks raw.
     Raises CacheError when the file is unreadable, not UTF-8 or malformed,
     and CacheCorruption for an invalid index (a bad shape, or delta outside
     0..d(d-1)/2) or a torn last line: one that lacks its newline and does
@@ -127,16 +129,16 @@ def read_cache(path, table=()) -> list:
     only line).
     A malformed line anywhere is reported before an invalid index.
     """
+    if not os.path.exists(path) or not os.path.getsize(path):
+        return []
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CacheError("cannot read %s: %s" % (path, exc)) from exc
-    lines = text.splitlines()
-    torn_lineno = len(lines) if not text.endswith("\n") else None
+    lines = text.split("\n")
+    torn_lineno = len(lines) if lines[-1] else None
     del text  # the lines hold every byte again; free the copy before parsing
-    if not lines:
-        raise CacheError("%s: empty file, missing header" % path)
     try:
         header = json.loads(lines[0])
     except _BAD_JSON as exc:

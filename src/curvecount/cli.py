@@ -121,10 +121,8 @@ def cmd_kontsevich(args) -> int:
 
 def cmd_table(args) -> int:
     """Compute the table, read and check the cache, append the rows it lacks."""
-    # a crash between creating the file and its first write leaves it empty
-    fresh_file = not os.path.exists(args.cache) or os.path.getsize(args.cache) == 0
     table = severi.severi_table(args.dmax, args.deltamax)
-    existing = [] if fresh_file else cache.read_cache(args.cache, table)
+    existing = cache.read_cache(args.cache, table)
     conflict, verified, fresh = cache.check_records(table, existing)
     if conflict:
         print("cache corruption %s" % conflict, file=sys.stderr)

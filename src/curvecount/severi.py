@@ -109,29 +109,12 @@ def genus(index: SeveriIndex) -> int:
 
 
 def dimension(index: SeveriIndex) -> int:
-    """Dimension of the variety, equal to the number of point conditions.
-
-    Computed from both closed forms
-
-        d(d+3)/2 - delta - sum(k*alpha_k) - sum((k-1)*beta_k)
-        2d + g - 1 + |beta|
-
-    which agree whenever the weight constraint holds; a disagreement
-    would mean an arithmetic bug, and raises.
+    """Dimension of the variety, equal to the number of point conditions:
+    d(d+3)/2 - delta - sum(k*alpha_k) - sum((k-1)*beta_k), which equals
+    2d + g - 1 + |beta| because the weights of alpha and beta sum to d.
     """
-    d, delta, alpha, beta = index.d, index.delta, index.alpha, index.beta
-    direct = (
-        d * (d + 3) // 2
-        - delta
-        - seqs.weight(alpha)
-        - (seqs.weight(beta) - sum(beta))
-    )
-    via_genus = 2 * d + genus(index) - 1 + sum(beta)
-    if direct != via_genus:
-        raise ArithmeticError(
-            "dimension forms disagree at %r: %d vs %d" % (index, direct, via_genus)
-        )
-    return direct
+    d, delta, alpha, beta = index
+    return d * (d + 3) // 2 - delta - seqs.weight(alpha) - seqs.weight(beta) + sum(beta)
 
 
 class MemoStore(dict):

@@ -70,11 +70,20 @@ def test_case_studies_agree_with_recursion():
 
 
 def test_tampered_constant_is_caught(monkeypatch):
-    monkeypatch.setattr(classical, "SEPARATING_SPLIT", (4, 5))
-    with pytest.raises(ArithmeticMismatch):
-        classical.fibration_cubics()
-    with pytest.raises(ArithmeticMismatch):
-        classical.cross_ratio_cubics()
+    # each constant off by one, or a wrong split, in every study that reads it
+    both = (classical.cross_ratio_cubics, classical.fibration_cubics)
+    readers = {"BASE_POINTS": both, "CUBIC_LINE_MEETS": both[:1],
+               "CONIC_LINE_MEETS": both, "NODE_FACTOR": both}
+    tampered = [(name, getattr(classical, name) + step, studies)
+                for name, studies in readers.items() for step in (-1, 1)]
+    tampered += [("SEPARATING_SPLIT", split, both)
+                 for split in [(4, 5), (4, 6), (5, 6), (6, 4)]]
+    for name, value, studies in tampered:
+        for study in studies:
+            with monkeypatch.context() as patch:
+                patch.setattr(classical, name, value)
+                with pytest.raises(ArithmeticMismatch):
+                    study()
 
 
 def test_tampered_node_factor_is_caught(monkeypatch):

@@ -3,12 +3,13 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from curvecount import cache, cli, classical, genfunc, kontsevich, severi
+from curvecount import __version__, cache, cli, classical, genfunc, kontsevich, severi
 
 from helpers import corrupted
 
@@ -577,6 +578,37 @@ def test_table_over_an_empty_cache_file_starts_it_afresh(tmp_path, capsys):
     assert empty.read_bytes() == fresh.read_bytes()
 
 
+def _with_tool_version(brk):
+    """Respell a record line with the line break brk raw in its tool-version."""
+    def respell(line):
+        raw = json.loads(line)
+        if "tool-version" in raw:
+            raw["tool-version"] = "0" + brk + "1"
+        return json.dumps(raw, ensure_ascii=False)
+    return respell
+
+
+@pytest.mark.parametrize("respell", [
+    lambda line: line + "\r",
+    *map(_with_tool_version, ["\x85", "\u2028", "\u2029"]),
+], ids=["crlf", "next-line", "line-separator", "paragraph-separator"])
+def test_table_reads_a_respelled_cache_as_the_original(respell, tmp_path, capsys):
+    # lines end at "\n" alone: a "\r" before it is JSON whitespace, and other
+    # line breaks may stand raw inside a JSON string
+    original, respelled = tmp_path / "original.jsonl", tmp_path / "respelled.jsonl"
+    run(["table", "--dmax", "2", "--deltamax", "1", "--cache", str(original)], capsys)
+    small = original.read_text(encoding="utf-8")
+    respelled.write_text("".join(respell(line) + "\n" for line in small.split("\n")[:-1]),
+                         encoding="utf-8")
+    before = respelled.read_bytes()
+    argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache"]
+    code, out, err = run(argv + [str(original)], capsys)
+    assert (code, err) == (0, "") and "verified 12\nappended 20\n" in out
+    assert run(argv + [str(respelled)], capsys) == (
+        code, out.replace(str(original), str(respelled)), err)
+    assert respelled.read_bytes() == before + original.read_bytes()[len(small):]
+
+
 def test_table_rejects_unknown_format_version(tmp_path, capsys):
     path = tmp_path / "cache.jsonl"
     path.write_text(
@@ -860,6 +892,11 @@ def test_version_flag(capsys):
     code, out, _ = run(["--version"], capsys)
     assert code == 0
     assert out.strip() == "0.1.0"
+    # the package metadata states the version that stamps every cache record
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, encoding="utf-8") as handle:
+        stated = re.search(r'^version = "([^"]*)"$', handle.read(), re.M).group(1)
+    assert stated == __version__
 
 
 @pytest.mark.parametrize(

@@ -86,8 +86,8 @@ def all_valid_indices(d_max):
 
 @pytest.mark.parametrize("d", range(1, 6))
 def test_dimension_two_forms_agree_everywhere(d):
-    # dimension() evaluates both closed forms and raises on disagreement;
-    # recompute the second form here independently as well
+    # dimension() evaluates the first closed form; the second, through the
+    # genus, is recomputed here
     for index in indices(d):
         r = severi.dimension(index)
         g = severi.genus(index)
