@@ -161,9 +161,9 @@ def _verify_one_node(d_max: int) -> tuple[int, list[str]]:
     bad = []
     for d in range(2, d_max + 1):
         expected = 3 * (d - 1) ** 2
-        routes = {
+        routes = {  # N(d, 1; (1), (d-1)) = N(d, 1; (), (d)), read by the recursion
             "recursion": severi.severi_degree(
-                severi.SeveriIndex(d, 1, (), (d,)), memo
+                severi.SeveriIndex(d, 1, (1,), (d - 1,)), memo
             ),
             "chow": classical.chow_one_node(d),
             "euler": classical.euler_one_node(d),
@@ -174,7 +174,7 @@ def _verify_one_node(d_max: int) -> tuple[int, list[str]]:
     for d, expected, routes in bad:
         lines.append(
             "  d=%d expected %d got recursion=%d chow=%d euler=%d"
-            % (d, expected, routes["recursion"], routes["chow"], routes["euler"])
+            % (d, expected, *routes.values())
         )
     return (1 if bad else 0), lines
 

@@ -41,6 +41,9 @@ write-once dict (MemoStore), recursing only into the children it needs, down
 to the closed form; severi_table fills whole tables bottom-up, by the
 recursion alone, and returns them as one list by delta per (d, alpha, beta),
 with no object per row.  All values are exact.
+
+At alpha = (), beta = (d), d - delta >= 3, severi_degree uses Goettsche's form
+(module goettsche).
 """
 
 from __future__ import annotations
@@ -208,6 +211,9 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     vanishing rule of the module docstring (g = C(d-1, 2) - delta).
     Termination: the first sum strictly decreases |beta| at fixed d, the
     second strictly decreases d.
+
+    Alpha = (), beta = (d) with d - delta >= 3 goes to goettsche.node_degree:
+    one miss, stored.
     """
     d, delta, alpha, beta = index
     if delta < 0 or delta >= comb(d - 1, 2) + sum(alpha) + sum(beta):
@@ -219,6 +225,13 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     value = memo.get(index)
     if value is not None:
         memo.hits += 1
+        return value
+    if not alpha and beta == (d,) and d - delta > 2:
+        from .goettsche import node_degree  # compiled only once a query takes it
+        memo.misses += 1
+        value = node_degree(
+            d, delta, lambda n, k: severi_degree(_index((n, k, (), (n,))), memo))
+        memo.put(_index((d, delta, alpha, _share(beta, beta))), value)
         return value
     with _stack_room(d):
         return _degree(_index((d, delta, _share(alpha, alpha), _share(beta, beta))), memo)

@@ -36,10 +36,24 @@ def test_severi_text(capsys):
 
 
 def test_severi_one_node_at_degree_120(capsys):
-    # |c| >= 118: the increments are pruned where they are made
-    code, out, _ = run(["severi", "--d", "120", "--delta", "1", "--beta", "120"], capsys)
+    # |c| >= 118: the increments are pruned where they are made; alpha = (1)
+    # keeps the query on the recursion, 120 layers deep
+    code, out, _ = run(["severi", "--d", "120", "--delta", "1", "--alpha", "1",
+                        "--beta", "119"], capsys)
     assert code == 0
     assert out.splitlines()[1] == "degree %d" % (3 * 119 ** 2)
+
+
+def test_severi_three_nodes_at_degree_100000(capsys):
+    # Goettsche's route; Kleiman-Piene: 2 N(d, 3) = 9d^6 - 54d^5 + 9d^4
+    # + 423d^3 - 458d^2 - 829d + 1050
+    d = 100000
+    twice = (9 * d**6 - 54 * d**5 + 9 * d**4 + 423 * d**3 - 458 * d**2
+             - 829 * d + 1050)
+    code, out, _ = run(["severi", "--d", str(d), "--delta", "3", "--beta", str(d)],
+                       capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "degree %d" % (twice // 2)
 
 
 def test_severi_nodeless_at_degree_66000(capsys):
@@ -822,6 +836,19 @@ def test_verify_one_node_detects_corrupt_route(route, monkeypatch, capsys):
     code, out, _ = run(["verify", "one-node", "--dmax", "12"], capsys)
     assert code == 1
     assert "d=7 expected 108" in out
+    assert out.splitlines()[-1] == "FAIL"
+
+
+def test_verify_one_node_reads_the_recursion(monkeypatch, capsys):
+    # a +1 on the recursion's one-nodal degrees at d >= 4 is seen at each of
+    # them; Goettsche's route would answer (), (d) there from d <= 3 and hide it
+    degree = severi._degree
+    monkeypatch.setattr(
+        severi, "_degree",
+        lambda index, memo: degree(index, memo) + (index.delta == 1 and index.d >= 4))
+    code, out, _ = run(["verify", "one-node", "--dmax", "12"], capsys)
+    assert code == 1
+    assert out.splitlines()[0] == "one-node d=2..12 disagreements=9"
     assert out.splitlines()[-1] == "FAIL"
 
 

@@ -10,7 +10,7 @@ from math import comb, factorial
 
 import pytest
 
-from curvecount import genfunc, seqs, severi
+from curvecount import genfunc, goettsche, seqs, severi
 from curvecount.cache import DegreeRecord
 from curvecount.severi import MemoStore, SeveriIndex
 
@@ -267,7 +267,7 @@ def test_deep_query_raises_the_recursion_limit_only_for_the_call():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(150)
     try:
-        assert severi.severi_degree(severi.validate(20, 1, (), (20,))) == 3 * 19 ** 2
+        assert severi.severi_degree(severi.validate(20, 1, (1,), (19,))) == 3 * 19 ** 2
         assert sys.getrecursionlimit() == 150
     finally:
         sys.setrecursionlimit(limit)
@@ -302,17 +302,46 @@ def test_three_node_closed_form():
 
 def test_two_node_closed_form_at_degree_fifty():
     # |c| >= 47 of 48 parts: the increments are pruned where they are made
-    assert severi.severi_degree(idx(50, 2, (), (50,))) == 25891992
+    assert severi.severi_degree(idx(50, 2, (1,), (49,))) == 25891992
 
 
 def test_four_node_polynomial_has_degree_eight():
+    # alpha = (1) keeps every d on the recursion, off Goettsche's route
     memo = MemoStore()
-    values = [severi.severi_degree(idx(d, 4, (), (d,)), memo) for d in range(4, 14)]
+    values = [severi.severi_degree(idx(d, 4, (1,), (d - 1,)), memo) for d in range(4, 14)]
     assert values[0] > 0
     ninth_difference = sum(
         (-1) ** (9 - i) * comb(9, i) * value for i, value in enumerate(values)
     )
     assert ninth_difference == 0
+
+
+# Goettsche's form (Kool-Shende-Thomas; Tzeng): severi_degree answers (), (d)
+# with d - delta >= 3 from the window d = delta..delta + 2.  At alpha = () the
+# recursion has the first-sum term j = 1 alone, so N(d, delta; (), (d)) =
+# N(d, delta; (1), (d - 1)), which the route never answers.
+ROUTE_GRID = ([(d, delta) for delta in range(1, 9) for d in range(delta + 3, 3 * delta + 4)]
+              + [(60, 4), (200, 2), (40, 6)])
+
+
+def route_mismatches(grid, routed):
+    """(d, delta) in grid where the route, from memo routed, and the recursion differ."""
+    recursion = MemoStore()
+    return [(d, delta) for d, delta in grid
+            if severi.severi_degree(idx(d, delta, (), (d,)), routed)
+            != severi.severi_degree(idx(d, delta, (1,), (d - 1,)), recursion)]
+
+
+def test_goettsche_route_equals_the_recursion():
+    assert route_mismatches(ROUTE_GRID, MemoStore()) == []
+
+
+def test_goettsche_route_catches_a_wrong_window_value():
+    # N(4, 2) is in the window of every delta in 2..4
+    routed = MemoStore()
+    routed.put(idx(4, 2, (), (4,)), severi.severi_degree(idx(4, 2, (), (4,))) + 1)
+    grid = [(d, delta) for d, delta in ROUTE_GRID if delta <= 4]
+    assert route_mismatches(grid, routed) == [(d, delta) for d, delta in grid if delta >= 2]
 
 
 @pytest.mark.parametrize("d", range(1, 5))
@@ -361,21 +390,28 @@ def test_memo_work_counters_are_pinned():
 
 def test_degree_runs_once_per_miss_and_never_at_delta_zero(monkeypatch):
     # the node-poly sweep, d = delta..3 delta + 1 for delta <= 6, one memo:
-    # delta = 0 is the closed form, so every _degree call is one memo miss
-    deltas = []
-    degree = severi._degree
+    # delta = 0 is the closed form, so every _degree call and every
+    # Goettsche route (36 asked, 5 in windows) is one memo miss
+    deltas, routed = [], []
+    degree, route = severi._degree, goettsche.node_degree
 
     def counted(index, memo):
         deltas.append(index.delta)
         return degree(index, memo)
 
+    def counted_route(d, delta, memo):
+        routed.append((d, delta))
+        return route(d, delta, memo)
+
     monkeypatch.setattr(severi, "_degree", counted)
+    monkeypatch.setattr(goettsche, "node_degree", counted_route)
     memo = MemoStore()
     for delta in range(7):
         for d in range(max(1, delta), 3 * delta + 2):
             severi.severi_degree(idx(d, delta, (), (d,)), memo)
     assert 0 not in deltas
-    assert len(deltas) == memo.misses == 13815
+    assert (len(deltas), len(routed)) == (838, 41)
+    assert len(deltas) + len(routed) == memo.misses == len(memo)
 
 
 def test_node_poly_sweep_keys_share_one_tuple_per_profile():
@@ -384,7 +420,7 @@ def test_node_poly_sweep_keys_share_one_tuple_per_profile():
     for delta in range(7):
         for d in range(max(1, delta), 3 * delta + 2):
             severi.severi_degree(idx(d, delta, (), (d,)), memo)
-    assert len(memo) == 13815
+    assert len(memo) == 879
     assert len({id(k.alpha) for k in memo}) == len({k.alpha for k in memo})
     assert len({id(k.beta) for k in memo}) == len({k.beta for k in memo})
 
