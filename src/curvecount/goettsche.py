@@ -16,9 +16,10 @@ difference, for each k <= delta, then F_d up to x^delta from the same identity,
 each division by n exact.  Ints and comb alone.
 
 severi.severi_degree sends every query with alpha = (), beta = (d), delta >= 1
-and d - delta >= 3 here, and stores the result in its memo.  The window values
-are queries in the same memo, routed again where d0 + i - k >= 3, so the
-windows nested in a window are read once.  The threshold 3 is the least the
+and d - delta >= 3 here, with its memo and the index to store the result at
+(profiles shared as in the engine's keys); the route counts one memo miss.  The
+window values are queries in the same memo, routed again where d0 + i - k >= 3,
+so the windows nested in a window are read once.  The threshold 3 is the least the
 window allows, and measured: at delta <= 12, d = delta + 3..delta + 6, one
 fresh process per query, 5 a side (Python 3.11.7, one Xeon core), the route's
 median was below the recursion's at 45 of the 48 points and equal at (4, 1),
@@ -30,13 +31,15 @@ severi imports this module only when a query takes the route, so a process
 that never does compiles none of it.  Inside severi.py, this code and its text
 raised the peak RSS of the benchmark's deep-query workload, which never takes
 the route, by 0.18 MB (median of 10 runs a side) when every module compiles
-from source.
+from source, and a seven-line dispatch there that kept the memo bookkeeping
+raised table-cache's by 0.12 MB; severi keeps two lines.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from math import comb
+
+from . import severi
 
 
 def _log_derivative(coeffs: list[int]) -> list[int]:
@@ -47,14 +50,17 @@ def _log_derivative(coeffs: list[int]) -> list[int]:
     return ell
 
 
-def node_degree(d: int, delta: int, window_degree: Callable[[int, int], int]) -> int:
+def node_degree(d: int, delta: int, memo: severi.MemoStore, index: severi.SeveriIndex) -> int:
     """N(d, delta; (), (d)) for d - delta >= 3 from the window d0 = delta,
-    delta + 1, delta + 2, where window_degree(n, k) = N(n, k; (), (n))."""
-    window = [_log_derivative([window_degree(n, k) for k in range(delta + 1)])
+    delta + 1, delta + 2, read through severi_degree and memo; stored at index."""
+    memo.misses += 1
+    window = [_log_derivative([severi.severi_degree(severi.SeveriIndex(n, k, (), (n,)), memo)
+                               for k in range(delta + 1)])
               for n in range(delta, delta + 3)]
     t = d - delta
     ell = [v + t * (v1 - v) + comb(t, 2) * (v2 - 2 * v1 + v) for v, v1, v2 in zip(*window)]
     coeffs = [1]
     for n in range(1, delta + 1):
         coeffs.append(sum(ell[k] * coeffs[n - k] for k in range(1, n + 1)) // n)
+    memo.put(index, coeffs[delta])
     return coeffs[delta]

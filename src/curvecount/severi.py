@@ -228,11 +228,7 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
         return value
     if not alpha and beta == (d,) and d - delta > 2:
         from .goettsche import node_degree  # compiled only once a query takes it
-        memo.misses += 1
-        value = node_degree(
-            d, delta, lambda n, k: severi_degree(_index((n, k, (), (n,))), memo))
-        memo.put(_index((d, delta, alpha, _share(beta, beta))), value)
-        return value
+        return node_degree(d, delta, memo, _index((d, delta, alpha, _share(beta, beta))))
     with _stack_room(d):
         return _degree(_index((d, delta, _share(alpha, alpha), _share(beta, beta))), memo)
 

@@ -399,9 +399,9 @@ def test_degree_runs_once_per_miss_and_never_at_delta_zero(monkeypatch):
         deltas.append(index.delta)
         return degree(index, memo)
 
-    def counted_route(d, delta, memo):
+    def counted_route(d, delta, memo, index):
         routed.append((d, delta))
-        return route(d, delta, memo)
+        return route(d, delta, memo, index)
 
     monkeypatch.setattr(severi, "_degree", counted)
     monkeypatch.setattr(goettsche, "node_degree", counted_route)
