@@ -9,25 +9,49 @@ So ell_k(d) = [x^k] x F_d'/F_d, an integer by
 
     n F_n = sum_{k <= n} ell_k F_{n-k},    F_0 = 1,
 
-is a quadratic in d for d >= k, and the three degrees d0 = delta, delta + 1,
-delta + 2 (the proven window) give N(d, delta) at every d > delta + 2:
-ell_k(d0 + t) = v + t D + C(t, 2) D^2, with v = ell_k(d0) and D the forward
-difference, for each k <= delta, then F_d up to x^delta from the same identity,
-each division by n exact.  Ints and comb alone.
+is a quadratic in d for d >= k.  Goettsche conjectured it from d >= k/2 + 1
+on (Comm. Math. Phys. 196, 1998), and Block checked that for k <= 14
+("Computing node polynomials for plane curves", Math. Res. Lett. 18, 2011).
+Up to CERTIFIED_DELTA = 10 it is a finite fact about severi_table, which never
+routes: for every k <= 10 the third differences of ell_k(d) vanish on
+d = ceil(k/2) + 1..12 (from d = 1 for k <= 2, and they fail at ceil(k/2) for
+every k >= 3), a range that holds the proven window k..k + 2, so the quadratic
+there is the proven one; tests/test_severi.py checks exactly this, through
+d = CERTIFIED_DELTA + 2.  So the window of delta nodes starts at
+d0 = min(delta, ceil(delta/2) + 1) for delta <= CERTIFIED_DELTA and at the
+proven d0 = delta above (window_start), and d0, d0 + 1, d0 + 2 give
+N(d, delta) at every d >= d0 + 3: ell_k(d0 + t) = v + t D + C(t, 2) D^2, with
+v = ell_k(d0) and D the forward difference, for each k <= delta (d0 never falls
+as delta grows, so each ell_k is a quadratic from d0 on), then F_d up to
+x^delta from the same identity, each division by n exact.  Ints and comb alone.
 
-severi.severi_degree sends every query with alpha = (), beta = (d), delta >= 1
-and d - delta >= 3 here, with its memo and the index to store the result at
-(profiles shared as in the engine's keys); the route counts one memo miss.  The
-window values are queries in the same memo, routed again where d0 + i - k >= 3,
-so the windows nested in a window are read once.  The threshold 3 is the least the
-window allows, and measured: at delta <= 12, d = delta + 3..delta + 6, one
-fresh process per query, 5 a side (Python 3.11.7, one Xeon core), the route's
-median was below the recursion's at 45 of the 48 points and equal at (4, 1),
-(5, 1) and (5, 2), e.g. 0.31 against 0.40 s at (15, 12) and 0.23 against
-0.57 s at (17, 12).  At (60, 4) it takes 0.003 s against 0.34 s, and it needs
-no frame per degree layer, so (100000, 3) is answered at once.
+severi.severi_degree sends alpha = (), beta = (d), delta >= 1 here when
+d - delta // 2 > 3, with its memo and the index to store the result at
+(profiles shared as in the engine's keys); no window starts below
+delta // 2 + 1, so every d >= d0 + 3 comes here.  The route counts one memo
+miss.  A query that comes here below d0 + 3, past CERTIFIED_DELTA or at
+d = (delta + 7)/2 for odd delta in 3..9, is answered as _degree would: one
+miss, its single first-sum term N(d, delta; (1), (d - 1)) read through
+severi_degree, stored.  The window values are queries in the same memo,
+routed again where n - d0(k) >= 3, so the windows nested in a window are read
+once.  On the benchmark's node-poly sweep (d = delta..3 delta + 1, delta <= 6,
+one memo) the narrow windows cut the recursion's calls from 838 to 270 and the
+memo from 879 to 314 entries.
 
-severi imports this module only when a query takes the route, so a process
+The threshold 3 is the least the window allows, and measured: with d0 = delta,
+at delta <= 12, d = delta + 3..delta + 6, one fresh process per query, 5 a side
+(Python 3.11.7, one Xeon core), the route's median was below the recursion's
+at 45 of the 48 points and equal at (4, 1), (5, 1) and (5, 2), e.g. 0.23
+against 0.57 s at (17, 12).  At the 16 points that the narrow windows add
+(delta = 4..10, d = d0 + 3..delta + 2; 5 fresh processes a side, every module
+compiled from source) it was below at 15, at (7, 5) by 0.1 ms, and 0.3 ms above
+at (6, 4), where compiling this module costs more than it saves; e.g. 0.017
+against 0.118 s at (12, 10).  Narrow windows also cut the routes above them:
+(13, 10) 0.112 -> 0.015 s, (30, 10) 0.095 -> 0.014 s.  At (60, 4) the route
+takes 0.003 s against 0.34 s on the recursion, and it needs no frame per
+degree layer, so (100000, 3) is answered at once.
+
+severi imports this module only when a query may take the route, so a process
 that never does compiles none of it.  Inside severi.py, this code and its text
 raised the peak RSS of the benchmark's deep-query workload, which never takes
 the route, by 0.18 MB (median of 10 runs a side) when every module compiles
@@ -41,6 +65,10 @@ from math import comb
 
 from . import severi
 
+# narrow windows up to this delta: tests/test_severi.py checks ell_k on
+# severi_table through d = CERTIFIED_DELTA + 2
+CERTIFIED_DELTA = 10
+
 
 def _log_derivative(coeffs: list[int]) -> list[int]:
     """[0, ell_1, .., ell_n] for F = coeffs, F_0 = 1: ell_k = [x^k] x F'/F."""
@@ -50,17 +78,29 @@ def _log_derivative(coeffs: list[int]) -> list[int]:
     return ell
 
 
+def window_start(delta: int) -> int:
+    """d0, the first degree of the window of delta nodes: the lesser of delta and
+    ceil(delta/2) + 1 up to CERTIFIED_DELTA, else the proven delta."""
+    return min(delta, (delta + 1) // 2 + 1) if delta <= CERTIFIED_DELTA else delta
+
+
 def node_degree(d: int, delta: int, memo: severi.MemoStore, index: severi.SeveriIndex) -> int:
-    """N(d, delta; (), (d)) for d - delta >= 3 from the window d0 = delta,
-    delta + 1, delta + 2, read through severi_degree and memo; stored at index."""
+    """N(d, delta; (), (d)), stored at index: for d - d0 >= 3 from the window
+    d0..d0 + 2, read through severi_degree and memo; else from the recursion's
+    single term N(d, delta; (1), (d - 1)), as _degree would."""
     memo.misses += 1
-    window = [_log_derivative([severi.severi_degree(severi.SeveriIndex(n, k, (), (n,)), memo)
-                               for k in range(delta + 1)])
-              for n in range(delta, delta + 3)]
-    t = d - delta
-    ell = [v + t * (v1 - v) + comb(t, 2) * (v2 - 2 * v1 + v) for v, v1, v2 in zip(*window)]
-    coeffs = [1]
-    for n in range(1, delta + 1):
-        coeffs.append(sum(ell[k] * coeffs[n - k] for k in range(1, n + 1)) // n)
-    memo.put(index, coeffs[delta])
-    return coeffs[delta]
+    d0 = window_start(delta)
+    t = d - d0
+    if t < 3:
+        value = severi.severi_degree(severi.SeveriIndex(d, delta, (1,), (d - 1,)), memo)
+    else:
+        window = [_log_derivative([severi.severi_degree(severi.SeveriIndex(n, k, (), (n,)), memo)
+                                   for k in range(delta + 1)])
+                  for n in range(d0, d0 + 3)]
+        ell = [v + t * (v1 - v) + comb(t, 2) * (v2 - 2 * v1 + v) for v, v1, v2 in zip(*window)]
+        coeffs = [1]
+        for n in range(1, delta + 1):
+            coeffs.append(sum(ell[k] * coeffs[n - k] for k in range(1, n + 1)) // n)
+        value = coeffs[delta]
+    memo.put(index, value)
+    return value

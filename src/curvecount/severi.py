@@ -42,7 +42,7 @@ to the closed form; severi_table fills whole tables bottom-up, by the
 recursion alone, and returns them as one list by delta per (d, alpha, beta),
 with no object per row.  All values are exact.
 
-At alpha = (), beta = (d), d - delta >= 3, severi_degree uses Goettsche's form
+At alpha = (), beta = (d) and d >= d0 + 3, severi_degree uses Goettsche's form
 (module goettsche).
 """
 
@@ -212,8 +212,8 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     Termination: the first sum strictly decreases |beta| at fixed d, the
     second strictly decreases d.
 
-    Alpha = (), beta = (d) with d - delta >= 3 goes to goettsche.node_degree:
-    one miss, stored.
+    Alpha = (), beta = (d) with d - delta // 2 > 3 goes to goettsche.node_degree:
+    d0 > delta/2.
     """
     d, delta, alpha, beta = index
     if delta < 0 or delta >= comb(d - 1, 2) + sum(alpha) + sum(beta):
@@ -226,8 +226,8 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     if value is not None:
         memo.hits += 1
         return value
-    if not alpha and beta == (d,) and d - delta > 2:
-        from .goettsche import node_degree  # compiled only once a query takes it
+    if not alpha and beta == (d,) and d - delta // 2 > 3:
+        from .goettsche import node_degree  # compiled only once a query may take it
         return node_degree(d, delta, memo, _index((d, delta, alpha, _share(beta, beta))))
     with _stack_room(d):
         return _degree(_index((d, delta, _share(alpha, alpha), _share(beta, beta))), memo)

@@ -841,7 +841,8 @@ def test_verify_one_node_detects_corrupt_route(route, monkeypatch, capsys):
 
 def test_verify_one_node_reads_the_recursion(monkeypatch, capsys):
     # a +1 on the recursion's one-nodal degrees at d >= 4 is seen at each of
-    # them; Goettsche's route would answer (), (d) there from d <= 3 and hide it
+    # them; Goettsche's route would answer (), (d) there from its one-node
+    # window d0 = 1..3 (window_start(1) = 1) and hide it
     degree = severi._degree
     monkeypatch.setattr(
         severi, "_degree",

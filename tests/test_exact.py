@@ -44,8 +44,8 @@ def fraction_references(node, scope="<module>"):
 
 def test_every_module_is_checked():
     assert {path.stem for path in MODULES} >= {
-        "__init__", "cache", "classical", "cli", "genfunc", "kontsevich",
-        "seqs", "series", "severi",
+        "__init__", "cache", "classical", "cli", "genfunc", "goettsche",
+        "kontsevich", "seqs", "series", "severi",
     }
 
 

@@ -6,6 +6,7 @@ import pathlib
 import random
 import sys
 import textwrap
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
@@ -317,11 +318,13 @@ def test_four_node_polynomial_has_degree_eight():
 
 
 # Goettsche's form (Kool-Shende-Thomas; Tzeng): severi_degree answers (), (d)
-# with d - delta >= 3 from the window d = delta..delta + 2.  At alpha = () the
-# recursion has the first-sum term j = 1 alone, so N(d, delta; (), (d)) =
-# N(d, delta; (1), (d - 1)), which the route never answers.
+# with d - d0 >= 3 from the window d = d0..d0 + 2, d0 = goettsche.window_start(delta).
+# At alpha = () the recursion has the first-sum term j = 1 alone, so
+# N(d, delta; (), (d)) = N(d, delta; (1), (d - 1)), which the route never answers.
 ROUTE_GRID = ([(d, delta) for delta in range(1, 9) for d in range(delta + 3, 3 * delta + 4)]
-              + [(60, 4), (200, 2), (40, 6)])
+              + [(60, 4), (200, 2), (40, 6)]
+              + [(d, delta) for delta in range(1, 9)
+                 for d in range(goettsche.window_start(delta) + 3, delta + 3)])
 
 
 def route_mismatches(grid, routed):
@@ -333,6 +336,7 @@ def route_mismatches(grid, routed):
 
 
 def test_goettsche_route_equals_the_recursion():
+    assert len(ROUTE_GRID) == 92
     assert route_mismatches(ROUTE_GRID, MemoStore()) == []
 
 
@@ -342,6 +346,91 @@ def test_goettsche_route_catches_a_wrong_window_value():
     routed.put(idx(4, 2, (), (4,)), severi.severi_degree(idx(4, 2, (), (4,))) + 1)
     grid = [(d, delta) for d, delta in ROUTE_GRID if delta <= 4]
     assert route_mismatches(grid, routed) == [(d, delta) for d, delta in grid if delta >= 2]
+
+
+def test_goettsche_route_reads_the_narrow_window():
+    # N(4, 5) is in the window 4..6 of delta = 5, and in no window d0 = delta
+    # reads at delta <= 5: a wrong value there moves every routed delta = 5 point
+    routed = MemoStore()
+    routed.put(idx(4, 5, (), (4,)), severi.severi_degree(idx(4, 5, (), (4,))) + 1)
+    grid = [(d, 5) for d in range(7, 17)]
+    assert route_mismatches(grid, routed) == grid
+
+
+@lru_cache(maxsize=None)
+def node_rows(d_max, delta_max):
+    """{d: [N(d, delta; (), (d)) for delta <= delta_max]} from severi_table, which never routes."""
+    return {d: (degrees + [0] * delta_max)[:delta_max + 1]
+            for d, layer in enumerate(severi.severi_table(d_max, delta_max), start=1)
+            for alpha, beta, degrees, _, _ in layer if not alpha and beta == (d,)}
+
+
+def test_goettsche_windows_are_certified_up_to_the_bound():
+    # ell_k(d) = [x^k] x F_d'/F_d is a quadratic in d for d >= k (proven).  Its
+    # third differences must vanish on d0 = window_start(k)..bound + 2, a range
+    # that holds the proven window k..k + 2, so the quadratic from d0 on is the
+    # proven one.  d0 never falls as delta grows, so every ell_k, k <= delta, is
+    # that quadratic on the window of delta nodes.  A bound raised past the
+    # range where this holds, or a d0 below it (ceil(k/2) fails at every
+    # k >= 3), fails here.
+    bound = goettsche.CERTIFIED_DELTA
+    d_max = bound + 2
+    rows = node_rows(d_max, bound)
+    ell = {d: goettsche._log_derivative(rows[d]) for d in rows}
+    for k in range(1, bound + 1):
+        d0 = goettsche.window_start(k)
+        assert d0 <= k
+        third = [ell[d + 3][k] - 3 * ell[d + 2][k] + 3 * ell[d + 1][k] - ell[d][k]
+                 for d in range(d0, d_max - 2)]
+        assert third == [0] * len(third), k
+    starts = [goettsche.window_start(delta) for delta in range(1, 200)]
+    assert starts == sorted(starts)
+    assert starts[:bound] == [min(k, (k + 1) // 2 + 1) for k in range(1, bound + 1)]
+    assert starts[bound:] == list(range(bound + 1, 200))
+
+
+def count_routes(monkeypatch):
+    """The list that (d, delta) of each later goettsche.node_degree call joins:
+    a route, or a query below its window answered by the recursion's term."""
+    routed, route = [], goettsche.node_degree
+
+    def counted_route(d, delta, memo, index):
+        routed.append((d, delta))
+        return route(d, delta, memo, index)
+
+    monkeypatch.setattr(goettsche, "node_degree", counted_route)
+    return routed
+
+
+def test_every_routed_value_is_a_table_row(monkeypatch):
+    # route-free: N(d, delta; (), (d)) at d <= 12, delta <= 10 from one memo,
+    # against severi_table; the 61 of the 120 points with d - d0 >= 3 take the
+    # route, and (5, 3), (6, 5), (7, 7), (8, 9), one below their windows, reach
+    # node_degree too
+    bound = goettsche.CERTIFIED_DELTA
+    calls = count_routes(monkeypatch)
+    memo = MemoStore()
+    rows = node_rows(bound + 2, bound)
+    for d, row in rows.items():
+        for delta in range(1, bound + 1):
+            assert severi.severi_degree(idx(d, delta, (), (d,)), memo) == row[delta], (d, delta)
+    routed = {(d, delta) for d in rows for delta in range(1, bound + 1)
+              if d - goettsche.window_start(delta) >= 3}
+    assert len(routed) == 61
+    assert sorted(calls) == sorted(routed | {(5, 3), (6, 5), (7, 7), (8, 9)})
+
+
+def test_below_its_window_the_route_module_is_the_recursion():
+    # severi_degree calls node_degree from d = delta // 2 + 4 on; below d0 + 3
+    # (at odd delta, and past CERTIFIED_DELTA, where d0 = delta) it answers with
+    # the recursion: the same memo, hits and misses
+    for d, delta in [(5, 3), (8, 9), (10, 11), (12, 11), (13, 11), (10, 12), (14, 12)]:
+        index, memo, recursion = idx(d, delta, (), (d,)), MemoStore(), MemoStore()
+        value = severi.severi_degree(index, memo)
+        with severi._stack_room(d):
+            assert severi._degree(index, recursion) == value
+        assert dict(memo) == dict(recursion)
+        assert (memo.hits, memo.misses) == (recursion.hits, recursion.misses)
 
 
 @pytest.mark.parametrize("d", range(1, 5))
@@ -391,26 +480,22 @@ def test_memo_work_counters_are_pinned():
 def test_degree_runs_once_per_miss_and_never_at_delta_zero(monkeypatch):
     # the node-poly sweep, d = delta..3 delta + 1 for delta <= 6, one memo:
     # delta = 0 is the closed form, so every _degree call and every
-    # Goettsche route (36 asked, 5 in windows) is one memo miss
-    deltas, routed = [], []
-    degree, route = severi._degree, goettsche.node_degree
+    # call into goettsche (42 routes, 40 asked and 2 in windows; (5, 3) and
+    # (6, 5) one below their windows) is one memo miss
+    deltas, degree = [], severi._degree
 
     def counted(index, memo):
         deltas.append(index.delta)
         return degree(index, memo)
 
-    def counted_route(d, delta, memo, index):
-        routed.append((d, delta))
-        return route(d, delta, memo, index)
-
     monkeypatch.setattr(severi, "_degree", counted)
-    monkeypatch.setattr(goettsche, "node_degree", counted_route)
+    routed = count_routes(monkeypatch)
     memo = MemoStore()
     for delta in range(7):
         for d in range(max(1, delta), 3 * delta + 2):
             severi.severi_degree(idx(d, delta, (), (d,)), memo)
     assert 0 not in deltas
-    assert (len(deltas), len(routed)) == (838, 41)
+    assert (len(deltas), len(routed)) == (270, 44)
     assert len(deltas) + len(routed) == memo.misses == len(memo)
 
 
@@ -420,7 +505,7 @@ def test_node_poly_sweep_keys_share_one_tuple_per_profile():
     for delta in range(7):
         for d in range(max(1, delta), 3 * delta + 2):
             severi.severi_degree(idx(d, delta, (), (d,)), memo)
-    assert len(memo) == 879
+    assert len(memo) == 314
     assert len({id(k.alpha) for k in memo}) == len({k.alpha for k in memo})
     assert len({id(k.beta) for k in memo}) == len({k.beta for k in memo})
 
