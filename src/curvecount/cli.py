@@ -54,69 +54,47 @@ def _fmt_profile(profile: tuple[int, ...]) -> str:
     return "(" + ",".join(str(e) for e in profile) + ")"
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _emit(fmt: str, text, rows, doc) -> int:
+    """Print one command's output in the format fmt and return 0.
+
+    text (lines) and rows (csv, header first) are iterables, each line
+    printed as it is consumed; doc() builds the JSON document, and only
+    for json.
+    """
+    if fmt == "json":
+        print(json.dumps(doc(), sort_keys=True))
+    elif fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    else:
+        for line in text:
+            print(line)
+    return 0
 
 
 def cmd_severi(args) -> int:
-    index = severi.validate(args.d, args.delta, args.alpha, args.beta)
-    degree = severi.severi_degree(index)
-    dim = severi.dimension(index)
-    g = severi.genus(index)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "d": index.d,
-                    "delta": index.delta,
-                    "alpha": list(index.alpha),
-                    "beta": list(index.beta),
-                    "degree": str(degree),
-                    "dim": dim,
-                    "genus": g,
-                },
-                sort_keys=True,
-            )
-        )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["d", "delta", "alpha", "beta", "degree", "dim", "genus"])
-        writer.writerow(
-            [
-                index.d,
-                index.delta,
-                ",".join(str(e) for e in index.alpha),
-                ",".join(str(e) for e in index.beta),
-                str(degree),
-                dim,
-                g,
-            ]
-        )
-    else:
-        print(
-            "index d=%d delta=%d alpha=%s beta=%s"
-            % (index.d, index.delta, _fmt_profile(index.alpha), _fmt_profile(index.beta))
-        )
-        print("degree %s" % degree)
-        print("dim %d" % dim)
-        print("genus %d" % g)
-    return 0
+    index = severi.SeveriIndex(args.d, args.delta, args.alpha, args.beta)
+    d, delta, alpha, beta = index
+    degree, dim, g = (severi.severi_degree(index), severi.dimension(index),
+                      severi.genus(index))
+    return _emit(
+        args.format,
+        ["index d=%d delta=%d alpha=%s beta=%s"
+         % (d, delta, _fmt_profile(alpha), _fmt_profile(beta)),
+         "degree %d" % degree, "dim %d" % dim, "genus %d" % g],
+        [("d", "delta", "alpha", "beta", "degree", "dim", "genus"),
+         (d, delta, ",".join(map(str, alpha)), ",".join(map(str, beta)), degree, dim, g)],
+        lambda: {"d": d, "delta": delta, "alpha": alpha, "beta": beta,
+                 "degree": str(degree), "dim": dim, "genus": g},
+    )
 
 
 def cmd_kontsevich(args) -> int:
     rows = kontsevich.rational_table(args.max)
-    if args.format == "json":
-        print(json.dumps([{"d": d, "n": str(n)} for d, n in rows]))
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["d", "n"])
-        for d, n in rows:
-            writer.writerow([d, str(n)])
-    else:
-        width = len(str(max(n for _, n in rows)))  # counts are positive
-        for d, n in rows:
-            print("%2d  %*s" % (d, width, n))
-    return 0
+    width = len(str(max(n for _, n in rows)))  # counts are positive
+    return _emit(args.format,
+                 ("%2d  %*s" % (d, width, n) for d, n in rows),
+                 [("d", "n"), *rows],
+                 lambda: [{"d": d, "n": str(n)} for d, n in rows])
 
 
 def cmd_table(args) -> int:
@@ -248,35 +226,20 @@ def cmd_verify(args) -> int:
 
 def cmd_case_study(args) -> int:
     reports = [classical.cross_ratio_cubics(), classical.fibration_cubics()]
-    if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "method": rep.method,
-                        "quantities": rep.quantities,
-                        "count": rep.count,
-                        "notes": list(rep.notes),
-                    }
-                    for rep in reports
-                ],
-                sort_keys=True,
-            )
-        )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["method", "quantity", "value"])
+
+    def text():
         for rep in reports:
+            yield "case-study %s" % rep.method
             for name, value in rep.quantities.items():
-                writer.writerow([rep.method, name, value])
-    else:
-        for rep in reports:
-            print("case-study %s" % rep.method)
-            for name, value in rep.quantities.items():
-                print("  %s = %d" % (name, value))
+                yield "  %s = %d" % (name, value)
             for note in rep.notes:
-                print("  note: %s" % note)
-    return 0
+                yield "  note: %s" % note
+
+    return _emit(args.format, text(),
+                 [("method", "quantity", "value"),
+                  *((rep.method, name, value) for rep in reports
+                    for name, value in rep.quantities.items())],
+                 lambda: [rep._asdict() for rep in reports])
 
 
 def build_parser() -> argparse.ArgumentParser:

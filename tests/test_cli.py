@@ -1,11 +1,14 @@
 """Command-line contract: formats, exit codes, determinism, fault injection."""
 
+import ast
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from functools import lru_cache
 
 import pytest
 
@@ -89,6 +92,35 @@ def test_severi_json(capsys):
     }
 
 
+# SHA-256 of the stdout of severi and case-study in each format: key order,
+# spacing, quoting and line order all count
+STDOUT_SHA256 = {
+    ("severi", "--d", "4", "--delta", "1", "--alpha", "1", "--beta", "0,0,1"): {
+        "text": "f7398a498af3b39c2d51fd6ca8a1d298bb28584e3696c1ff89bb62a0a7503a8a",
+        "csv": "3a7b93981ed1d32bc3bcf5e11f6a08b5f4d231b9cf147df947a33e5a2b6d5598",
+        "json": "e423940ad4b9ccffc40ee953121edcea9bf053a5f46a0e67bb1fbfcd3b54b19f",
+    },
+    ("severi", "--d", "12", "--delta", "55", "--beta", "12"): {
+        "text": "3183b051f06fa76e595414c4346d9688d3ab7767d281514225003b9c4a1ddfc2",
+        "csv": "9788f43995a804ba92783116d88e5510e1f86ad36661af51a31141d0f436259c",
+        "json": "1ff6ae2c2c23bb0a321c7df15620dfa907e06a1460e84e2c7e30f24a83ffc390",
+    },
+    ("case-study",): {
+        "text": "010d7b71cf68b397c3e4a5b04b6d35a7baa6250165a463ca25e1c04a0ea17603",
+        "csv": "b2be7f263758424b28fd7fa32c4c52f8643febdf775d0be9b06e1799edb47157",
+        "json": "9ab0edd1a02082834bb464211ea4ff1e1e06f7af5e57664e55266469869945fb",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", STDOUT_SHA256)
+def test_stdout_is_pinned(argv, capsys):
+    for fmt, digest in STDOUT_SHA256[argv].items():
+        code, out, err = run([*argv, "--format", fmt], capsys)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 def test_severi_weight_mismatch_is_usage_error(capsys):
     code, out, err = run(
         ["severi", "--d", "3", "--delta", "0", "--alpha", "1", "--beta", "1"],
@@ -166,13 +198,48 @@ KONTSEVICH_580_SHA256 = {
 }
 
 
+@lru_cache(maxsize=None)
+def rows_580():
+    """kontsevich.rational_table(580), computed once for the tests below."""
+    return kontsevich.rational_table(580)
+
+
 def test_kontsevich_580_stdout_is_pinned(monkeypatch, capsys):
-    rows = kontsevich.rational_table(580)  # once, for all three formats
+    rows = rows_580()
     monkeypatch.setattr(kontsevich, "rational_table", lambda d_max: rows[:d_max])
     for fmt, digest in KONTSEVICH_580_SHA256.items():
         code, out, err = run(["kontsevich", "--max", "580", "--format", fmt], capsys)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+class DigestStdout:
+    """A stdout that keeps only the SHA-256 of the text written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+
+
+def test_kontsevich_580_text_and_csv_print_each_line_as_it_is_formed(monkeypatch):
+    # about 2.5 MB of output under a traced peak of 1 MB: a version that
+    # formats every line before it prints the first one fails here
+    rows = rows_580()
+    monkeypatch.setattr(kontsevich, "rational_table", lambda d_max: rows[:d_max])
+    for fmt in ("text", "csv"):
+        sink = DigestStdout()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = cli.main(["kontsevich", "--max", "580", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.sha.hexdigest() == KONTSEVICH_580_SHA256[fmt]
+        assert peak < 1 << 20, (fmt, peak)
 
 
 # ------------------------------------------------------------------ table
@@ -888,6 +955,24 @@ def test_case_study_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "method,quantity,value"
     assert "cross-ratio,zero-divisor-degree,360" in lines
+
+
+def test_one_format_dispatch():
+    # "csv" and "json" are compared in _emit alone, so every command prints
+    # through it; build_parser names them only as choices of --format
+    named, compared = set(), set()
+    with open(cli.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and node.value in ("csv", "json"):
+                named.add(getattr(top, "name", None))
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(operand, ast.Constant) and operand.value in ("csv", "json")
+                    for operand in (node.left, *node.comparators)):
+                compared.add(getattr(top, "name", None))
+    assert named == {"_emit", "build_parser"}
+    assert compared == {"_emit"}
 
 
 # ----------------------------------------------------------- whole-program

@@ -321,8 +321,11 @@ def test_four_node_polynomial_has_degree_eight():
 # with d - d0 >= 3 from the window d = d0..d0 + 2, d0 = goettsche.window_start(delta).
 # At alpha = () the recursion has the first-sum term j = 1 alone, so
 # N(d, delta; (), (d)) = N(d, delta; (1), (d - 1)), which the route never answers.
+# Four points lie past the certification test's table (d <= 12): d = 13 at
+# delta = 9, 10, and delta = 11, 12 above CERTIFIED_DELTA, where d0 = delta.
 ROUTE_GRID = ([(d, delta) for delta in range(1, 9) for d in range(delta + 3, 3 * delta + 4)]
               + [(60, 4), (200, 2), (40, 6)]
+              + [(13, 9), (13, 10), (14, 11), (15, 12)]
               + [(d, delta) for delta in range(1, 9)
                  for d in range(goettsche.window_start(delta) + 3, delta + 3)])
 
@@ -336,7 +339,7 @@ def route_mismatches(grid, routed):
 
 
 def test_goettsche_route_equals_the_recursion():
-    assert len(ROUTE_GRID) == 92
+    assert len(ROUTE_GRID) == 96
     assert route_mismatches(ROUTE_GRID, MemoStore()) == []
 
 
