@@ -45,16 +45,15 @@ def _series(table) -> dict:
 
 def _transfers(ue, ve):
     """sum_k k v_k d/du_k on u^ue/ue! v^ve: (ue - e_k, ve + e_k) and k, per ue_k > 0."""
-    return [((seqs.canon(ue[:k - 1] + (e - 1,) + ue[k:]), seqs.add(ve, (0,) * (k - 1) + (1,))),
-             k) for k, e in enumerate(ue, start=1) if e]
+    return [((seqs.add(ue, (0,) * (k - 1) + (-1,)), seqs.add(ve, (0,) * (k - 1) + (1,))), k)
+            for k, e in enumerate(ue, start=1) if e]
 
 
 @lru_cache(maxsize=None)
 def _lowerings(ve):
     """v^ve with v_k -> v_k + k t^(-k): (ve - c, C(ve, c) k^c, weight(c)) per c <= ve."""
-    return tuple((seqs.canon(e - f for e, f in zip(ve, c + (0,) * len(ve))),
-                  seqs.binomial(ve, c) * seqs.nat_power(c), seqs.weight(c))
-                 for c in seqs.subsequences(ve))
+    return tuple((seqs.add(ve, [-f for f in c]), seqs.binomial(ve, c) * seqs.nat_power(c),
+                  seqs.weight(c)) for c in seqs.subsequences(ve))
 
 
 @lru_cache(maxsize=None)

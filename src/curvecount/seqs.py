@@ -3,19 +3,22 @@
 A tangency profile is a finite sequence of nonnegative integers indexed
 from 1: entry k records how many contacts of order k occur.  Sequences
 are stored as plain tuples in canonical form, meaning no trailing zeros;
-the empty tuple is the zero sequence.  All arithmetic is exact (Python
-ints, which are arbitrary precision).
+the empty tuple is the zero sequence, and canon alone makes it, from ints
+>= 0 (operator.index).  add takes a signed summand, as in a - e_j, if the
+sum stays nonnegative.  All arithmetic is exact (Python ints).
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
+from itertools import starmap, zip_longest
 from math import comb, prod
 
 
 def canon(entries) -> tuple[int, ...]:
-    """Canonical form: tuple with trailing zeros removed, entries >= 0."""
-    t = tuple(int(e) for e in entries)
+    """Canonical form: tuple with trailing zeros removed, entries ints >= 0."""
+    t = tuple([operator.index(e) for e in entries])
     if any(e < 0 for e in t):
         raise ValueError("multiplicity entries must be nonnegative: %r" % (t,))
     end = len(t)
@@ -29,14 +32,10 @@ def weight(s) -> int:
     return sum(k * e for k, e in enumerate(s, start=1))
 
 
-def _padded(a, b):
-    n = max(len(a), len(b))
-    return tuple(a) + (0,) * (n - len(a)), tuple(b) + (0,) * (n - len(b))
-
-
 def add(a, b) -> tuple[int, ...]:
-    a, b = _padded(a, b)
-    return canon(x + y for x, y in zip(a, b))
+    """canon(a + b), the shorter padded with zeros; b may be signed, the sum
+    must be nonnegative: add(a, (0, -1)) is a - e_2 and raises if a_2 = 0."""
+    return canon(starmap(operator.add, zip_longest(a, b, fillvalue=0)))
 
 
 def binomial(top, bot) -> int:
@@ -45,7 +44,7 @@ def binomial(top, bot) -> int:
     Zero whenever some bot_k exceeds top_k, so the value doubles as the
     indicator of bot <= top.
     """
-    return prod(map(comb, *_padded(top, bot)))
+    return prod(starmap(comb, zip_longest(top, bot, fillvalue=0)))
 
 
 def nat_power(c) -> int:

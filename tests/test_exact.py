@@ -1,6 +1,6 @@
 """The package computes with ints only: no float reaches a count, and a
 Fraction appears only where the WDVV residual is read back in the ordinary
-basis x1^a x2^b."""
+basis x1^a x2^b.  Outside seqs, only SeveriIndex canonicalizes a profile."""
 
 import ast
 import os
@@ -42,6 +42,19 @@ def fraction_references(node, scope="<module>"):
         yield from fraction_references(child, scope)
 
 
+def canon_references(node, scope="<module>"):
+    """(scope, line) for each use of the name canon: a name, an attribute or an
+    imported name; scope is the dotted path of the enclosing defs and classes."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = node.name if scope == "<module>" else "%s.%s" % (scope, node.name)
+    if (isinstance(node, ast.Name) and node.id == "canon"
+            or isinstance(node, ast.Attribute) and node.attr == "canon"
+            or isinstance(node, ast.alias) and node.name == "canon"):
+        yield scope, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from canon_references(child, scope)
+
+
 def test_every_module_is_checked():
     assert {path.stem for path in MODULES} >= {
         "__init__", "cache", "classical", "cli", "genfunc", "goettsche",
@@ -76,6 +89,27 @@ def test_the_fraction_guard_sees_each_kind():
     )
     assert sorted(fraction_references(tree)) == [
         ("<module>", 3), ("f", 4), ("f", 5), ("import", 1), ("import", 2),
+    ]
+
+
+def test_canon_appears_outside_seqs_only_where_input_enters():
+    # children are built valid (seqs.add, partitions, subsequences); only a
+    # profile from outside is canonicalized, once, by the checked constructor
+    found = {
+        (path.stem, scope)
+        for path in MODULES if path.stem != "seqs"
+        for scope, _ in canon_references(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {("severi", "SeveriIndex.__new__")}
+
+
+def test_the_canon_guard_sees_each_kind():
+    tree = ast.parse(
+        "from .seqs import canon\nclass A:\n    def f(self, x):\n"
+        "        return seqs.canon(x)\ng = canon\n"
+    )
+    assert sorted(canon_references(tree)) == [
+        ("<module>", 1), ("<module>", 5), ("A.f", 4),
     ]
 
 

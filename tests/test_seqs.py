@@ -39,6 +39,19 @@ def test_canon_rejects_negative():
         seqs.canon((1, -1))
 
 
+@pytest.mark.parametrize("entries", [(1, 2.5), (2.0,), ("1",)])
+def test_canon_rejects_non_integers(entries):
+    # operator.index, not int(): nothing is truncated or parsed
+    with pytest.raises(TypeError):
+        seqs.canon(entries)
+
+
+def test_canon_takes_any_iterable():
+    raw = [2, 0, 1, 0]
+    forms = [raw, tuple(raw), (e for e in raw), map(int, raw)]
+    assert [seqs.canon(form) for form in forms] == [(2, 0, 1)] * 4
+
+
 def test_weight():
     assert seqs.weight(()) == 0
     assert seqs.weight((2, 1)) == 4  # 1*2 + 2*1
@@ -54,6 +67,22 @@ def test_add_sub_roundtrip():
         assert seq_sub(total, b) == a
         assert sum(total) == sum(a) + sum(b)
         assert seqs.weight(total) == seqs.weight(a) + seqs.weight(b)
+
+
+def test_add_takes_a_signed_summand():
+    # a - e_j, as the engine lowers a profile; the sum is canonical
+    assert seqs.add((2, 1), (0, -1)) == (2,)
+    assert seqs.add((0, 0, 1), (0, 1, -1)) == (0, 1)
+    with pytest.raises(ValueError):
+        seqs.add((1,), (-2,))
+
+
+def test_add_and_binomial_pad_either_side():
+    assert seqs.add((1,), (0, 1)) == seqs.add((0, 1), (1,)) == (1, 1)
+    assert seqs.add((), (0, 0, 2)) == seqs.add((0, 0, 2), ()) == (0, 0, 2)
+    assert seqs.binomial((1,), (0, 1)) == 0
+    assert seqs.binomial((2, 1), (1,)) == 2
+    assert seqs.binomial((0, 3), ()) == 1
 
 
 def test_leq():

@@ -36,6 +36,20 @@ def test_weight_mismatch_rejected():
         severi.validate(3, 0, (1,), (1,))
 
 
+@pytest.mark.parametrize("raw", [(3, 1, (), (3.9,)), (3, 1.5, (), (3,)),
+                                 ("3", 1, (), (3,)), (3, 1, ("3",), ())])
+def test_non_integers_rejected(raw):
+    # nothing is truncated to N(3, 1; (), (3)) = 12 or parsed from a string
+    with pytest.raises(TypeError):
+        SeveriIndex(*raw)
+    with pytest.raises(TypeError):
+        severi.validate(*raw)
+
+
+def test_validate_is_the_checked_constructor():
+    assert severi.validate is SeveriIndex
+
+
 def test_nonpositive_degree_rejected():
     with pytest.raises(severi.NonPositiveDegree):
         severi.validate(0, 0, (), ())
@@ -397,9 +411,9 @@ def count_routes(monkeypatch):
     a route, or a query below its window answered by the recursion's term."""
     routed, route = [], goettsche.node_degree
 
-    def counted_route(d, delta, memo, index):
-        routed.append((d, delta))
-        return route(d, delta, memo, index)
+    def counted_route(index, memo):
+        routed.append(index[:2])
+        return route(index, memo)
 
     monkeypatch.setattr(goettsche, "node_degree", counted_route)
     return routed
