@@ -42,11 +42,8 @@ class DegreeRecord(namedtuple("DegreeRecord", "index degree dim genus")):
 
 @contextmanager
 def exact_decimals():
-    """Lift Python's int<->str digit cap (absent before 3.10.7) inside the
-    block and restore it after, so counts of any size convert exactly."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
+    """Lift Python's int<->str digit cap inside the block and restore it
+    after, so counts of any size convert exactly."""
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -197,12 +194,13 @@ def check_records(table, records) -> tuple:
     the first of its index or from the table's, else None; then the number of
     table rows whose index the cache has, and the lines of the others."""
     done = {rec for rec in records if type(rec) is str}
-    if len(done) < len(records):  # read_cache parsed a record, or a line repeats
+    parsed = [rec for rec in records if type(rec) is not str]
+    if parsed:
         shapes = {(d, *row[:2]): row[2:] for d, layer in enumerate(table, 1) for row in layer}
         # the table's record, by its line, at each index of a parsed record inside it
         ours = {_record_line(mine): mine for mine in (
             DegreeRecord(rec.index, degrees[delta], dim - delta, genus - delta)
-            for rec in records if type(rec) is not str
+            for rec in parsed
             for (d, delta, alpha, beta) in [rec.index]
             for degrees, dim, genus in [shapes.get((d, alpha, beta), ((), 0, 0))]
             if delta < len(degrees))}

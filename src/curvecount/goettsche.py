@@ -29,14 +29,15 @@ severi.severi_degree sends alpha = (), beta = (d), delta >= 1 here when
 d - delta // 2 > 3, with the index it built, which holds d and delta and is
 where the result is stored (profiles shared as in the engine's keys), and its
 memo; no window starts below delta // 2 + 1, so every d >= d0 + 3 comes here.
-The route counts one memo miss.  A query that comes here below d0 + 3, past
-CERTIFIED_DELTA or at d = (delta + 7)/2 for odd delta in 3..9, is answered as
-_degree would: one miss, its single first-sum term N(d, delta; (1), (d - 1))
-read through severi_degree, stored.  The window values are queries in the same
-memo, routed again where n - d0(k) >= 3, so the windows nested in a window are
-read once.  On the benchmark's node-poly sweep (d = delta..3 delta + 1,
-delta <= 6, one memo) the narrow windows cut the recursion's calls from 838 to
-270 and the memo from 879 to 314 entries.
+The route reads the memo only through severi_degree and writes its one entry
+with memo.put.  A query that comes here below d0 + 3, past CERTIFIED_DELTA or
+at d = (delta + 7)/2 for odd delta in 3..9, is answered as _degree would: its
+single first-sum term N(d, delta; (1), (d - 1)) read through severi_degree,
+stored.  The window values are queries in the same memo, routed again where
+n - d0(k) >= 3, so the windows nested in a window are read once.  On the
+benchmark's node-poly sweep (d = delta..3 delta + 1, delta <= 6, one memo) the
+narrow windows cut the recursion's calls from 838 to 270 and the memo from 879
+to 314 entries.
 
 The threshold 3 is the least the window allows, and measured: with d0 = delta,
 at delta <= 12, d = delta + 3..delta + 6, one fresh process per query, 5 a side
@@ -89,7 +90,6 @@ def node_degree(index: severi.SeveriIndex, memo: severi.MemoStore) -> int:
     window d0..d0 + 2, read through severi_degree and memo; else from the
     recursion's single term N(d, delta; (1), (d - 1)), as _degree would."""
     d, delta, _, _ = index
-    memo.misses += 1
     d0 = window_start(delta)
     t = d - d0
     if t < 3:
@@ -103,5 +103,4 @@ def node_degree(index: severi.SeveriIndex, memo: severi.MemoStore) -> int:
         for n in range(1, delta + 1):
             coeffs.append(sum(ell[k] * coeffs[n - k] for k in range(1, n + 1)) // n)
         value = coeffs[delta]
-    memo.put(index, value)
-    return value
+    return memo.put(index, value)

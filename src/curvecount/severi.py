@@ -123,26 +123,27 @@ class MemoStore(dict):
 
     The engine reads it as a dict and writes it through put: a second put
     with the same value is a benign no-op, and a conflicting value raises,
-    since the recursion is deterministic and a conflict means corruption.
-    Equal profiles in the engine's keys are one tuple (_share); delta = 0
-    never enters.  Hit and miss counters are bookkeeping only: severi_degree
-    counts the hit of its own lookup, _degree one miss per call (each computes
-    one index) and one hit per child found.
+    since the recursion is deterministic and a conflict means corruption;
+    put returns the value.  Equal profiles in the engine's keys are one tuple
+    (_share); delta = 0 never enters.  Each computed index is one entry, so
+    len(memo) is the miss count; hits is bookkeeping only, kept by this
+    module: severi_degree counts the hit of its own lookup, _degree one hit
+    per child found.
     """
 
-    __slots__ = ("hits", "misses")
+    __slots__ = ("hits",)
 
     def __init__(self):
         self.hits = 0
-        self.misses = 0
 
-    def put(self, index: SeveriIndex, value: int) -> None:
+    def put(self, index: SeveriIndex, value: int) -> int:
         stored = self.setdefault(index, value)
         if stored != value:
             raise RuntimeError(
                 "memo conflict at %r: stored %d, recomputed %d"
                 % (index, stored, value)
             )
+        return value
 
 
 # One tuple per profile: _share(p, p) is the first tuple equal to p it saw.
@@ -249,14 +250,13 @@ def _stack_room(d: int):
 
 def _degree(index: SeveriIndex, memo: MemoStore) -> int:
     """Degree at an index with delta > 0 that the vanishing rule does not mark
-    and the memo lacks: each call is one memo miss.  Each child is a plain
+    and the memo lacks: each call stores one memo entry.  Each child is a plain
     tuple of shared profiles, looked up in the memo; a miss recurses, except at
     a second-sum child with delta' = 0, which is the closed form and never
     stored.  First-sum children keep d, delta and |alpha| + |beta|; the rule
     marks all second-sum children of an alpha' split or none, so a marked
     split is skipped whole."""
     d, delta, alpha, beta = index
-    memo.misses += 1
     lookup = memo.get
     hits = total = 0
     raised = _raisings(alpha, len(beta))
@@ -286,8 +286,7 @@ def _degree(index: SeveriIndex, memo: MemoStore) -> int:
             part += coeff * value
         total += assigned * part
     memo.hits += hits
-    memo.put(index, total)
-    return total
+    return memo.put(index, total)
 
 
 def severi_table(d_max: int, delta_max: int) -> list[list[tuple]]:

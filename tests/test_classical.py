@@ -16,6 +16,13 @@ def test_one_node_three_ways(d):
     assert severi.severi_degree(SeveriIndex(d, 1, (), (d,))) == expected
 
 
+@pytest.mark.parametrize("one_node", [classical.chow_one_node, classical.euler_one_node])
+@pytest.mark.parametrize("d", [0, -3])
+def test_one_node_rejects_a_degree_below_one(one_node, d):
+    with pytest.raises(ValueError):
+        one_node(d)
+
+
 def test_chow_one_node_expansion():
     # (h1 + (d-1) h2)^3 multiplied out term by term in Z[h1, h2]/(h1^2, h2^3),
     # keyed (i, j) for h1^i h2^j: only the point class h1 h2^2 survives

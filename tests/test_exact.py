@@ -1,6 +1,8 @@
 """The package computes with ints only: no float reaches a count, and a
 Fraction appears only where the WDVV residual is read back in the ordinary
-basis x1^a x2^b.  Outside seqs, only SeveriIndex canonicalizes a profile."""
+basis x1^a x2^b.  Outside seqs, only SeveriIndex canonicalizes a profile.
+Only severi keeps the memo's counter; the route's module reads and writes the
+memo through severi_degree and put alone."""
 
 import ast
 import os
@@ -111,6 +113,56 @@ def test_the_canon_guard_sees_each_kind():
     assert sorted(canon_references(tree)) == [
         ("<module>", 1), ("<module>", 5), ("A.f", 4),
     ]
+
+
+def counter_references(tree):
+    """(line, attribute) for each read or write of a memo counter attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("hits", "misses"):
+            yield node.lineno, node.attr
+
+
+def memo_uses(tree):
+    """What holds each use of the name memo: the function a call passes it to,
+    memo.<attribute>, or else the kind of the node around it."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "memo":
+            parent = parents[node]
+            if isinstance(parent, ast.Call) and node in parent.args:
+                yield ast.unparse(parent.func)
+            elif isinstance(parent, ast.Attribute):
+                yield ast.unparse(parent)
+            else:
+                yield type(parent).__name__
+
+
+def test_only_severi_keeps_a_memo_counter():
+    # each computed index is one memo entry, so len(memo) is the miss count;
+    # severi counts the hits, and no other module keeps the memo's books
+    found = {
+        (path.stem, attr)
+        for path in MODULES
+        for _, attr in counter_references(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {("severi", "hits")}
+
+
+def test_the_counter_guard_sees_each_kind():
+    tree = ast.parse("memo.hits += 1\nx = m.misses\nstore.hits = 0\n")
+    assert sorted(counter_references(tree)) == [(1, "hits"), (2, "misses"), (3, "hits")]
+
+
+def test_the_route_reaches_the_memo_through_severi_degree_and_put_alone():
+    path = pathlib.Path(curvecount.__file__).parent / "goettsche.py"
+    assert set(memo_uses(ast.parse(path.read_text(encoding="utf-8")))) == {
+        "severi.severi_degree", "memo.put",
+    }
+
+
+def test_the_memo_use_guard_sees_each_kind():
+    tree = ast.parse("f(memo)\nmemo.put(i, v)\nmemo[i]\ng(x, key=memo)\nlen(memo)\n")
+    assert sorted(memo_uses(tree)) == ["Subscript", "f", "keyword", "len", "memo.put"]
 
 
 def modules_after(statement):

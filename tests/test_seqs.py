@@ -151,6 +151,11 @@ def test_partition_order_examples():
     assert seqs.partitions(0, 1) == ()
 
 
+def test_partitions_reject_a_negative_weight():
+    with pytest.raises(ValueError):
+        seqs.partitions(-1)
+
+
 @pytest.mark.parametrize("w", range(23))
 def test_partitions_with_min_size_filter_the_full_list(w):
     # the pruned enumeration keeps exactly the partitions with >= m parts,

@@ -262,8 +262,7 @@ def test_marked_index_is_answered_without_recursion():
     # C(59, 2) + 30 = 1741 <= 1770 nodes: zero on entry, the memo untouched
     memo = MemoStore()
     assert severi.severi_degree(idx(60, 1770, (), (0, 30)), memo) == 0
-    assert len(memo) == 0
-    assert memo.hits == memo.misses == 0
+    assert len(memo) == memo.hits == 0
 
 
 def test_memo_holds_no_marked_index():
@@ -440,14 +439,14 @@ def test_every_routed_value_is_a_table_row(monkeypatch):
 def test_below_its_window_the_route_module_is_the_recursion():
     # severi_degree calls node_degree from d = delta // 2 + 4 on; below d0 + 3
     # (at odd delta, and past CERTIFIED_DELTA, where d0 = delta) it answers with
-    # the recursion: the same memo, hits and misses
+    # the recursion: the same memo entries and hits
     for d, delta in [(5, 3), (8, 9), (10, 11), (12, 11), (13, 11), (10, 12), (14, 12)]:
         index, memo, recursion = idx(d, delta, (), (d,)), MemoStore(), MemoStore()
         value = severi.severi_degree(index, memo)
         with severi._stack_room(d):
             assert severi._degree(index, recursion) == value
         assert dict(memo) == dict(recursion)
-        assert (memo.hits, memo.misses) == (recursion.hits, recursion.misses)
+        assert memo.hits == recursion.hits
 
 
 @pytest.mark.parametrize("d", range(1, 5))
@@ -488,17 +487,17 @@ def test_memo_transparency():
 
 
 def test_memo_work_counters_are_pinned():
-    # one memo entry per miss, and every child found in the memo is a hit
+    # one memo entry per computed index, and every child found in the memo is a hit
     memo = MemoStore()
     assert severi.severi_degree(idx(10, 36, (), (10,)), memo) == 178396887235408616925
-    assert (len(memo), memo.hits, memo.misses) == (3438, 25224, 3438)
+    assert (len(memo), memo.hits) == (3438, 25224)
 
 
 def test_degree_runs_once_per_miss_and_never_at_delta_zero(monkeypatch):
     # the node-poly sweep, d = delta..3 delta + 1 for delta <= 6, one memo:
     # delta = 0 is the closed form, so every _degree call and every
     # call into goettsche (42 routes, 40 asked and 2 in windows; (5, 3) and
-    # (6, 5) one below their windows) is one memo miss
+    # (6, 5) one below their windows) stores one memo entry
     deltas, degree = [], severi._degree
 
     def counted(index, memo):
@@ -513,7 +512,7 @@ def test_degree_runs_once_per_miss_and_never_at_delta_zero(monkeypatch):
             severi.severi_degree(idx(d, delta, (), (d,)), memo)
     assert 0 not in deltas
     assert (len(deltas), len(routed)) == (270, 44)
-    assert len(deltas) + len(routed) == memo.misses == len(memo)
+    assert len(deltas) + len(routed) == len(memo) == 314
 
 
 def test_node_poly_sweep_keys_share_one_tuple_per_profile():
@@ -570,7 +569,7 @@ def test_nodeless_query_leaves_the_memo_empty():
     for index in (idx(1, 0, (), (1,)), idx(1, 0, (1,), ()), idx(10, 0, (), (10,)),
                   idx(9, 0, (1, 1), (0, 1, 0, 1)), idx(400, 0, (), (0, 200))):
         assert severi.severi_degree(index, memo) == nodeless_by_factorials(index.beta)
-    assert (len(memo), memo.hits, memo.misses) == (0, 0, 0)
+    assert (len(memo), memo.hits) == (0, 0)
 
 
 def test_table_and_genfunc_never_read_the_closed_form():
@@ -614,7 +613,7 @@ def test_memo_write_once():
     memo = MemoStore()
     index = idx(3, 1, (), (3,))
     severi.severi_degree(index, memo)
-    memo.put(index, 12)  # benign identical rewrite
+    assert memo.put(index, 12) == 12  # benign identical rewrite
     with pytest.raises(RuntimeError):
         memo.put(index, 13)
 
@@ -623,11 +622,12 @@ def test_memo_counters_move():
     memo = MemoStore()
     index = idx(3, 1, (), (3,))
     severi.severi_degree(index, memo)
-    misses = memo.misses
-    assert misses > 0
+    entries = len(memo)
+    assert entries > 0
     severi.severi_degree(index, memo)
     assert memo.hits > 0
-    assert memo.misses == misses
+    assert len(memo) == entries
+    assert MemoStore.__slots__ == ("hits",)  # len(memo) is the miss count
 
 
 # ----------------------------------------------------------------- table
