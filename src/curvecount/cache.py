@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from collections import namedtuple
-from contextlib import contextmanager
 from functools import lru_cache
 
-from . import __version__
+from . import __version__, exact_decimals
 from .severi import SeveriIndex
 
 FORMAT_VERSION = "1"
@@ -38,18 +36,6 @@ class DegreeRecord(namedtuple("DegreeRecord", "index degree dim genus")):
     """One cache record: an index with its degree, dimension and genus."""
 
     __slots__ = ()
-
-
-@contextmanager
-def exact_decimals():
-    """Lift Python's int<->str digit cap inside the block and restore it
-    after, so counts of any size convert exactly."""
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 # the bytes of json.dumps(record, sort_keys=True), the degree a decimal string
@@ -101,16 +87,17 @@ def _parse_record(line: str, lineno: int, torn: bool) -> tuple:
 
 
 def table_lines(table):
-    """The record lines of a severi_table table in its row order, a layer at a time."""
+    """The record lines of a severi_table table in its row order, formatted one
+    (d, delta) slice at a time."""
     for d, layer in enumerate(table, start=1):
         rows = [(_profile_text(alpha), _profile_text(beta), *rest)
                 for alpha, beta, *rest in layer]
-        with exact_decimals():
-            lines = [_RECORD_FORMAT % (alpha, beta, d, degrees[delta], delta,
-                                       dim - delta, genus - delta, _TOOL_VERSION)
-                     for delta in range(len(layer[0][2]))
-                     for alpha, beta, degrees, dim, genus in rows]
-        yield from lines
+        for delta in range(len(layer[0][2])):
+            with exact_decimals():
+                lines = [_RECORD_FORMAT % (alpha, beta, d, degrees[delta], delta,
+                                           dim - delta, genus - delta, _TOOL_VERSION)
+                         for alpha, beta, degrees, dim, genus in rows]
+            yield from lines
 
 
 def read_cache(path, table=()) -> list:

@@ -12,12 +12,10 @@ counts of any size print exactly.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 
-from . import __version__, cache, classical, genfunc, kontsevich, series, severi
+from . import __version__, exact_decimals
 
 def _parse_profile(text: str, flag: str) -> tuple[int, ...]:
     """Comma-separated multiplicities, e.g. '0,1' for one order-2 contact."""
@@ -62,8 +60,10 @@ def _emit(fmt: str, text, rows, doc) -> int:
     for json.
     """
     if fmt == "json":
+        import json
         print(json.dumps(doc(), sort_keys=True))
     elif fmt == "csv":
+        import csv
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:
         for line in text:
@@ -72,6 +72,7 @@ def _emit(fmt: str, text, rows, doc) -> int:
 
 
 def cmd_severi(args) -> int:
+    from . import severi
     index = severi.SeveriIndex(args.d, args.delta, args.alpha, args.beta)
     d, delta, alpha, beta = index
     degree, dim, g = (severi.severi_degree(index), severi.dimension(index),
@@ -89,6 +90,7 @@ def cmd_severi(args) -> int:
 
 
 def cmd_kontsevich(args) -> int:
+    from . import kontsevich
     rows = kontsevich.rational_table(args.max)
     width = len(str(max(n for _, n in rows)))  # counts are positive
     return _emit(args.format,
@@ -99,6 +101,7 @@ def cmd_kontsevich(args) -> int:
 
 def cmd_table(args) -> int:
     """Compute the table, read and check the cache, append the rows it lacks."""
+    from . import cache, severi
     table = severi.severi_table(args.dmax, args.deltamax)
     existing = cache.read_cache(args.cache, table)
     conflict, verified, fresh = cache.check_records(table, existing)
@@ -114,6 +117,7 @@ def cmd_table(args) -> int:
 
 
 def _verify_wdvv(d_max: int, x1_bound: int) -> tuple[int, list[str]]:
+    from . import series
     residual = series.wdvv_residual(d_max, x1_bound)
     window = series.wdvv_window(d_max, x1_bound)
     lines = ["wdvv d_max=%d x1_bound=%d window=%d nonzero=%d"
@@ -124,6 +128,7 @@ def _verify_wdvv(d_max: int, x1_bound: int) -> tuple[int, list[str]]:
 
 
 def _verify_getzler(D: int) -> tuple[int, list[str]]:
+    from . import genfunc
     bad = genfunc.getzler_residual(D)
     lines = ["getzler D=%d violations=%d" % (D, len(bad))]
     for alpha, beta, m in bad:
@@ -135,6 +140,7 @@ def _verify_getzler(D: int) -> tuple[int, list[str]]:
 
 
 def _verify_one_node(d_max: int) -> tuple[int, list[str]]:
+    from . import classical, severi
     memo = severi.MemoStore()
     bad = []
     for d in range(2, d_max + 1):
@@ -158,6 +164,7 @@ def _verify_one_node(d_max: int) -> tuple[int, list[str]]:
 
 
 def _verify_case_studies() -> tuple[int, list[str]]:
+    from . import classical, kontsevich, severi
     values = {
         "cross-ratio": classical.cross_ratio_cubics().count,
         "rational-fibration": classical.fibration_cubics().count,
@@ -225,6 +232,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_case_study(args) -> int:
+    from . import classical
     reports = [classical.cross_ratio_cubics(), classical.fibration_cubics()]
 
     def text():
@@ -300,17 +308,19 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        with cache.exact_decimals():
+        with exact_decimals():
             return args.func(args)
-    except (severi.WeightMismatch, severi.NonPositiveDegree, cache.CacheError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except classical.ArithmeticMismatch as exc:
-        print("verification failure: %s" % exc, file=sys.stderr)
-        return 1
-    except cache.CacheCorruption as exc:
-        print("cache corruption: %s" % exc, file=sys.stderr)
-        return 1
+    except Exception as exc:
+        from . import cache, classical, severi  # the error classes, loaded only here
+        for classes, code, prefix in (
+                ((severi.WeightMismatch, severi.NonPositiveDegree, cache.CacheError),
+                 2, "error"),
+                (classical.ArithmeticMismatch, 1, "verification failure"),
+                (cache.CacheCorruption, 1, "cache corruption")):
+            if isinstance(exc, classes):
+                print("%s: %s" % (prefix, exc), file=sys.stderr)
+                return code
+        raise
 
 
 def entry() -> None:

@@ -130,6 +130,26 @@ def test_table_lines_are_the_record_lines_of_the_rows_in_order():
         cache._record_line(rec) for rec in table_rows(layers)]
 
 
+def test_table_lines_formats_one_slice_at_a_time(monkeypatch):
+    # each line is drawn when its (d, delta) slice, and no later one, is formatted
+    formats = []
+
+    class Counting(str):
+        def __mod__(self, values):
+            formats.append(values)
+            return str.__mod__(self, values)
+
+    monkeypatch.setattr(cache, "_RECORD_FORMAT", Counting(cache._RECORD_FORMAT))
+    layers = severi.severi_table(5, 6)
+    slice_ends = []
+    for layer in layers:
+        for _ in layer[0][2]:
+            slice_ends += [len(slice_ends) + len(layer)] * len(layer)
+    drawn = [len(formats) for _ in cache.table_lines(layers)]
+    assert drawn == slice_ends
+    assert len(set(drawn)) > len(layers)  # more slices than layers
+
+
 def test_lines_matched_by_their_bytes_read_as_parsed(tmp_path):
     # with the table passed, its own lines are read as themselves, unparsed;
     # the other lines parse as without it

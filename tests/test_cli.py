@@ -23,6 +23,20 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def fresh_cli(*argv, patch=""):
+    """`curvecount argv` run in a fresh interpreter, which runs patch first:
+    the suite's own process has imported every module already."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", patch + "\nfrom curvecount.cli import entry\nentry()",
+         *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 # ----------------------------------------------------------------- severi
 def test_severi_text(capsys):
     code, out, err = run(
@@ -596,15 +610,7 @@ def test_table_rejects_a_record_with_non_integer_fields(tmp_path, capsys):
 def test_table_rejects_a_cache_that_is_not_utf8(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_bytes(b"\xff\n")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "curvecount.cli",
-         "table", "--dmax", "2", "--deltamax", "1", "--cache", str(path)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
-    )
+    proc = fresh_cli("table", "--dmax", "2", "--deltamax", "1", "--cache", str(path))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: cannot read %s: " % path)
@@ -619,15 +625,7 @@ def test_table_rejects_a_cache_that_is_not_utf8(tmp_path):
 def test_table_rejects_a_hostile_cache_without_a_traceback(tmp_path, text, error):
     path = tmp_path / "cache.jsonl"
     path.write_text(text, encoding="utf-8")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "curvecount.cli",
-         "table", "--dmax", "2", "--deltamax", "1", "--cache", str(path)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
-    )
+    proc = fresh_cli("table", "--dmax", "2", "--deltamax", "1", "--cache", str(path))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: " + error.replace("%s", str(path)))
@@ -1026,6 +1024,36 @@ def test_repeated_invocations_are_byte_identical(argv, capsys):
     second = run(argv, capsys)
     assert first == second
     assert first[0] == 0
+
+
+RECORD_D1 = ('{"alpha": [], "beta": [%s], "d": 1, "degree": "1", "delta": 0, '
+             '"dim": 2, "genus": 0, "tool-version": "0.1.0"}')
+
+
+@pytest.mark.parametrize("argv,cache_text,patch,code,err", [
+    (["severi", "--d", "0", "--delta", "0"], None, "", 2,
+     "error: degree d must be >= 1, got 0\n"),
+    (["severi", "--d", "3", "--delta", "0", "--alpha", "1", "--beta", "1"], None, "", 2,
+     "error: "),
+    (["table"], "%s\n{}\n", "", 2, "error: line 2: expected fields "),
+    (["table"], "%s\n" + RECORD_D1 % 2 + "\n", "", 1,
+     "cache corruption: invalid index d=1 delta=0 alpha=[] beta=[2]\n"),
+    (["table"], "%s\n" + (RECORD_D1 % 1)[:20], "", 1,
+     "cache corruption: torn last line 2\n"),
+    (["case-study"], None,
+     "from curvecount import classical\nclassical.SEPARATING_SPLIT = (5, 6)", 1,
+     "verification failure: "),
+], ids=["nonpositive-degree", "weight-mismatch", "malformed-cache", "invalid-index",
+        "torn-line", "arithmetic-mismatch"])
+def test_errors_map_to_their_exit_codes_in_a_fresh_interpreter(
+        tmp_path, argv, cache_text, patch, code, err):
+    if cache_text is not None:
+        path = tmp_path / "cache.jsonl"
+        path.write_text(cache_text % cache._header_line(), encoding="utf-8")
+        argv = [*argv, "--dmax", "2", "--deltamax", "1", "--cache", str(path)]
+    proc = fresh_cli(*argv, patch=patch)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith(err) and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_console_entry_point():

@@ -207,7 +207,34 @@ def test_a_private_reach_is_detected():
         (1, "_index"), (2, "seqs._padded")]
 
 
-def test_imports_load_only_what_they_use():
+# what a fresh interpreter holds of the package, and csv, after each command
+CLI_MODULES = [
+    (["--version"], ()),
+    (["--help"], ()),
+    (["severi", "--d", "3", "--delta", "1", "--beta", "3"], ("seqs", "severi")),
+    (["severi", "--d", "3", "--delta", "1", "--beta", "3", "--format", "json"],
+     ("seqs", "severi")),
+    (["severi", "--d", "3", "--delta", "1", "--beta", "3", "--format", "csv"],
+     ("csv", "seqs", "severi")),
+    (["kontsevich", "--max", "4"], ("kontsevich",)),
+    (["kontsevich", "--max", "4", "--format", "csv"], ("csv", "kontsevich")),
+    (["verify", "wdvv"], ("kontsevich", "series")),
+    (["case-study"], ("classical",)),
+]
+
+
+def cli_modules_after(*argv):
+    """The curvecount modules, and csv, in a fresh interpreter once the CLI
+    has run `curvecount argv` (stdout dropped)."""
+    loaded = modules_after(
+        "import contextlib, io\nfrom curvecount import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(%r) == 0" % (list(argv),))
+    ours = {name for name in loaded if name.split(".")[0] == "curvecount" or name == "csv"}
+    return {name.replace("curvecount.", "") for name in ours} - {"curvecount", "cli"}
+
+
+def test_imports_load_only_what_they_use(tmp_path):
     # the WDVV residual imports fractions, and with it decimal, only to
     # report a nonzero entry; severi imports goettsche only for a query that
     # takes its route
@@ -221,3 +248,9 @@ def test_imports_load_only_what_they_use():
     assert {name for name in loaded if name.split(".")[0] == "curvecount"} == {
         "curvecount", "curvecount.classical",
     }
+    # each command loads the modules it runs, when it runs
+    for argv, modules in CLI_MODULES:
+        assert cli_modules_after(*argv) == set(modules), argv
+    argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(tmp_path / "c")]
+    assert cli_modules_after(*argv) == {"cache", "seqs", "severi"}
+    assert cli_modules_after(*argv) == {"cache", "seqs", "severi"}  # a re-run reads it
