@@ -3,17 +3,22 @@
 Subcommands: severi (one degree), kontsevich (rational counts), table
 (batch degrees into a cache file), verify (consistency checks), and
 case-study (the two classical derivations of the 12 nodal cubics).
+COMMANDS is the one grammar.  main reads argv from it, so a valid command
+never loads argparse; build_parser makes argparse's parser from it for
+what the table declines: help, usage errors, and spellings only argparse
+takes (`--d=3`, an abbreviated or repeated flag, a value starting '-').
 Exit codes: 0 computed/verified, 1 verification failure, cache
-corruption or a closed stdout, 2 usage or input error.  Output is
-deterministic: identical invocations produce byte-identical stdout, and
-counts of any size print exactly.
+corruption, a closed stdout, or a valid run out of memory or stack (it
+could not finish for a reason outside its input), 2 usage or input
+error.  Output is deterministic: identical invocations produce
+byte-identical stdout, and counts of any size print exactly.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__, exact_decimals
 
@@ -23,26 +28,23 @@ def _parse_profile(text: str, flag: str) -> tuple[int, ...]:
         return ()
     try:
         entries = tuple(int(piece) for piece in text.split(","))
+        problem = "entries must be nonnegative" if any(e < 0 for e in entries) else ""
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "%s expects comma-separated integers, got %r" % (flag, text)
-        )
-    if any(e < 0 for e in entries):
-        raise argparse.ArgumentTypeError(
-            "%s entries must be nonnegative, got %r" % (flag, text)
-        )
+        problem = "expects comma-separated integers"
+    if problem:
+        import argparse
+        raise argparse.ArgumentTypeError("%s %s, got %r" % (flag, problem, text))
     return entries
 
 
 def _int_at_least(low: int, name: str):
-    """argparse type for an integer bound >= low, named as the library names it."""
+    """Type of an integer bound >= low, named as the library names it."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError(
-                "%s must be >= %d, got %d" % (name, low, value)
-            )
+            import argparse
+            raise argparse.ArgumentTypeError("%s must be >= %d, got %d" % (name, low, value))
         return value
 
     return integer
@@ -250,66 +252,104 @@ def cmd_case_study(args) -> int:
                  lambda: [rep._asdict() for rep in reports])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "csv", "json"), default="text",
-        help="output format (default text)",
-    )
+FORMAT = ("--format", ("text", "csv", "json"), "text", False, "output format (default text)")
+# subcommand -> (help, handler, flags); a flag is (name, type, default,
+# required, help) in argparse's order, a tuple type lists its choices, and
+# a name without "--" is a positional
+COMMANDS = {
+    "severi": ("one Severi degree with dimension and genus", cmd_severi, (
+        FORMAT,
+        ("--d", int, None, True, "curve degree"),
+        ("--delta", int, None, True, "number of nodes"),
+        ("--alpha", lambda s: _parse_profile(s, "--alpha"), "", False,
+         "assigned contact multiplicities, e.g. 0,1"),
+        ("--beta", lambda s: _parse_profile(s, "--beta"), "", False,
+         "unassigned contact multiplicities, e.g. 3"))),
+    "kontsevich": ("rational curve counts N(d)", cmd_kontsevich, (
+        FORMAT, ("--max", _int_at_least(1, "d_max"), None, True, "largest degree"))),
+    "table": ("batch Severi degrees into a cache file", cmd_table, (
+        ("--dmax", _int_at_least(1, "d_max"), None, True, None),
+        ("--deltamax", _int_at_least(0, "delta_max"), None, True, None),
+        ("--cache", str, None, True, "degree cache file"))),
+    "verify": ("run a consistency check suite", cmd_verify, (
+        ("which", (*VERIFY_SUITES, "all"), None, True, None),
+        *(("--" + attr, int, None, False, _verify_help(attr, what))
+          for attr, what in VERIFY_FLAGS))),
+    "case-study": ("both classical derivations of the 12 nodal cubics",
+                   cmd_case_study, (FORMAT,)),
+}
 
+
+def _table_args(argv):
+    """The namespace argparse builds for argv, read from COMMANDS; None
+    where the table leaves argv to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, flags = COMMANDS[argv[0]]
+    names = [flag[0] for flag in flags]
+    free = [name for name in names if not name.startswith("-")]
+    given, words = {}, iter(argv[1:])
+    for word in words:
+        if word.startswith("-"):
+            name, text = word, next(words, "-")  # no value: declined as one
+        elif free:
+            name, text = free.pop(0), word
+        else:
+            return None
+        if name not in names or name in given or text.startswith("-"):
+            return None
+        given[name] = text
+    values = {"command": argv[0], "func": func}
+    for name, kind, default, required, _ in flags:
+        text = given.get(name, default)
+        if required and name not in given or isinstance(kind, tuple) and text not in kind:
+            return None
+        if callable(kind) and text is not None:
+            try:
+                text = kind(text)
+            except Exception:  # argparse calls the type again and reports what it raised
+                return None
+        values[name.lstrip("-")] = text
+    return SimpleNamespace(**values)
+
+
+def build_parser():
+    """argparse's parser for COMMANDS."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="curvecount",
-        description="Exact counts of nodal plane curves with tangency conditions.",
-    )
+        description="Exact counts of nodal plane curves with tangency conditions.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("severi", parents=[common],
-                       help="one Severi degree with dimension and genus")
-    p.add_argument("--d", type=int, required=True, help="curve degree")
-    p.add_argument("--delta", type=int, required=True, help="number of nodes")
-    p.add_argument("--alpha", default="",
-                   type=lambda s: _parse_profile(s, "--alpha"),
-                   help="assigned contact multiplicities, e.g. 0,1")
-    p.add_argument("--beta", default="",
-                   type=lambda s: _parse_profile(s, "--beta"),
-                   help="unassigned contact multiplicities, e.g. 3")
-    p.set_defaults(func=cmd_severi)
-
-    p = sub.add_parser("kontsevich", parents=[common],
-                       help="rational curve counts N(d)")
-    p.add_argument("--max", type=_int_at_least(1, "d_max"), required=True,
-                   help="largest degree")
-    p.set_defaults(func=cmd_kontsevich)
-
-    p = sub.add_parser("table", help="batch Severi degrees into a cache file")
-    p.add_argument("--dmax", type=_int_at_least(1, "d_max"), required=True)
-    p.add_argument("--deltamax", type=_int_at_least(0, "delta_max"), required=True)
-    p.add_argument("--cache", required=True, help="degree cache file")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("verify", help="run a consistency check suite")
-    p.add_argument("which", choices=(*VERIFY_SUITES, "all"))
-    for attr, what in VERIFY_FLAGS:
-        p.add_argument("--" + attr, type=int, help=_verify_help(attr, what))
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("case-study", parents=[common],
-                       help="both classical derivations of the 12 nodal cubics")
-    p.set_defaults(func=cmd_case_study)
+    for command, (summary, func, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, kind, default, required, about in flags:
+            options = {"type": kind} if callable(kind) else {"choices": kind}
+            if name.startswith("-"):
+                options.update(default=default, required=required)
+            p.add_argument(name, help=about, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    argv = sys.argv[1:] if argv is None else argv
+    if argv == ["--version"]:
+        print(__version__)
+        return 0
+    args = _table_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
     try:
         with exact_decimals():
             return args.func(args)
+    # CPython 3.11 raises SystemError where it cannot allocate a frame
+    except (MemoryError, RecursionError, SystemError) as exc:
+        limit = type(exc).__name__  # printed below, once the frames it holds are freed
     except Exception as exc:
         from . import cache, classical, severi  # the error classes, loaded only here
         for classes, code, prefix in (
@@ -321,6 +361,8 @@ def main(argv=None) -> int:
                 print("%s: %s" % (prefix, exc), file=sys.stderr)
                 return code
         raise
+    print("out of resources: %s" % limit, file=sys.stderr)
+    return 1
 
 
 def entry() -> None:

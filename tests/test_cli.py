@@ -4,7 +4,10 @@ import ast
 import hashlib
 import json
 import os
+import pathlib
 import re
+import resource
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +18,7 @@ import pytest
 from curvecount import __version__, cache, cli, classical, genfunc, kontsevich, severi
 
 from helpers import corrupted
+from test_readme import EXAMPLES as README_EXAMPLES
 
 
 def run(argv, capsys):
@@ -23,9 +27,10 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
-def fresh_cli(*argv, patch=""):
+def fresh_cli(*argv, patch="", **options):
     """`curvecount argv` run in a fresh interpreter, which runs patch first:
-    the suite's own process has imported every module already."""
+    the suite's own process has imported every module already.  options go
+    to subprocess.run."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -34,6 +39,7 @@ def fresh_cli(*argv, patch=""):
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
+        **options,
     )
 
 
@@ -957,19 +963,21 @@ def test_case_study_csv(capsys):
 
 def test_one_format_dispatch():
     # "csv" and "json" are compared in _emit alone, so every command prints
-    # through it; build_parser names them only as choices of --format
+    # through it; FORMAT, --format's entry in the command table, names them
+    # only as its choices
     named, compared = set(), set()
     with open(cli.__file__, encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
     for top in tree.body:
+        site = top.targets[0].id if isinstance(top, ast.Assign) else getattr(top, "name", None)
         for node in ast.walk(top):
             if isinstance(node, ast.Constant) and node.value in ("csv", "json"):
-                named.add(getattr(top, "name", None))
+                named.add(site)
             if isinstance(node, ast.Compare) and any(
                     isinstance(operand, ast.Constant) and operand.value in ("csv", "json")
                     for operand in (node.left, *node.comparators)):
-                compared.add(getattr(top, "name", None))
-    assert named == {"_emit", "build_parser"}
+                compared.add(site)
+    assert named == {"_emit", "FORMAT"}
     assert compared == {"_emit"}
 
 
@@ -989,6 +997,98 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+# SHA-256 at COLUMNS=80 of what --version and --help print on stdout (exit
+# 0), and of one usage error's stderr (exit 2) per subcommand: argparse's
+# own bytes
+HELP_SHA256 = {
+    ("--version",): (0, "e9dd8507f4bf0c6f42458e41aea833ad0bd3f6127272335eee9bf4d58541ed67"),
+    ("--help",): (0, "164b28b87952d39b373b394561be78e836518250918124285532b2beb04f7f47"),
+    ("severi", "--help"):
+        (0, "c9814ac737b8354143f418d91c2c4230858da77445e4036ce37d7cc965764936"),
+    ("kontsevich", "--help"):
+        (0, "16afa1527fc17f4accb30c4d06ae755fa50a957ad9eef63cc5d392fa76894b71"),
+    ("table", "--help"):
+        (0, "f14f9542b00a81733bbc604e367f4a29085a3786e1906167a48d70ac2cfbde3b"),
+    ("verify", "--help"):
+        (0, "30596e8c14a2ce5d5f064a3c7b70277044eb334ed8d50d611d3024c4cb10ee8a"),
+    ("case-study", "--help"):
+        (0, "7dc96fde44e8033414ce7198e8c95184d27c7a223f86e13fedbc99770339f78a"),
+    (): (2, "5a2c8827c11673fb1b1f4627227074d47415d1868ed3651ef104dc06a6069343"),
+    ("severi", "--d", "3"):
+        (2, "f23e27d51c1bc9407ce4c80211515bbeac16a8b8a3d31044291497433820e7ce"),
+    ("kontsevich", "--max", "0"):
+        (2, "e30cb2fd247eac6b63bdd5e83e58b645cf4f33e0a611ea1c0aa3401499475ef7"),
+    ("table", "--dmax", "2", "--deltamax", "1"):
+        (2, "ed4e8d9fd325217f75eac52fc6330fbaef45e52856cd7f2f19c932968168aa3b"),
+    ("verify", "nope"):
+        (2, "4a72e873e20d03adbcde2177c19717f3b6093a6b37d60431f1dff610e5963833"),
+    ("case-study", "--format", "xml"):
+        (2, "adc002a8035acba850f410aba3b50f8f095cd43354068f89989f76fb587359b0"),
+}
+
+
+@pytest.mark.parametrize("argv", HELP_SHA256, ids=lambda argv: " ".join(argv) or "none")
+def test_help_and_usage_bytes_are_pinned(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(list(argv), capsys)
+    expected, digest = HELP_SHA256[argv]
+    printed, silent = (out, err) if expected == 0 else (err, out)
+    assert (code, silent) == (expected, "")
+    assert hashlib.sha256(printed.encode()).hexdigest() == digest
+
+
+SEVERI_3_1 = "index d=3 delta=1 alpha=() beta=(3)\ndegree 12\ndim 8\ngenus 0\n"
+# spellings that argparse takes and no other test uses, with what they print
+SPELLINGS = {
+    ("severi", "--d=3", "--delta", "1", "--beta", "3"): SEVERI_3_1,
+    ("severi", "--d", "3", "--del", "1", "--beta", "3"): SEVERI_3_1,
+    ("severi", "--d", "3", "--d", "4", "--delta", "1", "--beta", "4"):
+        "index d=4 delta=1 alpha=() beta=(4)\ndegree 27\ndim 13\ngenus 2\n",
+    ("severi", "--d", "3", "--delta", "1", "--beta", "3", "--format=json"):
+        '{"alpha": [], "beta": [3], "d": 3, "degree": "12", "delta": 1, "dim": 8, '
+        '"genus": 0}\n',
+    ("severi", "--d", "3", "--delta", "-1", "--beta", "3"):
+        "index d=3 delta=-1 alpha=() beta=(3)\ndegree 0\ndim 10\ngenus 2\n",
+}
+
+
+@pytest.mark.parametrize("argv", SPELLINGS, ids=" ".join)
+def test_argparse_spellings_print_as_before(argv, capsys):
+    assert run(list(argv), capsys) == (0, SPELLINGS[argv], "")
+
+
+def argv_literals(path):
+    """Each list or tuple literal in the source file at path that reads as a
+    curvecount argv: its first item is a subcommand or starts with '-'.  An
+    item that is not a string literal (a path, str(d)) reads as "7"."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, (ast.List, ast.Tuple)) and node.elts
+                and not any(isinstance(item, ast.Starred) for item in node.elts)):
+            argv = [item.value if isinstance(item, ast.Constant)
+                    and isinstance(item.value, str) else "7" for item in node.elts]
+            if argv[0] in cli.COMMANDS or argv[0].startswith("-"):
+                yield argv
+
+
+def test_the_command_table_reads_argv_as_argparse_does():
+    # one grammar: where the table takes an argv, argparse builds the same
+    # namespace from it; the spellings of bench/run.py and the README's
+    # examples all take the table, so they never load argparse
+    root = pathlib.Path(__file__).resolve().parent.parent
+    canonical = [*(shlex.split(command)[1:] for command, _ in README_EXAMPLES),
+                 *(argv for argv in argv_literals(root / "bench" / "run.py")
+                   if argv[0] in cli.COMMANDS)]
+    tested = [*argv_literals(root / "tests" / "test_cli.py"),
+              *argv_literals(root / "tests" / "test_acceptance.py")]
+    parser = cli.build_parser()
+    for argv in canonical + tested:
+        args = cli._table_args(argv)
+        if args is None:
+            assert argv not in canonical, argv
+        else:
+            assert vars(args) == vars(parser.parse_args(argv)), argv
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -1054,6 +1154,28 @@ def test_errors_map_to_their_exit_codes_in_a_fresh_interpreter(
     proc = fresh_cli(*argv, patch=patch)
     assert (proc.returncode, proc.stdout) == (code, "")
     assert proc.stderr.startswith(err) and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_a_command_out_of_memory_exits_1_with_one_line(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(severi, "severi_degree", exhausted)
+    assert run(["severi", "--d", "3", "--delta", "1", "--beta", "3"], capsys) == (
+        1, "", "out of resources: MemoryError\n")
+
+
+def test_a_valid_query_past_its_address_space_exits_1_without_a_traceback():
+    # the memo of (900, 2; (1), (899)) outgrows a 200 MB address space, set
+    # on the child alone; CPython 3.11 then fails to allocate a frame deep
+    # in the recursion (SystemError) or raises MemoryError
+    cap = 200 * 2**20
+    proc = fresh_cli("severi", "--d", "900", "--delta", "2", "--alpha", "1",
+                     "--beta", "899",
+                     preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert re.fullmatch("out of resources: (MemoryError|RecursionError|SystemError)\n",
+                        proc.stderr), proc.stderr
 
 
 def test_console_entry_point():

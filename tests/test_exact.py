@@ -207,10 +207,12 @@ def test_a_private_reach_is_detected():
         (1, "_index"), (2, "seqs._padded")]
 
 
-# what a fresh interpreter holds of the package, and csv, after each command
+# the parser's modules, which only help and usage errors load
+PARSER = ("argparse", "gettext", "locale")
+# what a fresh interpreter holds of the package, csv and PARSER after each command
 CLI_MODULES = [
     (["--version"], ()),
-    (["--help"], ()),
+    (["--help"], PARSER),
     (["severi", "--d", "3", "--delta", "1", "--beta", "3"], ("seqs", "severi")),
     (["severi", "--d", "3", "--delta", "1", "--beta", "3", "--format", "json"],
      ("seqs", "severi")),
@@ -223,14 +225,15 @@ CLI_MODULES = [
 ]
 
 
-def cli_modules_after(*argv):
-    """The curvecount modules, and csv, in a fresh interpreter once the CLI
-    has run `curvecount argv` (stdout dropped)."""
+def cli_modules_after(*argv, code=0):
+    """The curvecount modules, csv and PARSER in a fresh interpreter once
+    `curvecount argv` has exited with code (stdout dropped)."""
     loaded = modules_after(
         "import contextlib, io\nfrom curvecount import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(%r) == 0" % (list(argv),))
-    ours = {name for name in loaded if name.split(".")[0] == "curvecount" or name == "csv"}
+        "    assert cli.main(%r) == %d" % (list(argv), code))
+    ours = {name for name in loaded
+            if name.split(".")[0] == "curvecount" or name in ("csv", *PARSER)}
     return {name.replace("curvecount.", "") for name in ours} - {"curvecount", "cli"}
 
 
@@ -238,8 +241,8 @@ def test_imports_load_only_what_they_use(tmp_path):
     # the WDVV residual imports fractions, and with it decimal, only to
     # report a nonzero entry; severi imports goettsche only for a query that
     # takes its route
-    assert not {"dataclasses", "inspect", "fractions", "decimal",
-                "curvecount.goettsche"} & modules_after("import curvecount.cli")
+    assert not {"dataclasses", "inspect", "fractions", "decimal", "curvecount.goettsche",
+                *PARSER} & modules_after("import curvecount.cli")
     loaded = modules_after("from curvecount import severi")
     assert {name for name in loaded if name.split(".")[0] == "curvecount"} == {
         "curvecount", "curvecount.seqs", "curvecount.severi",
@@ -248,9 +251,11 @@ def test_imports_load_only_what_they_use(tmp_path):
     assert {name for name in loaded if name.split(".")[0] == "curvecount"} == {
         "curvecount", "curvecount.classical",
     }
-    # each command loads the modules it runs, when it runs
+    # each command loads the modules it runs, when it runs, and argparse
+    # only for help and usage errors
     for argv, modules in CLI_MODULES:
         assert cli_modules_after(*argv) == set(modules), argv
     argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(tmp_path / "c")]
     assert cli_modules_after(*argv) == {"cache", "seqs", "severi"}
     assert cli_modules_after(*argv) == {"cache", "seqs", "severi"}  # a re-run reads it
+    assert cli_modules_after("severi", "--d", "3", code=2) == set(PARSER)
