@@ -260,7 +260,7 @@ COMMANDS = {
     "severi": ("one Severi degree with dimension and genus", cmd_severi, (
         FORMAT,
         ("--d", int, None, True, "curve degree"),
-        ("--delta", int, None, True, "number of nodes"),
+        ("--delta", _int_at_least(0, "delta"), None, True, "number of nodes"),
         ("--alpha", lambda s: _parse_profile(s, "--alpha"), "", False,
          "assigned contact multiplicities, e.g. 0,1"),
         ("--beta", lambda s: _parse_profile(s, "--beta"), "", False,

@@ -25,18 +25,14 @@ v = ell_k(d0) and D the forward difference, for each k <= delta (d0 never falls
 as delta grows, so each ell_k is a quadratic from d0 on), then F_d up to
 x^delta from the same identity, each division by n exact.  Ints and comb alone.
 
-severi.severi_degree sends alpha = (), beta = (d), delta >= 1 here when
-d - delta // 2 > 3, with the index it built, which holds d and delta and is
-where the result is stored (profiles shared as in the engine's keys), and its
-memo; no window starts below delta // 2 + 1, so every d >= d0 + 3 comes here.
-The route reads the memo only through severi_degree and writes its one entry
-with memo.put.  A query that comes here below d0 + 3, past CERTIFIED_DELTA or
-at d = (delta + 7)/2 for odd delta in 3..9, is answered as _degree would: its
-single first-sum term N(d, delta; (1), (d - 1)) read through severi_degree,
-stored.  The window values are queries in the same memo, routed again where
+severi.severi_degree sends a memo miss here by the rule in its docstring,
+with the index it built, which holds d and delta and is where the result is
+stored (profiles shared as in the engine's keys), and its memo.  The route
+reads the memo only through severi_degree and writes its one entry with
+memo.put.  The window values are queries in the same memo, routed again where
 n - d0(k) >= 3, so the windows nested in a window are read once.  On the
 benchmark's node-poly sweep (d = delta..3 delta + 1, delta <= 6, one memo) the
-narrow windows cut the recursion's calls from 838 to 270 and the memo from 879
+narrow windows cut the recursion's calls from 838 to 272 and the memo from 879
 to 314 entries.
 
 The threshold 3 is the least the window allows, and measured: with d0 = delta,
@@ -57,7 +53,7 @@ that never does compiles none of it.  Inside severi.py, this code and its text
 raised the peak RSS of the benchmark's deep-query workload, which never takes
 the route, by 0.18 MB (median of 10 runs a side) when every module compiles
 from source, and a seven-line dispatch there that kept the memo bookkeeping
-raised table-cache's by 0.12 MB; severi keeps two lines.
+raised table-cache's by 0.12 MB; severi keeps four lines.
 """
 
 from __future__ import annotations
@@ -86,21 +82,16 @@ def window_start(delta: int) -> int:
 
 
 def node_degree(index: severi.SeveriIndex, memo: severi.MemoStore) -> int:
-    """N(d, delta; (), (d)) at index, stored there: for d - d0 >= 3 from the
-    window d0..d0 + 2, read through severi_degree and memo; else from the
-    recursion's single term N(d, delta; (1), (d - 1)), as _degree would."""
+    """N(d, delta; (), (d)) at index, which needs d - d0 >= 3, from the window
+    d0..d0 + 2 read through severi_degree and memo; stored there."""
     d, delta, _, _ = index
     d0 = window_start(delta)
     t = d - d0
-    if t < 3:
-        value = severi.severi_degree(severi.SeveriIndex(d, delta, (1,), (d - 1,)), memo)
-    else:
-        window = [_log_derivative([severi.severi_degree(severi.SeveriIndex(n, k, (), (n,)), memo)
-                                   for k in range(delta + 1)])
-                  for n in range(d0, d0 + 3)]
-        ell = [v + t * (v1 - v) + comb(t, 2) * (v2 - 2 * v1 + v) for v, v1, v2 in zip(*window)]
-        coeffs = [1]
-        for n in range(1, delta + 1):
-            coeffs.append(sum(ell[k] * coeffs[n - k] for k in range(1, n + 1)) // n)
-        value = coeffs[delta]
-    return memo.put(index, value)
+    window = [_log_derivative([severi.severi_degree(severi.SeveriIndex(n, k, (), (n,)), memo)
+                               for k in range(delta + 1)])
+              for n in range(d0, d0 + 3)]
+    ell = [v + t * (v1 - v) + comb(t, 2) * (v2 - 2 * v1 + v) for v, v1, v2 in zip(*window)]
+    coeffs = [1]
+    for n in range(1, delta + 1):
+        coeffs.append(sum(ell[k] * coeffs[n - k] for k in range(1, n + 1)) // n)
+    return memo.put(index, coeffs[delta])

@@ -213,8 +213,8 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     Termination: the first sum strictly decreases |beta| at fixed d, the
     second strictly decreases d.
 
-    Alpha = (), beta = (d) with d - delta // 2 > 3 goes to goettsche.node_degree:
-    d0 > delta/2.
+    A miss at alpha = (), beta = (d) with d - goettsche.window_start(delta) >= 3
+    goes to goettsche.node_degree; goettsche loads only when d - delta // 2 > 3.
     """
     d, delta, alpha, beta = index
     if delta < 0 or delta >= comb(d - 1, 2) + sum(alpha) + sum(beta):
@@ -228,8 +228,9 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
         memo.hits += 1
         return value
     if not alpha and beta == (d,) and d - delta // 2 > 3:
-        from .goettsche import node_degree  # compiled only once a query may take it
-        return node_degree(_index((d, delta, alpha, _share(beta, beta))), memo)
+        from .goettsche import node_degree, window_start  # compiled only once a query may take it
+        if d - window_start(delta) >= 3:
+            return node_degree(_index((d, delta, alpha, _share(beta, beta))), memo)
     with _stack_room(d):
         return _degree(_index((d, delta, _share(alpha, alpha), _share(beta, beta))), memo)
 

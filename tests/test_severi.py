@@ -406,8 +406,7 @@ def test_goettsche_windows_are_certified_up_to_the_bound():
 
 
 def count_routes(monkeypatch):
-    """The list that (d, delta) of each later goettsche.node_degree call joins:
-    a route, or a query below its window answered by the recursion's term."""
+    """The list that (d, delta) of each later goettsche.node_degree call joins."""
     routed, route = [], goettsche.node_degree
 
     def counted_route(index, memo):
@@ -421,8 +420,7 @@ def count_routes(monkeypatch):
 def test_every_routed_value_is_a_table_row(monkeypatch):
     # route-free: N(d, delta; (), (d)) at d <= 12, delta <= 10 from one memo,
     # against severi_table; the 61 of the 120 points with d - d0 >= 3 take the
-    # route, and (5, 3), (6, 5), (7, 7), (8, 9), one below their windows, reach
-    # node_degree too
+    # route, and only they call node_degree
     bound = goettsche.CERTIFIED_DELTA
     calls = count_routes(monkeypatch)
     memo = MemoStore()
@@ -433,13 +431,14 @@ def test_every_routed_value_is_a_table_row(monkeypatch):
     routed = {(d, delta) for d in rows for delta in range(1, bound + 1)
               if d - goettsche.window_start(delta) >= 3}
     assert len(routed) == 61
-    assert sorted(calls) == sorted(routed | {(5, 3), (6, 5), (7, 7), (8, 9)})
+    assert sorted(calls) == sorted(routed)
 
 
-def test_below_its_window_the_route_module_is_the_recursion():
-    # severi_degree calls node_degree from d = delta // 2 + 4 on; below d0 + 3
-    # (at odd delta, and past CERTIFIED_DELTA, where d0 = delta) it answers with
-    # the recursion: the same memo entries and hits
+def test_below_its_window_the_route_module_is_the_recursion(monkeypatch):
+    # severi_degree loads goettsche from d = delta // 2 + 4 on; below d0 + 3
+    # (at odd delta, and past CERTIFIED_DELTA, where d0 = delta) it never calls
+    # node_degree and answers with the recursion: the same memo entries and hits
+    calls = count_routes(monkeypatch)
     for d, delta in [(5, 3), (8, 9), (10, 11), (12, 11), (13, 11), (10, 12), (14, 12)]:
         index, memo, recursion = idx(d, delta, (), (d,)), MemoStore(), MemoStore()
         value = severi.severi_degree(index, memo)
@@ -447,6 +446,7 @@ def test_below_its_window_the_route_module_is_the_recursion():
             assert severi._degree(index, recursion) == value
         assert dict(memo) == dict(recursion)
         assert memo.hits == recursion.hits
+    assert calls == []
 
 
 @pytest.mark.parametrize("d", range(1, 5))
@@ -496,8 +496,7 @@ def test_memo_work_counters_are_pinned():
 def test_degree_runs_once_per_miss_and_never_at_delta_zero(monkeypatch):
     # the node-poly sweep, d = delta..3 delta + 1 for delta <= 6, one memo:
     # delta = 0 is the closed form, so every _degree call and every
-    # call into goettsche (42 routes, 40 asked and 2 in windows; (5, 3) and
-    # (6, 5) one below their windows) stores one memo entry
+    # route (42: 40 asked and 2 in windows) stores one memo entry
     deltas, degree = [], severi._degree
 
     def counted(index, memo):
@@ -511,7 +510,7 @@ def test_degree_runs_once_per_miss_and_never_at_delta_zero(monkeypatch):
         for d in range(max(1, delta), 3 * delta + 2):
             severi.severi_degree(idx(d, delta, (), (d,)), memo)
     assert 0 not in deltas
-    assert (len(deltas), len(routed)) == (270, 44)
+    assert (len(deltas), len(routed)) == (272, 42)
     assert len(deltas) + len(routed) == len(memo) == 314
 
 
