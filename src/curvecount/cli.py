@@ -110,7 +110,8 @@ def cmd_table(args) -> int:
     if conflict:
         print("cache corruption %s" % conflict, file=sys.stderr)
         return 1
-    cache.append_records(args.cache, fresh)
+    if fresh:  # a clean re-run never opens the cache to write, so it may be read-only
+        cache.append_records(args.cache, fresh)
     print("cache %s" % args.cache)
     print("verified %d" % verified)
     print("appended %d" % len(fresh))

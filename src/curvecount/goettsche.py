@@ -25,15 +25,13 @@ v = ell_k(d0) and D the forward difference, for each k <= delta (d0 never falls
 as delta grows, so each ell_k is a quadratic from d0 on), then F_d up to
 x^delta from the same identity, each division by n exact.  Ints and comb alone.
 
-severi.severi_degree sends a memo miss here by the rule in its docstring,
-with the index it built, which holds d and delta and is where the result is
-stored (profiles shared as in the engine's keys), and its memo.  The route
-reads the memo only through severi_degree and writes its one entry with
-memo.put.  The window values are queries in the same memo, routed again where
-n - d0(k) >= 3, so the windows nested in a window are read once.  On the
-benchmark's node-poly sweep (d = delta..3 delta + 1, delta <= 6, one memo) the
-narrow windows cut the recursion's calls from 838 to 272 and the memo from 879
-to 314 entries.
+extrapolate is that step alone, on ints: rows[i] = [N(d0 + i, k; (), (d0 + i))
+for k <= delta], i = 0, 1, 2, and t = d - d0 give N(d, delta; (), (d)).  This
+module imports nothing from the package.  severi.severi_degree reads the rows
+as its own queries, so the windows nested in a window are read once, and
+stores the result.  On the benchmark's node-poly sweep (d = delta..3 delta + 1,
+delta <= 6, one store) the narrow windows cut the recursion's calls from 838
+to 272 and the stored entries from 879 to 314.
 
 The threshold 3 is the least the window allows, and measured: with d0 = delta,
 at delta <= 12, d = delta + 3..delta + 6, one fresh process per query, 5 a side
@@ -49,18 +47,16 @@ takes 0.003 s against 0.34 s on the recursion, and it needs no frame per
 degree layer, so (100000, 3) is answered at once.
 
 severi imports this module only when a query may take the route, so a process
-that never does compiles none of it.  Inside severi.py, this code and its text
+that never does compiles none of it: inside severi.py, this code and its text
 raised the peak RSS of the benchmark's deep-query workload, which never takes
 the route, by 0.18 MB (median of 10 runs a side) when every module compiles
-from source, and a seven-line dispatch there that kept the memo bookkeeping
-raised table-cache's by 0.12 MB; severi keeps four lines.
+from source.  severi keeps the seven lines that read the window and store the
+result.
 """
 
 from __future__ import annotations
 
 from math import comb
-
-from . import severi
 
 # narrow windows up to this delta: tests/test_severi.py checks ell_k on
 # severi_table through d = CERTIFIED_DELTA + 2
@@ -81,17 +77,12 @@ def window_start(delta: int) -> int:
     return min(delta, (delta + 1) // 2 + 1) if delta <= CERTIFIED_DELTA else delta
 
 
-def node_degree(index: severi.SeveriIndex, memo: severi.MemoStore) -> int:
-    """N(d, delta; (), (d)) at index, which needs d - d0 >= 3, from the window
-    d0..d0 + 2 read through severi_degree and memo; stored there."""
-    d, delta, _, _ = index
-    d0 = window_start(delta)
-    t = d - d0
-    window = [_log_derivative([severi.severi_degree(severi.SeveriIndex(n, k, (), (n,)), memo)
-                               for k in range(delta + 1)])
-              for n in range(d0, d0 + 3)]
-    ell = [v + t * (v1 - v) + comb(t, 2) * (v2 - 2 * v1 + v) for v, v1, v2 in zip(*window)]
+def extrapolate(rows: list[list[int]], t: int) -> int:
+    """N(d, delta; (), (d)) from the window rows d0..d0 + 2 of N(n, k; (), (n)),
+    k <= delta, and t = d - d0 >= 3."""
+    ell = [v + t * (v1 - v) + comb(t, 2) * (v2 - 2 * v1 + v)
+           for v, v1, v2 in zip(*map(_log_derivative, rows))]
     coeffs = [1]
-    for n in range(1, delta + 1):
+    for n in range(1, len(ell)):
         coeffs.append(sum(ell[k] * coeffs[n - k] for k in range(1, n + 1)) // n)
-    return memo.put(index, coeffs[delta])
+    return coeffs[-1]

@@ -214,7 +214,7 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     second strictly decreases d.
 
     A miss at alpha = (), beta = (d) with d - goettsche.window_start(delta) >= 3
-    goes to goettsche.node_degree; goettsche loads only when d - delta // 2 > 3.
+    is extrapolated from its window (goettsche, loaded if d - delta // 2 > 3).
     """
     d, delta, alpha, beta = index
     if delta < 0 or delta >= comb(d - 1, 2) + sum(alpha) + sum(beta):
@@ -228,9 +228,12 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
         memo.hits += 1
         return value
     if not alpha and beta == (d,) and d - delta // 2 > 3:
-        from .goettsche import node_degree, window_start  # compiled only once a query may take it
-        if d - window_start(delta) >= 3:
-            return node_degree(_index((d, delta, alpha, _share(beta, beta))), memo)
+        from .goettsche import extrapolate, window_start  # compiled only once a query may take it
+        d0 = window_start(delta)
+        if d - d0 >= 3:
+            rows = [[severi_degree(_index((n, k, (), (n,))), memo)
+                     for k in range(delta + 1)] for n in range(d0, d0 + 3)]
+            return memo.put(_index((d, delta, (), _share(beta, beta))), extrapolate(rows, d - d0))
     with _stack_room(d):
         return _degree(_index((d, delta, _share(alpha, alpha), _share(beta, beta))), memo)
 

@@ -656,6 +656,22 @@ def test_table_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_table_rerun_that_appends_nothing_never_writes(tmp_path, monkeypatch, capsys):
+    # so a complete cache may be read-only; a run that must append still fails
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)]
+    run(argv, capsys)
+
+    def unwritable(target, lines):
+        raise cache.CacheError("cannot write %s: read-only" % target)
+
+    monkeypatch.setattr(cache, "append_records", unwritable)
+    assert run(argv, capsys) == (
+        0, "cache %s\nverified 32\nappended 0\nrecords 32\n" % path, "")
+    argv[2] = "4"
+    assert run(argv, capsys) == (2, "", "error: cannot write %s: read-only\n" % path)
+
+
 def test_table_over_an_empty_cache_file_starts_it_afresh(tmp_path, capsys):
     # a crash between creating the file and its first write leaves it empty
     fresh = tmp_path / "fresh.jsonl"

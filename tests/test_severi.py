@@ -406,38 +406,44 @@ def test_goettsche_windows_are_certified_up_to_the_bound():
 
 
 def count_routes(monkeypatch):
-    """The list that (d, delta) of each later goettsche.node_degree call joins."""
-    routed, route = [], goettsche.node_degree
+    """The list that (d, delta) of each later goettsche.extrapolate call joins."""
+    routed, route = [], goettsche.extrapolate
 
-    def counted_route(index, memo):
-        routed.append(index[:2])
-        return route(index, memo)
+    def counted_route(rows, t):
+        delta = len(rows[0]) - 1
+        routed.append((goettsche.window_start(delta) + t, delta))
+        return route(rows, t)
 
-    monkeypatch.setattr(goettsche, "node_degree", counted_route)
+    monkeypatch.setattr(goettsche, "extrapolate", counted_route)
     return routed
 
 
 def test_every_routed_value_is_a_table_row(monkeypatch):
     # route-free: N(d, delta; (), (d)) at d <= 12, delta <= 10 from one memo,
     # against severi_table; the 61 of the 120 points with d - d0 >= 3 take the
-    # route, and only they call node_degree
+    # route, and only they call extrapolate, which also gives each of them from
+    # the table's own window rows, with no memo at all
     bound = goettsche.CERTIFIED_DELTA
-    calls = count_routes(monkeypatch)
-    memo = MemoStore()
     rows = node_rows(bound + 2, bound)
-    for d, row in rows.items():
-        for delta in range(1, bound + 1):
-            assert severi.severi_degree(idx(d, delta, (), (d,)), memo) == row[delta], (d, delta)
     routed = {(d, delta) for d in rows for delta in range(1, bound + 1)
               if d - goettsche.window_start(delta) >= 3}
     assert len(routed) == 61
+    for d, delta in routed:
+        d0 = goettsche.window_start(delta)
+        window = [rows[n][:delta + 1] for n in range(d0, d0 + 3)]
+        assert goettsche.extrapolate(window, d - d0) == rows[d][delta], (d, delta)
+    calls = count_routes(monkeypatch)
+    memo = MemoStore()
+    for d, row in rows.items():
+        for delta in range(1, bound + 1):
+            assert severi.severi_degree(idx(d, delta, (), (d,)), memo) == row[delta], (d, delta)
     assert sorted(calls) == sorted(routed)
 
 
 def test_below_its_window_the_route_module_is_the_recursion(monkeypatch):
     # severi_degree loads goettsche from d = delta // 2 + 4 on; below d0 + 3
     # (at odd delta, and past CERTIFIED_DELTA, where d0 = delta) it never calls
-    # node_degree and answers with the recursion: the same memo entries and hits
+    # extrapolate and answers with the recursion: the same memo entries and hits
     calls = count_routes(monkeypatch)
     for d, delta in [(5, 3), (8, 9), (10, 11), (12, 11), (13, 11), (10, 12), (14, 12)]:
         index, memo, recursion = idx(d, delta, (), (d,)), MemoStore(), MemoStore()
