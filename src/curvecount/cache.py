@@ -100,71 +100,22 @@ def table_lines(table):
             yield from lines
 
 
-def read_cache(path, table=()) -> list:
-    """Every record of a cache file, in file order, none if it is missing or
-    empty (as a crash before append_records' first write leaves it): a line
-    that table_lines(table) yields as the line itself, unparsed, and every
-    other line parsed into a DegreeRecord with a checked canonical index.
-    Lines end at "\n" alone; JSON strings may hold other line breaks raw.
-    Raises CacheError when the file is unreadable, not UTF-8 or malformed,
-    and CacheCorruption for an invalid index (a bad shape, or delta outside
-    0..d(d-1)/2) or a torn last line: one that lacks its newline and does
-    not parse, as a crash mid-append leaves (a torn header when it is the
-    only line).
-    A malformed line anywhere is reported before an invalid index.
-    """
-    if not os.path.exists(path) or not os.path.getsize(path):
-        return []
+def _lines(path):
+    """(number, line, torn) for each line of the file: lines end at "\n" alone,
+    after universal newlines (JSON strings may hold other line breaks raw),
+    and a torn one, the last, lacks it."""
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            try:
+                for lineno, line in enumerate(handle, start=1):
+                    yield lineno, line.removesuffix("\n"), not line.endswith("\n")
+            except UnicodeDecodeError as exc:  # count its positions from the file start
+                at = handle.buffer.tell() - len(exc.object)
+                exc.object = bytes(at) + exc.object
+                exc.start, exc.end = exc.start + at, exc.end + at
+                raise
     except (OSError, UnicodeDecodeError) as exc:
         raise CacheError("cannot read %s: %s" % (path, exc)) from exc
-    lines = text.split("\n")
-    torn_lineno = len(lines) if lines[-1] else None
-    del text  # the lines hold every byte again; free the copy before parsing
-    try:
-        header = json.loads(lines[0])
-    except _BAD_JSON as exc:
-        if torn_lineno == 1:  # a crash during the first write
-            raise CacheCorruption("torn header") from exc
-        raise CacheError("%s: malformed header: %s" % (path, exc)) from exc
-    if not isinstance(header, dict) or "format-version" not in header:
-        raise CacheError("%s: header lacks format-version" % path)
-    if header["format-version"] != FORMAT_VERSION:
-        raise CacheError(
-            "%s: unsupported format-version %r (want %r)"
-            % (path, header["format-version"], FORMAT_VERSION)
-        )
-    records = []
-    invalid = []
-    with exact_decimals():
-        # keyed by the file's own strings: the table's lines are only marks
-        known = dict.fromkeys(lines)
-        known.update((line, True) for line in table_lines(table) if line in known)
-        for lineno, line in enumerate(lines[1:], start=2):
-            if known[line]:
-                records.append(line)
-                continue
-            if not line.strip():
-                continue
-            d, delta, alpha, beta, degree, dim, genus = _parse_record(
-                line, lineno, lineno == torn_lineno
-            )
-            try:
-                index = SeveriIndex(d, delta, alpha, beta)
-            except ValueError:  # weight mismatch, d < 1 or a negative entry
-                index = None
-            # severi_table writes no row outside 0 <= delta <= d(d-1)/2
-            if index is None or not 0 <= delta <= d * (d - 1) // 2:
-                invalid.append((d, delta, list(alpha), list(beta)))
-                continue
-            records.append(DegreeRecord(index, degree, dim, genus))
-        if invalid:  # inside the block: a field may be past the digit cap
-            raise CacheCorruption(
-                "invalid index d=%d delta=%d alpha=%s beta=%s" % invalid[0]
-            )
-    return records
 
 
 def _conflict(old, new, how: str) -> str:
@@ -175,39 +126,88 @@ def _conflict(old, new, how: str) -> str:
             % (d, delta, list(alpha), list(beta), field, was, how, now))
 
 
-def check_records(table, records) -> tuple:
-    """(conflict, verified, fresh) for what read_cache(path, table) read, table
-    lines standing for the table's records: the first record that differs from
-    the first of its index or from the table's, else None; then the number of
-    table rows whose index the cache has, and the lines of the others."""
-    done = {rec for rec in records if type(rec) is str}
-    parsed = [rec for rec in records if type(rec) is not str]
-    if parsed:
-        shapes = {(d, *row[:2]): row[2:] for d, layer in enumerate(table, 1) for row in layer}
-        # the table's record, by its line, at each index of a parsed record inside it
-        ours = {_record_line(mine): mine for mine in (
-            DegreeRecord(rec.index, degrees[delta], dim - delta, genus - delta)
-            for rec in parsed
-            for (d, delta, alpha, beta) in [rec.index]
-            for degrees, dim, genus in [shapes.get((d, alpha, beta), ((), 0, 0))]
-            if delta < len(degrees))}
+def check_cache(path, table) -> tuple:
+    """(conflict, verified, records, fresh): the cache file at path, read once,
+    a line at a time, checked against a severi_table table.  conflict is the
+    first record that differs from the first of its index (in file order),
+    else from the table's (in index order), or None; verified counts the table
+    rows whose index the file has, records the file's record lines; fresh
+    lists the other rows' lines.  A missing or empty file (a crash before the
+    first append leaves it) has no records.  A line that table_lines(table)
+    yields is counted, never parsed; any other is parsed and its index checked
+    by one SeveriIndex call.  Raises CacheError when the file is unreadable,
+    not UTF-8 (reported first) or malformed (before an invalid index), and
+    CacheCorruption for an invalid index (a bad shape, or delta outside
+    0..d(d-1)/2) or a torn last line or header: one that lacks its newline
+    and does not parse, as a crash mid-append leaves."""
+    if not os.path.exists(path) or not os.path.getsize(path):
+        return None, 0, 0, list(table_lines(table))
+    ours = dict.fromkeys(table_lines(table), 0)  # line -> where its first copy is, or 0
+    parsed, invalid, records = [], [], 0
+    lines = _lines(path)
+    try:
+        _, line, torn = next(lines)
+        try:
+            header = json.loads(line)
+        except _BAD_JSON as exc:
+            if torn:  # a crash during the first write
+                raise CacheCorruption("torn header") from exc
+            raise CacheError("%s: malformed header: %s" % (path, exc)) from exc
+        if not isinstance(header, dict) or "format-version" not in header:
+            raise CacheError("%s: header lacks format-version" % path)
+        if header["format-version"] != FORMAT_VERSION:
+            raise CacheError("%s: unsupported format-version %r (want %r)"
+                             % (path, header["format-version"], FORMAT_VERSION))
+        with exact_decimals():
+            for lineno, line, torn in lines:
+                if not line.strip():
+                    continue
+                records += 1
+                if line in ours:
+                    ours[line] = ours[line] or lineno
+                    continue
+                d, delta, alpha, beta, degree, dim, genus = _parse_record(line, lineno, torn)
+                try:
+                    index = SeveriIndex(d, delta, alpha, beta)
+                except ValueError:  # weight mismatch, d < 1 or a negative entry
+                    index = None
+                # severi_table writes no row outside 0 <= delta <= d(d-1)/2
+                if index is None or not 0 <= delta <= d * (d - 1) // 2:
+                    invalid.append((d, delta, list(alpha), list(beta)))
+                else:
+                    parsed.append((lineno, DegreeRecord(index, degree, dim, genus)))
+    except CacheError:
+        for _ in lines:  # a later byte that is not UTF-8 is reported instead
+            pass
+        raise
+    with exact_decimals():  # a field may be past the digit cap
+        if invalid:
+            raise CacheCorruption("invalid index d=%d delta=%d alpha=%s beta=%s" % invalid[0])
+        shapes = {(d, *row[:2]): row[2:] for d, layer in enumerate(table, 1)
+                  for row in layer} if parsed else {}
+        mine = {}  # the table's record, by its line, at each parsed index inside it
+        for _, rec in parsed:
+            d, delta, alpha, beta = rec.index
+            degrees, dim, genus = shapes.get((d, alpha, beta), ((), 0, 0))
+            if delta < len(degrees):
+                row = DegreeRecord(rec.index, degrees[delta], dim - delta, genus - delta)
+                mine[_record_line(row)] = row
         known = {}
-        for rec in filter(None, (ours.get(r) if type(r) is str else r for r in records)):
+        firsts = [(ours[line], row) for line, row in mine.items() if ours[line]]
+        for _, rec in sorted(parsed + firsts):
             if known.setdefault(rec.index, rec) != rec:  # equal duplicates are benign
-                return _conflict(known[rec.index], rec, "stored again as"), 0, []
-        for mine in sorted(ours.values()):
-            if known[mine.index] != mine:
-                return _conflict(known[mine.index], mine, "recomputed"), 0, []
-        done.update(ours)
-    rows = sum(len(layer) * len(layer[0][2]) for layer in table)
-    return None, len(done), [line for line in table_lines(table)
-                             if line not in done] if len(done) < rows else []
+                return _conflict(known[rec.index], rec, "stored again as"), 0, records, []
+        for row in sorted(mine.values()):
+            if known[row.index] != row:
+                return _conflict(known[row.index], row, "recomputed"), 0, records, []
+    fresh = [line for line, at in ours.items() if not at and line not in mine]
+    return None, len(ours) - len(fresh), records, fresh
 
 
 def append_records(path, lines) -> None:
     """Append record lines (from table_lines), writing the header first if the
     file is new: whole lines in batches, then one flush and fsync, so a crash
-    leaves at most a torn last line, which read_cache reports."""
+    leaves at most a torn last line, which check_cache reports."""
     try:
         with open(path, "a+b") as handle:
             end = handle.seek(0, os.SEEK_END)

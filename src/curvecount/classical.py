@@ -77,6 +77,14 @@ def _checked(name: str, value: int, derived: int):
     return value
 
 
+def _separating() -> int:
+    """Reducible fibers with p1 and p2 on different components; on each side,
+    the line carries one of them and one of the 5 remaining base points."""
+    for side in SEPARATING_SPLIT:
+        _checked("separating split side", side, comb(BASE_POINTS - 2, 1))
+    return sum(SEPARATING_SPLIT)
+
+
 def cross_ratio_cubics() -> CaseStudyReport:
     """Count nodal cubics through 8 points via a cross-ratio map.
 
@@ -104,12 +112,7 @@ def cross_ratio_cubics() -> CaseStudyReport:
     )  # a line through 2 of the 7 points plus the conic through the rest
     quantities["reducible-fibers"] = reducible
 
-    # a separating fiber has p1 on one component and p2 on the other; the
-    # line carries one of them plus one of the 5 remaining base points
-    per_side = comb(BASE_POINTS - 2, 1)
-    for side in SEPARATING_SPLIT:
-        _checked("separating split side", side, per_side)
-    separating = sum(SEPARATING_SPLIT)
+    separating = _separating()
     quantities["separating-reducibles"] = separating
 
     zero_points = NODE_FACTOR * separating  # B is nodal over each fiber
@@ -151,10 +154,7 @@ def fibration_cubics() -> CaseStudyReport:
     two points, so 2 A^2 = (A - A')^2 = -20.
     """
     quantities: dict[str, int] = {}
-    separating = sum(SEPARATING_SPLIT)
-    for side in SEPARATING_SPLIT:
-        _checked("separating split side", side, comb(BASE_POINTS - 2, 1))
-    components = NODE_FACTOR * separating
+    components = NODE_FACTOR * _separating()
     quantities["separating-components"] = _checked(
         "separating components", components, 20
     )

@@ -102,11 +102,10 @@ def cmd_kontsevich(args) -> int:
 
 
 def cmd_table(args) -> int:
-    """Compute the table, read and check the cache, append the rows it lacks."""
+    """Compute the table, check the cache against it, append the rows it lacks."""
     from . import cache, severi
     table = severi.severi_table(args.dmax, args.deltamax)
-    existing = cache.read_cache(args.cache, table)
-    conflict, verified, fresh = cache.check_records(table, existing)
+    conflict, verified, records, fresh = cache.check_cache(args.cache, table)
     if conflict:
         print("cache corruption %s" % conflict, file=sys.stderr)
         return 1
@@ -115,7 +114,7 @@ def cmd_table(args) -> int:
     print("cache %s" % args.cache)
     print("verified %d" % verified)
     print("appended %d" % len(fresh))
-    print("records %d" % (len(existing) + len(fresh)))
+    print("records %d" % (records + len(fresh)))
     return 0
 
 

@@ -26,11 +26,21 @@ def write_lines(path, lines, end="\n"):
     path.write_text("\n".join(lines) + end, encoding="utf-8")
 
 
+def respell(path):
+    """Rewrite each record line as another tool version would, so that no line
+    is byte for byte a table line and check_cache parses every one."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    write_lines(path, [header] + [json.dumps(dict(json.loads(line), **{"tool-version": "0"}))
+                                  for line in lines])
+
+
 def test_round_trip(tmp_path):
     path = tmp_path / "degrees.jsonl"
-    records = records_for(3, 1)
-    append(path, records)
-    assert cache.read_cache(path) == records
+    table = severi.severi_table(3, 1)
+    append(path, table_rows(table))
+    assert cache.check_cache(path, table) == (None, 32, 32, [])
+    respell(path)  # each line parses back to the table's own record
+    assert cache.check_cache(path, table) == (None, 32, 32, [])
 
 
 def test_header_line_is_pinned(tmp_path):
@@ -57,7 +67,10 @@ def test_append_preserves_existing_records(tmp_path):
     first, second = records_for(2, 1), records_for(3, 1)[10:]
     append(path, first)
     append(path, second)
-    assert cache.read_cache(path) == first + second
+    # the records of both appends, two of them identical duplicates
+    assert len({rec.index for rec in first + second}) == 32
+    assert cache.check_cache(path, severi.severi_table(3, 1)) == (
+        None, 32, len(first) + len(second), [])
     # exactly one header line
     text = path.read_text(encoding="utf-8")
     assert text.count('"format-version"') == 1
@@ -68,8 +81,9 @@ def test_huge_degree_survives(tmp_path):
     big = 10**40 + 7
     record = DegreeRecord(SeveriIndex(9, 0, (), (9,)), big, 20, 28)
     append(path, [record])
-    (loaded,) = cache.read_cache(path)
-    assert loaded.degree == big
+    conflict, _, records, _ = cache.check_cache(path, severi.severi_table(9, 0))
+    assert (conflict, records) == (
+        "at d=9 delta=0 alpha=[] beta=[9]: stored degree %d, recomputed 1" % big, 1)
     assert isinstance(json.loads(path.read_text().splitlines()[1])["degree"], str)
 
 
@@ -80,8 +94,9 @@ def test_degree_past_int_str_digit_cap_survives(tmp_path):
     cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
     record = DegreeRecord(SeveriIndex(9, 0, (), (9,)), big, 20, 28)
     append(path, [record])
-    (loaded,) = cache.read_cache(path)
-    assert loaded.degree == big
+    conflict, _, records, _ = cache.check_cache(path, severi.severi_table(9, 0))
+    assert (conflict, records) == ("at d=9 delta=0 alpha=[] beta=[9]: stored degree 1"
+                                   + "0" * 4999 + "7, recomputed 1", 1)
     assert ('"degree": "1' + "0" * 4999 + '7"') in path.read_text()
     # the cap is lifted only inside the cache calls
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
@@ -90,16 +105,17 @@ def test_degree_past_int_str_digit_cap_survives(tmp_path):
 def test_record_key_reconstructs_index(tmp_path):
     # a hand-written non-canonical profile reads back as the canonical index
     path = tmp_path / "degrees.jsonl"
-    write_lines(path, [
-        cache._header_line(),
-        json.dumps({"d": 3, "delta": 1, "alpha": [0, 0, 0], "beta": [3, 0],
-                    "degree": "12", "dim": 8, "genus": 0,
-                    "tool-version": __version__}),
-    ])
-    (record,) = cache.read_cache(path)
-    assert isinstance(record.index, SeveriIndex)
-    assert record.index == SeveriIndex(3, 1, (), (3,))
-    assert record.index == (3, 1, (), (3,))
+    table = severi.severi_table(3, 1)
+    (canonical,) = [r for r in table_rows(table) if r.index == (3, 1, (), (3,))]
+    raw = {"d": 3, "delta": 1, "alpha": [0, 0, 0], "beta": [3, 0], "dim": 8, "genus": 0,
+           "tool-version": __version__}
+    write_lines(path, [cache._header_line(), json.dumps(dict(raw, degree="12"))])
+    conflict, verified, records, fresh = cache.check_cache(path, table)
+    assert (conflict, verified, records, len(fresh)) == (None, 1, 1, 31)
+    assert cache._record_line(canonical) not in fresh
+    write_lines(path, [cache._header_line(), json.dumps(dict(raw, degree="13"))])
+    assert cache.check_cache(path, table)[0] == (
+        "at d=3 delta=1 alpha=[] beta=[3]: stored degree 13, recomputed 12")
 
 
 def test_one_raw_shape_reads_back_at_each_delta(tmp_path):
@@ -112,10 +128,10 @@ def test_one_raw_shape_reads_back_at_each_delta(tmp_path):
         json.dumps({**raw, "delta": 0, "degree": "1", "dim": 9, "genus": 1}),
         json.dumps({**raw, "delta": 1, "degree": "12", "dim": 8, "genus": 0}),
     ])
-    assert cache.read_cache(path) == [
-        DegreeRecord(SeveriIndex(3, 0, (), (3,)), 1, 9, 1),
-        DegreeRecord(SeveriIndex(3, 1, (), (3,)), 12, 8, 0),
-    ]
+    conflict, verified, records, fresh = cache.check_cache(path, severi.severi_table(3, 1))
+    assert (conflict, verified, records, len(fresh)) == (None, 2, 2, 30)
+    assert cache._record_line(DegreeRecord(SeveriIndex(3, 0, (), (3,)), 1, 9, 1)) not in fresh
+    assert cache._record_line(DegreeRecord(SeveriIndex(3, 1, (), (3,)), 12, 8, 0)) not in fresh
 
 
 def test_record_lines_equal_sorted_json_dumps():
@@ -150,9 +166,9 @@ def test_table_lines_formats_one_slice_at_a_time(monkeypatch):
     assert len(set(drawn)) > len(layers)  # more slices than layers
 
 
-def test_lines_matched_by_their_bytes_read_as_parsed(tmp_path):
-    # with the table passed, its own lines are read as themselves, unparsed;
-    # the other lines parse as without it
+def test_lines_matched_by_their_bytes_read_as_parsed(tmp_path, monkeypatch):
+    # the table's own lines are counted unparsed; the other lines parse as
+    # they do against an empty table, and verify against the table's records
     path = tmp_path / "degrees.jsonl"
     layers = severi.severi_table(6, 15)
     table = table_rows(layers)
@@ -167,10 +183,19 @@ def test_lines_matched_by_their_bytes_read_as_parsed(tmp_path):
         handle.write(json.dumps(respelled, separators=(",", ":")) + "\n")
         handle.write(json.dumps(other_version) + "\n")
         handle.write(cache._record_line(beyond) + "\n")
-    parsed = cache.read_cache(path)
-    assert parsed[len(table):] == [table[0], assigned, table[-1], beyond]
-    read = cache.read_cache(path, layers)
-    assert read == [cache._record_line(rec) for rec in table + [table[0]]] + parsed[-3:]
+    parsed = []
+
+    def logged(line, lineno, torn, _inner=cache._parse_record):
+        parsed.append(lineno)
+        return _inner(line, lineno, torn)
+
+    monkeypatch.setattr(cache, "_parse_record", logged)
+    records = len(table) + 4
+    assert cache.check_cache(path, ()) == (None, 0, records, [])
+    assert parsed == list(range(2, records + 2))
+    parsed.clear()
+    assert cache.check_cache(path, layers) == (None, len(table), records, [])
+    assert parsed == [records - 1, records, records + 1]
 
 
 def test_record_line_parses_back_to_its_record():
@@ -185,21 +210,40 @@ def test_record_line_parses_back_to_its_record():
 
 def test_missing_file_raises(tmp_path):
     # nothing to raise: a missing file is a new cache, with no records
-    assert cache.read_cache(tmp_path / "absent.jsonl") == []
+    table = severi.severi_table(2, 1)
+    assert cache.check_cache(tmp_path / "absent.jsonl", table) == (
+        None, 0, 0, list(cache.table_lines(table)))
 
 
 def test_file_that_is_not_utf8_raises(tmp_path):
     path = tmp_path / "binary.jsonl"
     path.write_bytes(cache._header_line().encode() + b"\n\xff\n")
     with pytest.raises(CacheError, match="^cannot read .*utf-8"):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
+
+
+def test_a_byte_that_is_not_utf8_is_placed_in_the_file_and_reported_first(tmp_path):
+    # past the first chunk the text reader decodes, and after a malformed line
+    path = tmp_path / "binary.jsonl"
+    append(path, records_for(5, 10))
+    data = path.read_bytes()
+    at = len(data) - 3
+    assert at > 3 * 8192
+    header = data.index(b"\n") + 1
+    path.write_bytes(data[:header] + b"not json\n" + data[header:at] + b"\xff" + data[at:])
+    with pytest.raises(CacheError) as caught:
+        cache.check_cache(path, ())
+    assert str(caught.value) == (
+        "cannot read %s: 'utf-8' codec can't decode byte 0xff in position %d: "
+        "invalid start byte" % (path, at + 9))
 
 
 def test_empty_file_raises(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
     # nothing to raise: a crash before the header's write leaves a new cache
-    assert cache.read_cache(path) == []
+    table = severi.severi_table(2, 1)
+    assert cache.check_cache(path, table) == (None, 0, 0, list(cache.table_lines(table)))
 
 
 def test_unknown_format_version_rejected_whole(tmp_path):
@@ -208,14 +252,14 @@ def test_unknown_format_version_rejected_whole(tmp_path):
     lines += [cache._record_line(record) for record in records_for(2, 0)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(CacheError, match="format-version"):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
 
 
 def test_header_without_version_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps({"tool": "curvecount"}) + "\n", encoding="utf-8")
     with pytest.raises(CacheError):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
 
 
 def test_malformed_record_line_raises(tmp_path):
@@ -224,7 +268,7 @@ def test_malformed_record_line_raises(tmp_path):
     with open(path, "a", encoding="utf-8") as handle:
         handle.write("not json\n")
     with pytest.raises(CacheError, match="not valid JSON"):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
 
 
 def test_wrong_fields_raise(tmp_path):
@@ -235,7 +279,7 @@ def test_wrong_fields_raise(tmp_path):
         cache._header_line() + "\n" + json.dumps(record) + "\n", encoding="utf-8"
     )
     with pytest.raises(CacheError, match="expected fields"):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
 
 
 def test_non_numeric_degree_raises(tmp_path):
@@ -246,7 +290,7 @@ def test_non_numeric_degree_raises(tmp_path):
         cache._header_line() + "\n" + json.dumps(record) + "\n", encoding="utf-8"
     )
     with pytest.raises(CacheError, match="malformed record"):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
 
 
 @pytest.mark.parametrize(
@@ -268,7 +312,7 @@ def test_non_integer_field_is_malformed(tmp_path, fields):
     record.update(fields)
     write_lines(path, [cache._header_line(), json.dumps(record)])
     with pytest.raises(CacheError, match="^line 2: malformed record: "):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
 
 
 def test_blank_lines_are_tolerated(tmp_path):
@@ -277,7 +321,7 @@ def test_blank_lines_are_tolerated(tmp_path):
     append(path, records)
     with open(path, "a", encoding="utf-8") as handle:
         handle.write("\n")
-    assert cache.read_cache(path) == records
+    assert cache.check_cache(path, severi.severi_table(2, 1)) == (None, 12, 12, [])
 
 
 def test_record_line_is_pinned():
@@ -304,7 +348,7 @@ def test_invalid_index_is_corruption(tmp_path, fields):
     record.update(fields)
     write_lines(path, [cache._header_line(), json.dumps(record)])
     with pytest.raises(CacheCorruption, match="^invalid index d="):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
 
 
 def test_first_invalid_index_is_reported(tmp_path):
@@ -313,7 +357,7 @@ def test_first_invalid_index_is_reported(tmp_path):
     first["beta"], second["beta"] = [7], [8]
     write_lines(path, [cache._header_line(), json.dumps(first), json.dumps(second)])
     with pytest.raises(CacheCorruption) as caught:
-        cache.read_cache(path)
+        cache.check_cache(path, ())
     assert str(caught.value) == "invalid index d=%d delta=%d alpha=%s beta=[7]" % (
         first["d"], first["delta"], first["alpha"]
     )
@@ -325,7 +369,7 @@ def test_malformed_record_is_reported_before_an_invalid_index(tmp_path):
     bad_index["beta"] = [4]
     write_lines(path, [cache._header_line(), json.dumps(bad_index), "not json"])
     with pytest.raises(CacheError, match="line 3: not valid JSON"):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
 
 
 @pytest.mark.parametrize("cut", [1, 20, -2])
@@ -336,7 +380,7 @@ def test_torn_last_line_is_corruption(tmp_path, cut):
     last = data.rstrip(b"\n").rfind(b"\n") + 1
     path.write_bytes(data[:last + cut] if cut > 0 else data[:cut])
     with pytest.raises(CacheCorruption, match="^torn last line 33$"):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
 
 
 @pytest.mark.parametrize("cut", [1, 20, -1])
@@ -344,14 +388,14 @@ def test_torn_header_is_corruption(tmp_path, cut):
     path = tmp_path / "degrees.jsonl"
     path.write_text(cache._header_line()[:cut], encoding="utf-8")
     with pytest.raises(CacheCorruption, match="^torn header$"):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
 
 
 def test_malformed_header_with_its_newline_is_still_an_error(tmp_path):
     path = tmp_path / "degrees.jsonl"
     write_lines(path, [cache._header_line()[:20]])
     with pytest.raises(CacheError, match="malformed header"):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
 
 
 # json.loads raises RecursionError on this, not JSONDecodeError
@@ -362,21 +406,21 @@ def test_deeply_nested_record_line_raises(tmp_path):
     path = tmp_path / "deep.jsonl"
     write_lines(path, [cache._header_line(), DEEP])
     with pytest.raises(CacheError, match="^line 2: not valid JSON: "):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
 
 
 def test_deeply_nested_header_raises(tmp_path):
     path = tmp_path / "deep.jsonl"
     write_lines(path, [DEEP])
     with pytest.raises(CacheError, match="malformed header"):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
 
 
 def test_deeply_nested_torn_last_line_is_corruption(tmp_path):
     path = tmp_path / "deep.jsonl"
     write_lines(path, [cache._header_line(), DEEP], end="")
     with pytest.raises(CacheCorruption, match="^torn last line 2$"):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
 
 
 def test_header_with_a_long_integer_raises(tmp_path):
@@ -384,7 +428,7 @@ def test_header_with_a_long_integer_raises(tmp_path):
     path = tmp_path / "long.jsonl"
     write_lines(path, ['{"format-version": %s}' % ("9" * 5000)])
     with pytest.raises(CacheError):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
 
 
 def test_invalid_index_with_a_long_integer_is_corruption(tmp_path):
@@ -393,7 +437,7 @@ def test_invalid_index_with_a_long_integer_is_corruption(tmp_path):
     assert line.count('"d": 1,') == 1
     write_lines(path, [cache._header_line(), line.replace('"d": 1,', '"d": %s,' % ("9" * 5000))])
     with pytest.raises(CacheCorruption, match="^invalid index d=9999"):
-        cache.read_cache(path)
+        cache.check_cache(path, ())
 
 
 def test_append_after_a_lost_final_newline_starts_a_new_line(tmp_path):
@@ -401,9 +445,12 @@ def test_append_after_a_lost_final_newline_starts_a_new_line(tmp_path):
     first, second = records_for(2, 1), records_for(3, 1)[12:]
     append(path, first)
     path.write_bytes(path.read_bytes()[:-1])
-    assert cache.read_cache(path) == first  # the last record is whole
+    # the last record is whole: by its bytes, and parsed
+    assert cache.check_cache(path, severi.severi_table(2, 1)) == (None, 12, 12, [])
+    assert cache.check_cache(path, ()) == (None, 0, 12, [])
     append(path, second)
-    assert cache.read_cache(path) == first + second
+    assert cache.check_cache(path, severi.severi_table(3, 1)) == (
+        None, 32, len(first) + len(second), [])
 
 
 def test_append_fsyncs_each_batch(tmp_path, monkeypatch):

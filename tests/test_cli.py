@@ -329,7 +329,7 @@ def test_table_computes_then_checks_the_cache(
     damage(path)
     damaged = path.read_bytes()
     calls = []
-    for module, name in [(severi, "severi_table"), (cache, "read_cache")]:
+    for module, name in [(severi, "severi_table"), (cache, "check_cache")]:
         def logged(*args, _inner=getattr(module, name), _name=name):
             calls.append(_name)
             return _inner(*args)
@@ -337,7 +337,7 @@ def test_table_computes_then_checks_the_cache(
     got, out, err = run(argv, capsys)
     assert (got, out) == (code, "")
     assert message in err
-    assert calls == ["severi_table", "read_cache"]
+    assert calls == ["severi_table", "check_cache"]
     assert path.read_bytes() == damaged
 
 
@@ -379,6 +379,40 @@ def test_table_makes_no_record_for_a_line_it_would_write(tmp_path, monkeypatch, 
         0, "cache %s\nverified 0\nappended 588\nrecords 588\n" % path, "")
     assert run(argv, capsys) == (
         0, "cache %s\nverified 588\nappended 0\nrecords 588\n" % path, "")
+
+
+def test_table_rerun_never_reads_the_cache_whole(tmp_path, monkeypatch, capsys):
+    # the re-run iterates the file, so it never holds the whole text at once
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "5", "--deltamax", "10", "--cache", str(path)]
+    run(argv, capsys)
+
+    def refuse(*args):
+        raise AssertionError("read the cache whole")
+
+    def lines_only(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        handle.read = handle.readlines = refuse
+        return handle
+
+    monkeypatch.setattr(cache, "open", lines_only, raising=False)
+    assert run(argv, capsys) == (
+        0, "cache %s\nverified 588\nappended 0\nrecords 588\n" % path, "")
+
+
+def test_table_formats_its_lines_once_over_a_partial_cache(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "cache.jsonl")
+    run(["table", "--dmax", "2", "--deltamax", "1", "--cache", path], capsys)
+    calls = []
+
+    def counted(table, _inner=cache.table_lines):
+        calls.append(table)
+        return _inner(table)
+
+    monkeypatch.setattr(cache, "table_lines", counted)
+    assert run(["table", "--dmax", "3", "--deltamax", "1", "--cache", path], capsys) == (
+        0, "cache %s\nverified 12\nappended 20\nrecords 32\n" % path, "")
+    assert len(calls) == 1
 
 
 def test_table_extends_cache(tmp_path, capsys):
@@ -505,6 +539,50 @@ def test_table_detects_tampering_among_lines_of_another_version(tmp_path, capsys
         "stored degree 13, recomputed 12\n"
     )
     assert path.read_bytes() == before
+
+
+def _respelled(line, **fields):
+    return json.dumps(dict(json.loads(line), **fields), sort_keys=True)
+
+
+def test_table_reports_a_contradicting_duplicate_before_a_tampered_row(tmp_path, capsys):
+    # every record is checked against the first of its index, in file order,
+    # before any is checked against the table
+    path = tmp_path / "cache.jsonl"
+    run(["table", "--dmax", "4", "--deltamax", "3", "--cache", str(path)], capsys)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[1])["d"] == 1
+    lines[1] = _respelled(lines[1], degree="99")
+    outside = json.loads(lines[-1])  # d = 4, delta = 3: outside a (3, 1) table
+    assert (outside["d"], outside["delta"]) == (4, 3)
+    lines.append(_respelled(lines[-1], degree=str(int(outside["degree"]) + 1)))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(
+        ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("cache corruption at d=4 delta=3 alpha=%s beta=%s: "
+                   "stored degree %s, stored again as %d\n"
+                   % (outside["alpha"], outside["beta"], outside["degree"],
+                      int(outside["degree"]) + 1))
+
+
+def test_table_reports_the_lowest_tampered_index_first(tmp_path, capsys):
+    # rows are checked against the table in index order, not in file order
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(path)]
+    run(argv, capsys)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    (hero,) = [i for i, line in enumerate(lines[1:], start=1)
+               if json.loads(line)["beta"] == [3] and json.loads(line)["delta"] == 1]
+    lines[hero] = _respelled(lines[hero], degree="13")
+    first = lines.pop(1)
+    assert json.loads(first)["d"] == 1
+    lines.append(_respelled(first, degree="99"))  # the lowest index, last in the file
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == ("cache corruption at d=1 delta=0 alpha=[] beta=[1]: "
+                   "stored degree 99, recomputed 1\n")
 
 
 def test_table_reports_invalid_index_as_corruption(tmp_path, capsys):

@@ -2,7 +2,8 @@
 Fraction appears only where the WDVV residual is read back in the ordinary
 basis x1^a x2^b.  Outside seqs, only SeveriIndex canonicalizes a profile.
 Only severi keeps the memo's counter; the route's module reads and writes the
-memo through severi_degree and put alone."""
+memo through severi_degree and put alone.  The table command reads the cache
+through check_cache alone."""
 
 import ast
 import os
@@ -163,6 +164,29 @@ def test_the_route_module_never_touches_the_memo():
 def test_the_memo_use_guard_sees_each_kind():
     tree = ast.parse("f(memo)\nmemo.put(i, v)\nmemo[i]\ng(x, key=memo)\nlen(memo)\n")
     assert sorted(memo_uses(tree)) == ["Subscript", "f", "keyword", "len", "memo.put"]
+
+
+def names_read_from(tree, module):
+    """Each name that tree reads from module: module.<name>, or an imported name."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == module):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == module:
+            yield from (alias.name for alias in node.names)
+
+
+def test_table_reads_the_cache_only_through_check_cache():
+    # one pass checks the file; append_records writes the rows it lacks
+    path = pathlib.Path(curvecount.__file__).parent / "cli.py"
+    (cmd_table,) = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.FunctionDef) and node.name == "cmd_table"]
+    assert set(names_read_from(cmd_table, "cache")) == {"check_cache", "append_records"}
+
+
+def test_the_cache_name_guard_sees_each_kind():
+    tree = ast.parse("from .cache import table_lines\ncache.read(p)\nx = cache.y\nother.z\n")
+    assert sorted(names_read_from(tree, "cache")) == ["read", "table_lines", "y"]
 
 
 def modules_after(statement):
