@@ -353,8 +353,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         from . import cache, classical, severi  # the error classes, loaded only here
         for classes, code, prefix in (
-                ((severi.WeightMismatch, severi.NonPositiveDegree, cache.CacheError),
-                 2, "error"),
+                ((severi.InvalidIndex, cache.CacheError), 2, "error"),
                 (classical.ArithmeticMismatch, 1, "verification failure"),
                 (cache.CacheCorruption, 1, "cache corruption")):
             if isinstance(exc, classes):

@@ -52,27 +52,24 @@ import operator
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, prod
 
 from . import seqs
 
 
-class WeightMismatch(ValueError):
-    """Tangency profiles do not account for the full degree."""
-
-
-class NonPositiveDegree(ValueError):
-    """Curve degree d must be at least 1."""
+class InvalidIndex(ValueError):
+    """A label with d < 1, or profiles that do not account for the full degree."""
 
 
 class SeveriIndex(namedtuple("SeveriIndex", "d delta alpha beta")):
     """Canonical label (d, delta, alpha, beta) of a generalized Severi variety.
 
     Construction canonicalizes the profiles and enforces the weight
-    constraint, so an index in hand is always valid; delta may be any
-    integer (out-of-range values simply have degree 0).
+    constraint (InvalidIndex), so an index in hand is always valid; delta
+    may be any integer (out-of-range values simply have degree 0).  The
+    engine's children are plain tuples and its memo keys _Key, built valid.
     """
 
     __slots__ = ()
@@ -80,11 +77,11 @@ class SeveriIndex(namedtuple("SeveriIndex", "d delta alpha beta")):
     def __new__(cls, d: int, delta: int, alpha=(), beta=()):
         d, delta = operator.index(d), operator.index(delta)  # a float or str raises TypeError
         if d < 1:
-            raise NonPositiveDegree("degree d must be >= 1, got %d" % d)
+            raise InvalidIndex("degree d must be >= 1, got %d" % d)
         alpha, beta = seqs.canon(alpha), seqs.canon(beta)
         got = seqs.weight(alpha) + seqs.weight(beta)
         if got != d:
-            raise WeightMismatch(
+            raise InvalidIndex(
                 "profiles must satisfy sum(k*alpha_k) + sum(k*beta_k) = d: "
                 "got weight %d for d = %d (alpha=%r, beta=%r)"
                 % (got, d, alpha, beta)
@@ -96,20 +93,20 @@ class SeveriIndex(namedtuple("SeveriIndex", "d delta alpha beta")):
         return cls(*iterable)
 
 
-# Unchecked, C-speed constructor for children, which are valid by construction.
-_index = partial(tuple.__new__, SeveriIndex)
 validate = SeveriIndex  # the old name of the checked constructor
+_Key = namedtuple("_Key", SeveriIndex._fields)  # memo keys, unchecked; bench/tracer.py reads .d
 
 
-def genus(index: SeveriIndex) -> int:
+def genus(index: tuple) -> int:
     """Geometric genus C(d-1, 2) - delta of the parametrized curves.
 
     May be negative for delta beyond the genus bound.
     """
-    return comb(index.d - 1, 2) - index.delta
+    d, delta, _, _ = index
+    return comb(d - 1, 2) - delta
 
 
-def dimension(index: SeveriIndex) -> int:
+def dimension(index: tuple) -> int:
     """Dimension of the variety, equal to the number of point conditions:
     d(d+3)/2 - delta - sum(k*alpha_k) - sum((k-1)*beta_k), which equals
     2d + g - 1 + |beta| because the weights of alpha and beta sum to d.
@@ -119,7 +116,7 @@ def dimension(index: SeveriIndex) -> int:
 
 
 class MemoStore(dict):
-    """Write-once memo of computed degrees, a dict keyed by canonical index.
+    """Write-once memo of computed degrees, keyed by _Key (d, delta, alpha, beta).
 
     The engine reads it as a dict and writes it through put: a second put
     with the same value is a benign no-op, and a conflicting value raises,
@@ -136,7 +133,7 @@ class MemoStore(dict):
     def __init__(self):
         self.hits = 0
 
-    def put(self, index: SeveriIndex, value: int) -> int:
+    def put(self, index: tuple, value: int) -> int:
         stored = self.setdefault(index, value)
         if stored != value:
             raise RuntimeError(
@@ -231,11 +228,11 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
         from .goettsche import extrapolate, window_start  # compiled only once a query may take it
         d0 = window_start(delta)
         if d - d0 >= 3:
-            rows = [[severi_degree(_index((n, k, (), (n,))), memo)
+            rows = [[severi_degree((n, k, (), (n,)), memo)
                      for k in range(delta + 1)] for n in range(d0, d0 + 3)]
-            return memo.put(_index((d, delta, (), _share(beta, beta))), extrapolate(rows, d - d0))
+            return memo.put(_Key(d, delta, (), _share(beta, beta)), extrapolate(rows, d - d0))
     with _stack_room(d):
-        return _degree(_index((d, delta, _share(alpha, alpha), _share(beta, beta))), memo)
+        return _degree((d, delta, _share(alpha, alpha), _share(beta, beta)), memo)
 
 
 @contextmanager
@@ -252,7 +249,7 @@ def _stack_room(d: int):
         sys.setrecursionlimit(saved)
 
 
-def _degree(index: SeveriIndex, memo: MemoStore) -> int:
+def _degree(index: tuple, memo: MemoStore) -> int:
     """Degree at an index with delta > 0 that the vanishing rule does not mark
     and the memo lacks: each call stores one memo entry.  Each child is a plain
     tuple of shared profiles, looked up in the memo; a miss recurses, except at
@@ -268,7 +265,7 @@ def _degree(index: SeveriIndex, memo: MemoStore) -> int:
         child = (d, delta, raised[j - 1], lowered)
         value = lookup(child)
         if value is None:
-            value = _degree(_index(child), memo)
+            value = _degree(child, memo)
         else:
             hits += 1
         total += j * value
@@ -284,13 +281,13 @@ def _degree(index: SeveriIndex, memo: MemoStore) -> int:
             child = (top, shift + c_size, a_prime, b_prime)
             value = lookup(child)
             if value is None:
-                value = _degree(_index(child), memo) if shift + c_size else _nodeless(b_prime)
+                value = _degree(child, memo) if shift + c_size else _nodeless(b_prime)
             else:
                 hits += 1
             part += coeff * value
         total += assigned * part
     memo.hits += hits
-    return memo.put(index, total)
+    return memo.put(_Key._make(index), total)
 
 
 def severi_table(d_max: int, delta_max: int) -> list[list[tuple]]:
@@ -303,7 +300,7 @@ def severi_table(d_max: int, delta_max: int) -> list[list[tuple]]:
     from layer d - 1 alone, |beta| ascending: no memo, no recursion.
     """
     if d_max < 1:
-        raise NonPositiveDegree("d_max must be >= 1, got %d" % d_max)
+        raise ValueError("d_max must be >= 1, got %d" % d_max)
     if delta_max < 0:
         raise ValueError("delta_max must be >= 0, got %d" % delta_max)
     out = []
@@ -317,7 +314,7 @@ def severi_table(d_max: int, delta_max: int) -> list[list[tuple]]:
         shapes = sorted((alpha, beta) for w in range(d + 1)
                         for alpha in seqs.partitions(w)
                         for beta in seqs.partitions(d - w))
-        layer = {}
+        layer = dict.fromkeys(shapes)  # rows in sorted order, filled |beta| ascending
         for alpha, beta in sorted(shapes, key=lambda shape: sum(shape[1])):
             size = min(span, comb(top, 2) + sum(alpha) + sum(beta))
             layer[alpha, beta] = poly = [0] * size
@@ -332,8 +329,8 @@ def severi_table(d_max: int, delta_max: int) -> list[list[tuple]]:
                     factor = assigned * coeff
                     for delta, value in enumerate(child, shift):
                         poly[delta] += factor * value
-        out.append([(alpha, beta, poly + [0] * (span - len(poly)), dimension(i), genus(i))
-                    for alpha, beta in shapes
-                    for i, poly in [(_index((d, 0, alpha, beta)), layer[alpha, beta])]])
+        out.append([(alpha, beta, poly + [0] * (span - len(poly)),
+                     dimension((d, 0, alpha, beta)), genus((d, 0, alpha, beta)))
+                    for (alpha, beta), poly in layer.items()])
         below = layer
     return out

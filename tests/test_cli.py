@@ -1018,7 +1018,7 @@ def test_verify_one_node_reads_the_recursion(monkeypatch, capsys):
     degree = severi._degree
     monkeypatch.setattr(
         severi, "_degree",
-        lambda index, memo: degree(index, memo) + (index.delta == 1 and index.d >= 4))
+        lambda index, memo: degree(index, memo) + (index[1] == 1 and index[0] >= 4))
     code, out, _ = run(["verify", "one-node", "--dmax", "12"], capsys)
     assert code == 1
     assert out.splitlines()[0] == "one-node d=2..12 disagreements=9"

@@ -1,9 +1,9 @@
 """The package computes with ints only: no float reaches a count, and a
 Fraction appears only where the WDVV residual is read back in the ordinary
-basis x1^a x2^b.  Outside seqs, only SeveriIndex canonicalizes a profile.
-Only severi keeps the memo's counter; the route's module reads and writes the
-memo through severi_degree and put alone.  The table command reads the cache
-through check_cache alone."""
+basis x1^a x2^b.  Outside seqs, only SeveriIndex canonicalizes a profile, and
+only its own constructor calls tuple.__new__, so no SeveriIndex skips the
+check.  Only severi keeps the memo's counter; the route's module never touches
+the memo.  The table command reads the cache through check_cache alone."""
 
 import ast
 import os
@@ -45,17 +45,30 @@ def fraction_references(node, scope="<module>"):
         yield from fraction_references(child, scope)
 
 
-def canon_references(node, scope="<module>"):
-    """(scope, line) for each use of the name canon: a name, an attribute or an
-    imported name; scope is the dotted path of the enclosing defs and classes."""
+def scoped_references(node, hit, scope="<module>"):
+    """(scope, line) for each node where hit(node) holds; scope is the dotted
+    path of the enclosing defs and classes."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         scope = node.name if scope == "<module>" else "%s.%s" % (scope, node.name)
-    if (isinstance(node, ast.Name) and node.id == "canon"
-            or isinstance(node, ast.Attribute) and node.attr == "canon"
-            or isinstance(node, ast.alias) and node.name == "canon"):
+    if hit(node):
         yield scope, node.lineno
     for child in ast.iter_child_nodes(node):
-        yield from canon_references(child, scope)
+        yield from scoped_references(child, hit, scope)
+
+
+def canon_references(tree):
+    """Each use of the name canon: a name, an attribute or an imported name."""
+    return scoped_references(tree, lambda node: (
+        isinstance(node, ast.Name) and node.id == "canon"
+        or isinstance(node, ast.Attribute) and node.attr == "canon"
+        or isinstance(node, ast.alias) and node.name == "canon"))
+
+
+def tuple_new_references(tree):
+    """Each use of tuple.__new__, which builds a tuple subclass unchecked."""
+    return scoped_references(tree, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "tuple"))
 
 
 def test_every_module_is_checked():
@@ -113,6 +126,27 @@ def test_the_canon_guard_sees_each_kind():
     )
     assert sorted(canon_references(tree)) == [
         ("<module>", 1), ("<module>", 5), ("A.f", 4),
+    ]
+
+
+def test_only_the_checked_constructor_calls_tuple_new():
+    # every SeveriIndex passes its checks; the memo's unchecked keys are _Key
+    found = {
+        (path.stem, scope)
+        for path in MODULES
+        for scope, _ in tuple_new_references(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {("severi", "SeveriIndex.__new__")}
+
+
+def test_the_tuple_new_guard_sees_each_kind():
+    tree = ast.parse(
+        "_make = partial(tuple.__new__, A)\nclass A(tuple):\n"
+        "    def __new__(cls, x):\n        return tuple.__new__(cls, x)\n"
+        "def f():\n    return tuple.__new__\nsuper().__new__(B)\nlist.__new__(list)\n"
+    )
+    assert sorted(tuple_new_references(tree)) == [
+        ("<module>", 1), ("A.__new__", 4), ("f", 6),
     ]
 
 

@@ -2,10 +2,14 @@
 
 import ast
 import inspect
+import json
+import os
 import pathlib
 import random
+import subprocess
 import sys
 import textwrap
+from collections import Counter
 from functools import lru_cache
 from math import comb, factorial
 
@@ -30,9 +34,9 @@ def indices(d, delta_max=None):
 
 # ----------------------------------------------------------- validation
 def test_weight_mismatch_rejected():
-    with pytest.raises(severi.WeightMismatch):
+    with pytest.raises(severi.InvalidIndex, match="got weight 0 for d = 2"):
         severi.validate(2, 1, (), ())
-    with pytest.raises(severi.WeightMismatch):
+    with pytest.raises(severi.InvalidIndex, match="got weight 2 for d = 3"):
         severi.validate(3, 0, (1,), (1,))
 
 
@@ -51,15 +55,15 @@ def test_validate_is_the_checked_constructor():
 
 
 def test_nonpositive_degree_rejected():
-    with pytest.raises(severi.NonPositiveDegree):
+    with pytest.raises(severi.InvalidIndex, match="degree d must be >= 1, got 0"):
         severi.validate(0, 0, (), ())
 
 
 def test_replace_validates():
     index = idx(3, 1, (), (3,))
-    with pytest.raises(severi.WeightMismatch):
+    with pytest.raises(severi.InvalidIndex, match="got weight 3 for d = 5"):
         index._replace(d=5)
-    with pytest.raises(severi.NonPositiveDegree):
+    with pytest.raises(severi.InvalidIndex, match="degree d must be >= 1"):
         index._replace(d=0)
     assert index._replace(delta=2, beta=(3, 0)) == idx(3, 2, (), (3,))
 
@@ -506,7 +510,7 @@ def test_degree_runs_once_per_miss_and_never_at_delta_zero(monkeypatch):
     deltas, degree = [], severi._degree
 
     def counted(index, memo):
-        deltas.append(index.delta)
+        deltas.append(index[1])
         return degree(index, memo)
 
     monkeypatch.setattr(severi, "_degree", counted)
@@ -521,14 +525,35 @@ def test_degree_runs_once_per_miss_and_never_at_delta_zero(monkeypatch):
 
 
 def test_node_poly_sweep_keys_share_one_tuple_per_profile():
-    # N(d, delta; (), (d)) over the windows d = delta..3 delta + 1, delta <= 6
+    # N(d, delta; (), (d)) over the windows d = delta..3 delta + 1, delta <= 6;
+    # every key, routed or recursed, is a _Key copy, never an unchecked SeveriIndex
     memo = MemoStore()
     for delta in range(7):
         for d in range(max(1, delta), 3 * delta + 2):
             severi.severi_degree(idx(d, delta, (), (d,)), memo)
     assert len(memo) == 314
+    assert all(type(k) is severi._Key for k in memo)
     assert len({id(k.alpha) for k in memo}) == len({k.alpha for k in memo})
     assert len({id(k.beta) for k in memo}) == len({k.beta for k in memo})
+
+
+def test_a_traced_sweep_counts_each_memo_entry_in_its_layer(tmp_path):
+    # bench/tracer.py wraps MemoStore.put and counts its key's .d; the sweep
+    # recurses and routes, as the benchmark's node-poly op does
+    pairs = [(d, delta) for delta in range(4) for d in range(max(1, delta), 3 * delta + 2)]
+    root, src = (pathlib.Path(f).resolve().parents[1] for f in (__file__, severi.__file__))
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "child.py"), "--stats-out",
+         str(tmp_path / "stats.json"), "--trace-out", str(tmp_path / "trace.json"),
+         "sweep", ",".join("%d:%d" % pair for pair in pairs)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    memo = MemoStore()
+    for d, delta in pairs:
+        severi.severi_degree(idx(d, delta, (), (d,)), memo)
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert trace["memo_entries"] == len(memo)
+    assert {int(d): n for d, n in trace["layer_indices"].items()} == Counter(k[0] for k in memo)
 
 
 @pytest.mark.parametrize("w", range(9))
@@ -669,10 +694,12 @@ def test_severi_table_delta_cap():
 
 
 def test_severi_table_rejects_bad_bounds():
-    with pytest.raises(severi.NonPositiveDegree):
-        severi.severi_table(0, 1)
-    with pytest.raises(ValueError):
-        severi.severi_table(2, -1)
+    # plain ValueError, as for the other engines' bounds: no index is at fault
+    for bounds, message in (((0, 1), "d_max must be >= 1, got 0"),
+                            ((2, -1), "delta_max must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=message) as info:
+            severi.severi_table(*bounds)
+        assert type(info.value) is ValueError
 
 
 def test_severi_table_has_no_memo_parameter():
