@@ -17,50 +17,35 @@ routes: for every k <= 10 the third differences of ell_k(d) vanish on
 d = ceil(k/2) + 1..12 (from d = 1 for k <= 2, and they fail at ceil(k/2) for
 every k >= 3), a range that holds the proven window k..k + 2, so the quadratic
 there is the proven one; tests/test_severi.py checks exactly this, through
-d = CERTIFIED_DELTA + 2.  So the window of delta nodes starts at
-d0 = min(delta, ceil(delta/2) + 1) for delta <= CERTIFIED_DELTA and at the
-proven d0 = delta above (window_start), and d0, d0 + 1, d0 + 2 give
-N(d, delta) at every d >= d0 + 3: ell_k(d0 + t) = v + t D + C(t, 2) D^2, with
-v = ell_k(d0) and D the forward difference, for each k <= delta (d0 never falls
-as delta grows, so each ell_k is a quadratic from d0 on), then F_d up to
-x^delta from the same identity, each division by n exact.  Ints and comb alone.
+d = CERTIFIED_DELTA + 2.  So ell_k is a quadratic from d0 = window_start(k) on,
+and d0 never falls as k grows: at d >= window_start(delta), F_d up to x^delta
+follows from ell_1..ell_delta by the identity, each division by n exact.
 
-extrapolate is that step alone, on ints: rows[i] = [N(d0 + i, k; (), (d0 + i))
-for k <= delta], i = 0, 1, 2, and t = d - d0 give N(d, delta; (), (d)).  This
-module imports nothing from the package.  severi.severi_degree reads the rows
-as its own queries, so the windows nested in a window are read once, and
-stores the result.  On the benchmark's node-poly sweep (d = delta..3 delta + 1,
-delta <= 6, one store) the narrow windows cut the recursion's calls from 838
-to 272 and the stored entries from 879 to 314.
+NODE_CONSTANTS freezes ell_k(d0 + t) = v + t D1 + C(t, 2) D2 as (d0, v, D1,
+D2) for k <= CERTIFIED_DELTA, read from severi_table(8, 10); node_degree
+evaluates them in O(delta^2) int operations, with no memo and no recursion,
+and raises ArithmeticError at a division that is not exact, which only a wrong
+constant or row makes.  Above, extrapolate reads ell_k at the window d0..d0 +
+2, d0 = delta, and takes t = d - d0 >= 3, the least the window allows; it
+pays: 0.23 against 0.57 s for the recursion at (17, 12) (median of 5 fresh
+processes, Python 3.11.7, Xeon).
 
-The threshold 3 is the least the window allows, and measured: with d0 = delta,
-at delta <= 12, d = delta + 3..delta + 6, one fresh process per query, 5 a side
-(Python 3.11.7, one Xeon core), the route's median was below the recursion's
-at 45 of the 48 points and equal at (4, 1), (5, 1) and (5, 2), e.g. 0.23
-against 0.57 s at (17, 12).  At the 16 points that the narrow windows add
-(delta = 4..10, d = d0 + 3..delta + 2; 5 fresh processes a side, every module
-compiled from source) it was below at 15, at (7, 5) by 0.1 ms, and 0.3 ms above
-at (6, 4), where compiling this module costs more than it saves; e.g. 0.017
-against 0.118 s at (12, 10).  Narrow windows also cut the routes above them:
-(13, 10) 0.112 -> 0.015 s, (30, 10) 0.095 -> 0.014 s.  At (60, 4) the route
-takes 0.003 s against 0.34 s on the recursion, and it needs no frame per
-degree layer, so (100000, 3) is answered at once.
-
-severi imports this module only when a query may take the route, so a process
-that never does compiles none of it: inside severi.py, this code and its text
-raised the peak RSS of the benchmark's deep-query workload, which never takes
-the route, by 0.18 MB (median of 10 runs a side) when every module compiles
-from source.  severi keeps the seven lines that read the window and store the
-result.
+This module imports nothing from the package and never touches a memo; severi
+imports it only when a query may take a route (inside severi.py, the route
+raised deep-query's peak RSS, though it never routes, by 0.18 MB).
 """
 
 from __future__ import annotations
 
 from math import comb
 
-# narrow windows up to this delta: tests/test_severi.py checks ell_k on
-# severi_table through d = CERTIFIED_DELTA + 2
-CERTIFIED_DELTA = 10
+CERTIFIED_DELTA = 10  # tests/test_severi.py checks ell_k through d = CERTIFIED_DELTA + 2
+NODE_CONSTANTS = (  # (d0, v, D1, D2) of ell_k, k = 1..CERTIFIED_DELTA, d0 = window_start(k)
+    (1, 0, 3, 6), (2, -9, -93, -84), (3, 1017, 2466, 1380), (3, -10242, -36585, -24120),
+    (4, 652887, 993906, 435456), (4, -9266661, -16641324, -8020656),
+    (5, 415044594, 432504036, 149769864), (5, -6733151244, -7675405137, -2824761960),
+    (6, 247625908011, 191118832110, 53685453360),
+    (6, -4292006518125, -3504322720404, -1026481905504))
 
 
 def _log_derivative(coeffs: list[int]) -> list[int]:
@@ -77,12 +62,22 @@ def window_start(delta: int) -> int:
     return min(delta, (delta + 1) // 2 + 1) if delta <= CERTIFIED_DELTA else delta
 
 
+def node_degree(d: int, delta: int, constants=NODE_CONSTANTS) -> int:
+    """N(d, delta; (), (d)) from (d0, v, D1, D2) per k = 1..delta, all d0 <= d: by
+    default the frozen ones, for delta <= CERTIFIED_DELTA, d >= window_start(delta)."""
+    ell = [0] + [v + (d - d0) * d1 + comb(d - d0, 2) * d2
+                 for d0, v, d1, d2 in constants[:delta]]
+    coeffs = [1]
+    for n in range(1, delta + 1):
+        value, rest = divmod(sum(ell[k] * coeffs[n - k] for k in range(1, n + 1)), n)
+        if rest:
+            raise ArithmeticError("inexact division by %d: a wrong node constant or row" % n)
+        coeffs.append(value)
+    return coeffs[-1]
+
+
 def extrapolate(rows: list[list[int]], t: int) -> int:
     """N(d, delta; (), (d)) from the window rows d0..d0 + 2 of N(n, k; (), (n)),
-    k <= delta, and t = d - d0 >= 3."""
-    ell = [v + t * (v1 - v) + comb(t, 2) * (v2 - 2 * v1 + v)
-           for v, v1, v2 in zip(*map(_log_derivative, rows))]
-    coeffs = [1]
-    for n in range(1, len(ell)):
-        coeffs.append(sum(ell[k] * coeffs[n - k] for k in range(1, n + 1)) // n)
-    return coeffs[-1]
+    k <= delta, and t = d - d0 >= 3: node_degree on the window's constants."""
+    window = list(zip(*map(_log_derivative, rows)))[1:]  # (ell_k(d0 + i) for i < 3) per k
+    return node_degree(t, len(window), [(0, a, b - a, c - 2 * b + a) for a, b, c in window])

@@ -42,7 +42,7 @@ to the closed form; severi_table fills whole tables bottom-up, by the
 recursion alone, and returns them as one list by delta per (d, alpha, beta),
 with no object per row.  All values are exact.
 
-At alpha = (), beta = (d) and d >= d0 + 3, severi_degree uses Goettsche's form
+At alpha = (), beta = (d) and d >= d0, severi_degree uses Goettsche's form
 (module goettsche).
 """
 
@@ -210,27 +210,31 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     Termination: the first sum strictly decreases |beta| at fixed d, the
     second strictly decreases d.
 
-    A miss at alpha = (), beta = (d) with d - goettsche.window_start(delta) >= 3
-    is extrapolated from its window (goettsche, loaded if d - delta // 2 > 3).
+    At alpha = (), beta = (d), d >= d0 = goettsche.window_start(delta) > delta // 2:
+    frozen constants answer up to CERTIFIED_DELTA nodes before the memo is read,
+    never stored; above, a miss with d - d0 >= 3 is extrapolated from its window.
     """
     d, delta, alpha, beta = index
     if delta < 0 or delta >= comb(d - 1, 2) + sum(alpha) + sum(beta):
         return 0
     if delta == 0:
         return _nodeless(beta)
-    if memo is None:
-        memo = MemoStore()
+    d0 = None
+    if not alpha and beta == (d,) and d > delta // 2:
+        from . import goettsche  # compiled only once a query may take a route
+        d0 = goettsche.window_start(delta)
+        if d >= d0 and delta <= goettsche.CERTIFIED_DELTA:
+            return goettsche.node_degree(d, delta)
+    memo = MemoStore() if memo is None else memo
     value = memo.get(index)
     if value is not None:
         memo.hits += 1
         return value
-    if not alpha and beta == (d,) and d - delta // 2 > 3:
-        from .goettsche import extrapolate, window_start  # compiled only once a query may take it
-        d0 = window_start(delta)
-        if d - d0 >= 3:
-            rows = [[severi_degree((n, k, (), (n,)), memo)
-                     for k in range(delta + 1)] for n in range(d0, d0 + 3)]
-            return memo.put(_Key(d, delta, (), _share(beta, beta)), extrapolate(rows, d - d0))
+    if d0 is not None and d - d0 >= 3:
+        rows = [[severi_degree((n, k, (), (n,)), memo)
+                 for k in range(delta + 1)] for n in range(d0, d0 + 3)]
+        return memo.put(_Key(d, delta, (), _share(beta, beta)),
+                        goettsche.extrapolate(rows, d - d0))
     with _stack_room(d):
         return _degree((d, delta, _share(alpha, alpha), _share(beta, beta)), memo)
 

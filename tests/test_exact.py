@@ -271,11 +271,13 @@ PARSER = ("argparse", "gettext", "locale")
 CLI_MODULES = [
     (["--version"], ()),
     (["--help"], PARSER),
-    (["severi", "--d", "3", "--delta", "1", "--beta", "3"], ("seqs", "severi")),
+    # N(3, 1; (), (3)) is read from the node constants; genus 0 at d = 9 never routes
+    (["severi", "--d", "3", "--delta", "1", "--beta", "3"], ("goettsche", "seqs", "severi")),
     (["severi", "--d", "3", "--delta", "1", "--beta", "3", "--format", "json"],
-     ("seqs", "severi")),
+     ("goettsche", "seqs", "severi")),
     (["severi", "--d", "3", "--delta", "1", "--beta", "3", "--format", "csv"],
-     ("csv", "seqs", "severi")),
+     ("csv", "goettsche", "seqs", "severi")),
+    (["severi", "--d", "9", "--delta", "28", "--beta", "9"], ("seqs", "severi")),
     (["kontsevich", "--max", "4"], ("kontsevich",)),
     (["kontsevich", "--max", "4", "--format", "csv"], ("csv", "kontsevich")),
     (["verify", "wdvv"], ("kontsevich", "series")),
@@ -298,7 +300,7 @@ def cli_modules_after(*argv, code=0):
 def test_imports_load_only_what_they_use(tmp_path):
     # the WDVV residual imports fractions, and with it decimal, only to
     # report a nonzero entry; severi imports goettsche only for a query that
-    # takes its route
+    # may take a route
     assert not {"dataclasses", "inspect", "fractions", "decimal", "curvecount.goettsche",
                 *PARSER} & modules_after("import curvecount.cli")
     loaded = modules_after("from curvecount import severi")
@@ -317,6 +319,8 @@ def test_imports_load_only_what_they_use(tmp_path):
     # only for help and usage errors
     for argv, modules in CLI_MODULES:
         assert cli_modules_after(*argv) == set(modules), argv
+    # every verify witness of the recursion stays off Goettsche's route
+    assert "goettsche" not in cli_modules_after("verify", "all")
     argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(tmp_path / "c")]
     assert cli_modules_after(*argv) == {"cache", "seqs", "severi"}
     assert cli_modules_after(*argv) == {"cache", "seqs", "severi"}  # a re-run reads it

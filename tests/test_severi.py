@@ -11,6 +11,7 @@ import sys
 import textwrap
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -361,20 +362,17 @@ def test_goettsche_route_equals_the_recursion():
 
 
 def test_goettsche_route_catches_a_wrong_window_value():
-    # N(4, 2) is in the window of every delta in 2..4
+    # past CERTIFIED_DELTA the route reads its window d0..d0 + 2, d0 = delta,
+    # through the memo: N(13, 11) is in the window 11..13 of delta = 11 (a
+    # wrong N(12, 11) also reaches N(13, 11) by the recursion, and at t = 3
+    # the two errors cancel: (14, 11) reads right, (15, 11) moves)
+    routed = MemoStore()
+    routed.put(idx(13, 11, (), (13,)), severi.severi_degree(idx(13, 11, (), (13,))) + 1)
+    assert route_mismatches([(14, 11), (15, 11)], routed) == [(14, 11), (15, 11)]
+    # up to it the constants answer before the memo is read
     routed = MemoStore()
     routed.put(idx(4, 2, (), (4,)), severi.severi_degree(idx(4, 2, (), (4,))) + 1)
-    grid = [(d, delta) for d, delta in ROUTE_GRID if delta <= 4]
-    assert route_mismatches(grid, routed) == [(d, delta) for d, delta in grid if delta >= 2]
-
-
-def test_goettsche_route_reads_the_narrow_window():
-    # N(4, 5) is in the window 4..6 of delta = 5, and in no window d0 = delta
-    # reads at delta <= 5: a wrong value there moves every routed delta = 5 point
-    routed = MemoStore()
-    routed.put(idx(4, 5, (), (4,)), severi.severi_degree(idx(4, 5, (), (4,))) + 1)
-    grid = [(d, 5) for d in range(7, 17)]
-    assert route_mismatches(grid, routed) == grid
+    assert route_mismatches([(4, 2), (7, 2)], routed) == []
 
 
 @lru_cache(maxsize=None)
@@ -409,54 +407,100 @@ def test_goettsche_windows_are_certified_up_to_the_bound():
     assert starts[bound:] == list(range(bound + 1, 200))
 
 
+def test_node_constants_are_their_derivation():
+    # (d0, v, D1, D2) of ell_k: its value and forward differences at
+    # d0 = window_start(k), on the certified table
+    bound = goettsche.CERTIFIED_DELTA
+    rows = node_rows(bound + 2, bound)
+    ell = {d: goettsche._log_derivative(rows[d]) for d in rows}
+    derived = []
+    for k in range(1, bound + 1):
+        d0 = goettsche.window_start(k)
+        v, v1, v2 = (ell[d0 + i][k] for i in range(3))
+        derived.append((d0, v, v1 - v, v2 - 2 * v1 + v))
+    assert goettsche.NODE_CONSTANTS == tuple(derived)
+    assert max(abs(entry).bit_length() for row in derived for entry in row) == 42
+
+
+def test_a_wrong_node_constant_moves_a_table_point():
+    # a +1 at any of the 40 entries moves N(d, delta; (), (d)) at some
+    # delta <= CERTIFIED_DELTA and d0 <= d <= CERTIFIED_DELTA + 2
+    bound = goettsche.CERTIFIED_DELTA
+    rows = node_rows(bound + 2, bound)
+    frozen = goettsche.NODE_CONSTANTS
+
+    def moves(d, delta, constants):
+        try:  # at a wrong v_10, 10 F_10 is off by 1: its division is not exact
+            return goettsche.node_degree(d, delta, constants) != rows[d][delta]
+        except ArithmeticError:
+            return True
+
+    for k, i in product(range(bound), range(4)):
+        wrong = list(frozen[k])
+        wrong[i] += 1
+        constants = frozen[:k] + (tuple(wrong),) + frozen[k + 1:]
+        assert any(moves(d, delta, constants)
+                   for delta in range(k + 1, bound + 1) for d in rows
+                   if d >= max(row[0] for row in constants[:delta])), (k + 1, i)
+
+
 def count_routes(monkeypatch):
-    """The list that (d, delta) of each later goettsche.extrapolate call joins."""
-    routed, route = [], goettsche.extrapolate
+    """(constants, windows): the lists that (d, delta) of each later
+    goettsche.node_degree call from severi, and of each extrapolate call, join."""
+    constants, windows = [], []
+    node_degree, extrapolate = goettsche.node_degree, goettsche.extrapolate
 
-    def counted_route(rows, t):
+    def counted_constants(d, delta, *window):  # extrapolate passes its window's constants
+        if not window:
+            constants.append((d, delta))
+        return node_degree(d, delta, *window)
+
+    def counted_window(rows, t):
         delta = len(rows[0]) - 1
-        routed.append((goettsche.window_start(delta) + t, delta))
-        return route(rows, t)
+        windows.append((goettsche.window_start(delta) + t, delta))
+        return extrapolate(rows, t)
 
-    monkeypatch.setattr(goettsche, "extrapolate", counted_route)
-    return routed
+    monkeypatch.setattr(goettsche, "node_degree", counted_constants)
+    monkeypatch.setattr(goettsche, "extrapolate", counted_window)
+    return constants, windows
 
 
 def test_every_routed_value_is_a_table_row(monkeypatch):
     # route-free: N(d, delta; (), (d)) at d <= 12, delta <= 10 from one memo,
-    # against severi_table; the 61 of the 120 points with d - d0 >= 3 take the
-    # route, and only they call extrapolate, which also gives each of them from
-    # the table's own window rows, with no memo at all
+    # against severi_table; the vanishing rule gives every zero, the constants
+    # every other value but (5, 9) and (5, 10), below their window d0 = 6, and
+    # the memo holds only what the recursion of those two stores
     bound = goettsche.CERTIFIED_DELTA
     rows = node_rows(bound + 2, bound)
-    routed = {(d, delta) for d in rows for delta in range(1, bound + 1)
-              if d - goettsche.window_start(delta) >= 3}
-    assert len(routed) == 61
-    for d, delta in routed:
-        d0 = goettsche.window_start(delta)
-        window = [rows[n][:delta + 1] for n in range(d0, d0 + 3)]
-        assert goettsche.extrapolate(window, d - d0) == rows[d][delta], (d, delta)
-    calls = count_routes(monkeypatch)
+    nonzero = {(d, delta) for d in rows for delta in range(1, bound + 1) if rows[d][delta]}
+    assert len(nonzero) == 90
+    routed = {(d, delta) for d, delta in nonzero if d >= goettsche.window_start(delta)}
+    assert nonzero - routed == {(5, 9), (5, 10)}
+    constants, windows = count_routes(monkeypatch)
     memo = MemoStore()
     for d, row in rows.items():
         for delta in range(1, bound + 1):
             assert severi.severi_degree(idx(d, delta, (), (d,)), memo) == row[delta], (d, delta)
-    assert sorted(calls) == sorted(routed)
+    assert sorted(constants) == sorted(routed) and windows == []
+    below = MemoStore()
+    for d, delta in sorted(nonzero - routed):
+        severi.severi_degree(idx(d, delta, (), (d,)), below)
+    assert dict(memo) == dict(below)
 
 
 def test_below_its_window_the_route_module_is_the_recursion(monkeypatch):
-    # severi_degree loads goettsche from d = delta // 2 + 4 on; below d0 + 3
-    # (at odd delta, and past CERTIFIED_DELTA, where d0 = delta) it never calls
-    # extrapolate and answers with the recursion: the same memo entries and hits
-    calls = count_routes(monkeypatch)
-    for d, delta in [(5, 3), (8, 9), (10, 11), (12, 11), (13, 11), (10, 12), (14, 12)]:
+    # past CERTIFIED_DELTA, where d0 = delta, severi_degree loads goettsche from
+    # d = delta // 2 + 1 on; below d0 + 3 it takes neither route and answers
+    # with the recursion: the same memo entries and hits
+    constants, windows = count_routes(monkeypatch)
+    for d, delta in [(8, 11), (10, 11), (12, 11), (13, 11), (10, 12), (14, 12)]:
         index, memo, recursion = idx(d, delta, (), (d,)), MemoStore(), MemoStore()
         value = severi.severi_degree(index, memo)
         with severi._stack_room(d):
             assert severi._degree(index, recursion) == value
         assert dict(memo) == dict(recursion)
         assert memo.hits == recursion.hits
-    assert calls == []
+    assert constants == windows == []
 
 
 @pytest.mark.parametrize("d", range(1, 5))
@@ -503,10 +547,32 @@ def test_memo_work_counters_are_pinned():
     assert (len(memo), memo.hits) == (3438, 25224)
 
 
+def test_the_node_poly_sweep_never_recurses(monkeypatch):
+    # the benchmark's node-poly sweep, d = delta..3 delta + 1 for delta <= 6, one
+    # memo: delta = 0 is the closed form and every other point is read from the
+    # constants, so _degree never runs, the memo stays empty and no term table grows
+    calls = []
+    monkeypatch.setattr(severi, "_degree", lambda index, memo: calls.append(index))
+    tables = [severi._raisings, severi._lowerings, severi._assigned_splits,
+              severi._degenerations]
+    before = [table.cache_info() for table in tables]
+    memo = MemoStore()
+    for delta in range(7):
+        for d in range(max(1, delta), 3 * delta + 2):
+            severi.severi_degree(idx(d, delta, (), (d,)), memo)
+    assert calls == []
+    assert len(memo) == memo.hits == 0
+    assert [table.cache_info() for table in tables] == before
+
+
+# delta = 11, past CERTIFIED_DELTA: d = 8..13 recurse, d = 14 reads its window
+PAST_THE_BOUND = [(d, 11) for d in range(8, 15)]
+
+
 def test_degree_runs_once_per_miss_and_never_at_delta_zero(monkeypatch):
-    # the node-poly sweep, d = delta..3 delta + 1 for delta <= 6, one memo:
-    # delta = 0 is the closed form, so every _degree call and every
-    # route (42: 40 asked and 2 in windows) stores one memo entry
+    # delta = 0 is the closed form, so every _degree call and every window
+    # route stores one memo entry; the constants (the window's delta <= 10
+    # rows) store none
     deltas, degree = [], severi._degree
 
     def counted(index, memo):
@@ -514,24 +580,21 @@ def test_degree_runs_once_per_miss_and_never_at_delta_zero(monkeypatch):
         return degree(index, memo)
 
     monkeypatch.setattr(severi, "_degree", counted)
-    routed = count_routes(monkeypatch)
+    constants, windows = count_routes(monkeypatch)
     memo = MemoStore()
-    for delta in range(7):
-        for d in range(max(1, delta), 3 * delta + 2):
-            severi.severi_degree(idx(d, delta, (), (d,)), memo)
+    for d, delta in PAST_THE_BOUND:
+        severi.severi_degree(idx(d, delta, (), (d,)), memo)
     assert 0 not in deltas
-    assert (len(deltas), len(routed)) == (272, 42)
-    assert len(deltas) + len(routed) == len(memo) == 314
+    assert (len(deltas), len(windows), len(constants)) == (17685, 1, 30)
+    assert len(deltas) + len(windows) == len(memo)
 
 
-def test_node_poly_sweep_keys_share_one_tuple_per_profile():
-    # N(d, delta; (), (d)) over the windows d = delta..3 delta + 1, delta <= 6;
+def test_memo_keys_share_one_tuple_per_profile():
     # every key, routed or recursed, is a _Key copy, never an unchecked SeveriIndex
     memo = MemoStore()
-    for delta in range(7):
-        for d in range(max(1, delta), 3 * delta + 2):
-            severi.severi_degree(idx(d, delta, (), (d,)), memo)
-    assert len(memo) == 314
+    for d, delta in PAST_THE_BOUND:
+        severi.severi_degree(idx(d, delta, (), (d,)), memo)
+    assert len(memo) == 17686
     assert all(type(k) is severi._Key for k in memo)
     assert len({id(k.alpha) for k in memo}) == len({k.alpha for k in memo})
     assert len({id(k.beta) for k in memo}) == len({k.beta for k in memo})
@@ -539,8 +602,10 @@ def test_node_poly_sweep_keys_share_one_tuple_per_profile():
 
 def test_a_traced_sweep_counts_each_memo_entry_in_its_layer(tmp_path):
     # bench/tracer.py wraps MemoStore.put and counts its key's .d; the sweep
-    # recurses and routes, as the benchmark's node-poly op does
+    # takes the constants, as the benchmark's node-poly op does, and recurses
+    # at (8, 11), below its window past CERTIFIED_DELTA
     pairs = [(d, delta) for delta in range(4) for d in range(max(1, delta), 3 * delta + 2)]
+    pairs.append((8, 11))
     root, src = (pathlib.Path(f).resolve().parents[1] for f in (__file__, severi.__file__))
     proc = subprocess.run(
         [sys.executable, str(root / "bench" / "child.py"), "--stats-out",
@@ -641,7 +706,7 @@ def test_genus_zero_degrees_are_pinned(d, expected):
 
 def test_memo_write_once():
     memo = MemoStore()
-    index = idx(3, 1, (), (3,))
+    index = idx(3, 1, (1,), (2,))
     severi.severi_degree(index, memo)
     assert memo.put(index, 12) == 12  # benign identical rewrite
     with pytest.raises(RuntimeError):
@@ -650,7 +715,7 @@ def test_memo_write_once():
 
 def test_memo_counters_move():
     memo = MemoStore()
-    index = idx(3, 1, (), (3,))
+    index = idx(3, 1, (1,), (2,))  # (), (3) takes the constants and is never stored
     severi.severi_degree(index, memo)
     entries = len(memo)
     assert entries > 0
