@@ -67,24 +67,23 @@ def partitions(w: int, min_size: int = 0) -> tuple[tuple[int, ...], ...]:
     if w < 0:
         raise ValueError("weight must be nonnegative")
 
-    out = []
-
-    def grow(remaining: int, min_part: int, parts: list[int]) -> None:
-        if remaining == 0:
-            vec = [0] * (parts[-1] if parts else 0)
-            for p in parts:
-                vec[p - 1] += 1
-            out.append(canon(vec))
-            return
-        for p in range(min_part, remaining + 1):
-            if len(parts) + remaining // p < min_size:
-                break  # parts >= p add at most remaining // p more
+    out, parts = [], []
+    stack = [[w, 1]] if w >= min_size else []  # w parts at most
+    while stack:  # depth-first, no Python recursion: one [remaining, next part] per level
+        frame = stack[-1]
+        remaining, p = frame
+        if p <= remaining and len(parts) + remaining // p >= min_size:
+            frame[1] = p + 1  # else parts >= p add at most remaining // p more: too few
             parts.append(p)
-            grow(remaining - p, p, parts)
-            parts.pop()
-
-    if w >= min_size:  # w parts at most
-        grow(w, 1, [])
+            stack.append([remaining - p, p])
+            continue
+        if not remaining:
+            vec = [0] * (parts[-1] if parts else 0)
+            for part in parts:
+                vec[part - 1] += 1
+            out.append(canon(vec))
+        stack.pop()
+        del parts[-1:]
     return tuple(out)
 
 

@@ -36,22 +36,16 @@ as a reduced curve of genus g has at least 1 - g components, each meeting L
 at a contact point of its own, when |alpha| + |beta| < 1 - g; this holds for
 every delta > d(d-1)/2 and, at every d <= 12, for exactly the zero degrees.
 
-Two engines evaluate it.  severi_degree answers one index from a memo, a
-write-once dict (MemoStore), recursing only into the children it needs, down
-to the closed form; severi_table fills whole tables bottom-up, by the
-recursion alone, and returns them as one list by delta per (d, alpha, beta),
-with no object per row.  All values are exact.
-
-At alpha = (), beta = (d) and d >= d0, severi_degree uses Goettsche's form
-(module goettsche).
+One loop evaluates it, bottom-up over the degrees, no recursion (_layers):
+severi_table fills every (alpha, beta) from delta = 0, one list by delta each;
+severi_degree fills the cells one index can reach (or at alpha = (), beta = (d),
+d >= d0 takes Goettsche's form, module goettsche) and memoizes (MemoStore).
 """
 
 from __future__ import annotations
 
 import operator
-import sys
 from collections import namedtuple
-from contextlib import contextmanager
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, prod
@@ -69,8 +63,7 @@ class SeveriIndex(namedtuple("SeveriIndex", "d delta alpha beta")):
     Construction canonicalizes the profiles and enforces the weight
     constraint (InvalidIndex), so an index in hand is always valid; delta
     may be any integer (out-of-range values simply have degree 0).  The
-    engine's children are plain tuples and its memo keys _Key, built valid.
-    """
+    memo's keys are _Key, built valid."""
 
     __slots__ = ()
 
@@ -81,11 +74,9 @@ class SeveriIndex(namedtuple("SeveriIndex", "d delta alpha beta")):
         alpha, beta = seqs.canon(alpha), seqs.canon(beta)
         got = seqs.weight(alpha) + seqs.weight(beta)
         if got != d:
-            raise InvalidIndex(
-                "profiles must satisfy sum(k*alpha_k) + sum(k*beta_k) = d: "
-                "got weight %d for d = %d (alpha=%r, beta=%r)"
-                % (got, d, alpha, beta)
-            )
+            raise InvalidIndex("profiles must satisfy sum(k*alpha_k) + sum(k*beta_k) = d: "
+                               "got weight %d for d = %d (alpha=%r, beta=%r)"
+                               % (got, d, alpha, beta))
         return tuple.__new__(cls, (d, delta, alpha, beta))
 
     @classmethod
@@ -98,10 +89,8 @@ _Key = namedtuple("_Key", SeveriIndex._fields)  # memo keys, unchecked; bench/tr
 
 
 def genus(index: tuple) -> int:
-    """Geometric genus C(d-1, 2) - delta of the parametrized curves.
-
-    May be negative for delta beyond the genus bound.
-    """
+    """Geometric genus C(d-1, 2) - delta of the parametrized curves; negative
+    past the genus bound."""
     d, delta, _, _ = index
     return comb(d - 1, 2) - delta
 
@@ -109,24 +98,18 @@ def genus(index: tuple) -> int:
 def dimension(index: tuple) -> int:
     """Dimension of the variety, equal to the number of point conditions:
     d(d+3)/2 - delta - sum(k*alpha_k) - sum((k-1)*beta_k), which equals
-    2d + g - 1 + |beta| because the weights of alpha and beta sum to d.
-    """
+    2d + g - 1 + |beta| because the weights of alpha and beta sum to d."""
     d, delta, _, beta = index
     return d * (d + 1) // 2 - delta + sum(beta)
 
 
 class MemoStore(dict):
-    """Write-once memo of computed degrees, keyed by _Key (d, delta, alpha, beta).
-
-    The engine reads it as a dict and writes it through put: a second put
-    with the same value is a benign no-op, and a conflicting value raises,
-    since the recursion is deterministic and a conflict means corruption;
-    put returns the value.  Equal profiles in the engine's keys are one tuple
-    (_share); delta = 0 never enters.  Each computed index is one entry, so
-    len(memo) is the miss count; hits is bookkeeping only, kept by this
-    module: severi_degree counts the hit of its own lookup, _degree one hit
-    per child found.
-    """
+    """Write-once memo of computed degrees, keyed by _Key (d, delta, alpha, beta):
+    severi_degree reads it as a dict and writes it through put, which returns
+    the value: a second put of the same value is a no-op, a conflicting one (a
+    corruption, as the recursion is deterministic) raises.  Equal profiles in
+    its keys are one tuple (_share); delta = 0 never enters.  len(memo) is the
+    miss count; hits, kept by severi_degree, counts the lookups it answers."""
 
     __slots__ = ("hits",)
 
@@ -136,15 +119,14 @@ class MemoStore(dict):
     def put(self, index: tuple, value: int) -> int:
         stored = self.setdefault(index, value)
         if stored != value:
-            raise RuntimeError(
-                "memo conflict at %r: stored %d, recomputed %d"
-                % (index, stored, value)
-            )
+            raise RuntimeError("memo conflict at %r: stored %d, recomputed %d"
+                               % (index, stored, value))
         return value
 
 
 # One tuple per profile: _share(p, p) is the first tuple equal to p it saw.
 _share = {}.setdefault
+_SLOT_BITS = 64  # B, the bits a slot's value may take, at the start of each fill
 
 
 # by hand: through seqs.add, one cached entry at n = 9 took 6x as long (Xeon, Py 3.11)
@@ -199,21 +181,13 @@ def _degenerations(beta, budget, min_size):
 
 
 def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
-    """Degree of the generalized Severi variety at the given index.
-
-    Evaluates the recursion in the module docstring with memoization, the
-    degeneration sum from one table per (beta, budget, min |c|); a nodeless
-    index (delta = 0) is answered from the closed form before the memo is
-    read, and one in the memo from it.  Returns 0, with the memo untouched,
-    when delta < 0 or when delta >= C(d-1, 2) + |alpha| + |beta|, the
-    vanishing rule of the module docstring (g = C(d-1, 2) - delta).
-    Termination: the first sum strictly decreases |beta| at fixed d, the
-    second strictly decreases d.
-
-    At alpha = (), beta = (d), d >= d0 = goettsche.window_start(delta) > delta // 2:
-    frozen constants answer up to CERTIFIED_DELTA nodes before the memo is read,
-    never stored; above, a miss with d - d0 >= 3 is extrapolated from its window.
-    """
+    """Degree at the index: 0, the memo untouched, when delta < 0 or delta >=
+    C(d-1, 2) + |alpha| + |beta| (the vanishing rule); at delta = 0 the closed
+    form; else the memo's value or one fill (_degree), stored.  At alpha = (),
+    beta = (d), d >= d0 = goettsche.window_start(delta) > delta // 2, frozen
+    constants answer up to CERTIFIED_DELTA nodes before the memo is read, never
+    stored; above, a miss with d - d0 >= 3 is extrapolated from its window, whose
+    rows past the constants and the memo come from one fill and are stored."""
     d, delta, alpha, beta = index
     if delta < 0 or delta >= comb(d - 1, 2) + sum(alpha) + sum(beta):
         return 0
@@ -230,111 +204,138 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     if value is not None:
         memo.hits += 1
         return value
-    if d0 is not None and d - d0 >= 3:
-        rows = [[severi_degree((n, k, (), (n,)), memo)
-                 for k in range(delta + 1)] for n in range(d0, d0 + 3)]
+    if d0 is not None and d - d0 >= 3:  # d0 = delta: the constants hold each row k <= 10
+        window = range(d0, d0 + 3)
+        missing = {(n, k) for n in window for k in range(goettsche.CERTIFIED_DELTA + 1, delta + 1)
+                   if (n, k, (), (n,)) not in memo}
+        fill = _layers(d0 + 2, delta, None, 0, ((), (d0 + 2,))) if missing else ()
+        for n, _, _, width, layer in fill:
+            row = _unpack(layer[(), (n,)], width, delta) if n >= d0 else ()  # delta' = 1..delta
+            for k, value in enumerate(row, 1):
+                if (n, k) in missing:
+                    memo.put(_Key(n, k, (), _share((n,), (n,))), value)
+        rows = [[severi_degree((n, k, (), (n,)), memo) for k in range(delta + 1)] for n in window]
         return memo.put(_Key(d, delta, (), _share(beta, beta)),
                         goettsche.extrapolate(rows, d - d0))
-    with _stack_room(d):
-        return _degree((d, delta, _share(alpha, alpha), _share(beta, beta)), memo)
-
-
-@contextmanager
-def _stack_room(d: int):
-    """Room for _degree from degree d, which nests at most (d+1)(d+2)/2 - 2
-    deep (|beta| <= d' first-sum calls per layer d'): the block raises the
-    recursion limit by that much, plus a margin for callees."""
-    frames = (d + 1) * (d + 2) // 2 + 100
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(min(saved + frames, 2**31 - 1))  # the limit is a C int
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(saved)
+    return _degree((d, delta, _share(alpha, alpha), _share(beta, beta)), memo)
 
 
 def _degree(index: tuple, memo: MemoStore) -> int:
-    """Degree at an index with delta > 0 that the vanishing rule does not mark
-    and the memo lacks: each call stores one memo entry.  Each child is a plain
-    tuple of shared profiles, looked up in the memo; a miss recurses, except at
-    a second-sum child with delta' = 0, which is the closed form and never
-    stored.  First-sum children keep d, delta and |alpha| + |beta|; the rule
-    marks all second-sum children of an alpha' split or none, so a marked
-    split is skipped whole."""
+    """One fill for an unmarked index with delta > 0 the memo lacks: one entry."""
     d, delta, alpha, beta = index
-    lookup = memo.get
-    hits = total = 0
-    raised = _raisings(alpha, len(beta))
-    for j, lowered in _lowerings(beta):
-        child = (d, delta, raised[j - 1], lowered)
-        value = lookup(child)
-        if value is None:
-            value = _degree(child, memo)
-        else:
-            hits += 1
-        total += j * value
-    top = d - 1
-    shift = delta - top
-    min_size = max(top - delta, 0)  # delta' >= 0 needs |c| >= (d - 1) - delta
-    room = shift - comb(top - 1, 2) - sum(beta)  # marked when |alpha'| <= room
-    for a_prime, assigned, budget, size in _assigned_splits(alpha, min_size):
-        if size <= room:
-            continue
-        part = 0
-        for coeff, c_size, b_prime in _degenerations(beta, budget, min_size):
-            child = (top, shift + c_size, a_prime, b_prime)
-            value = lookup(child)
-            if value is None:
-                value = _degree(child, memo) if shift + c_size else _nodeless(b_prime)
-            else:
-                hits += 1
-            part += coeff * value
-        total += assigned * part
-    memo.hits += hits
-    return memo.put(_Key._make(index), total)
+    for *_, layer in _layers(d, delta, comb(d - 1, 2) - delta,
+                             d - sum(alpha) - sum(beta), (alpha, beta)):
+        pass
+    return memo.put(_Key._make(index), layer[alpha, beta])
 
 
 def severi_table(d_max: int, delta_max: int) -> list[list[tuple]]:
-    """Degrees at d <= d_max, delta <= delta_max, as a list of layers d = 1..d_max.
-
-    Layer d lists (alpha, beta, degrees, dim, genus) per shape, sorted; row (d,
+    """Degrees at d <= d_max, delta <= delta_max, as a list of layers d = 1..d_max:
+    layer d lists (alpha, beta, degrees, dim, genus) per shape, sorted; row (d,
     delta, alpha, beta) is (degrees[delta], dim - delta, genus - delta) for delta <=
-    min(d(d-1)/2, delta_max).  The degeneration sum only shifts delta, by (d-1) - |c|,
-    so each list, cut at the vanishing rule (zeros past it), is filled bottom-up
-    from layer d - 1 alone, |beta| ascending: no memo, no recursion.
-    """
+    min(d(d-1)/2, delta_max).  One fill of every shape, each unpacked once."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1, got %d" % d_max)
     if delta_max < 0:
         raise ValueError("delta_max must be >= 0, got %d" % delta_max)
     out = []
-    # (alpha, beta) -> degrees by delta at degree d - 1; from the empty curve
-    # of degree 0 the sums give 1 for both lines of degree 1
-    below = {((), ()): [1]}
-    for d in range(1, d_max + 1):
-        top = d - 1
-        span = min(d * top // 2, delta_max) + 1
-        min_size = max(top - delta_max, 0)  # as in _degree, at delta_max
-        shapes = sorted((alpha, beta) for w in range(d + 1)
-                        for alpha in seqs.partitions(w)
-                        for beta in seqs.partitions(d - w))
-        layer = dict.fromkeys(shapes)  # rows in sorted order, filled |beta| ascending
-        for alpha, beta in sorted(shapes, key=lambda shape: sum(shape[1])):
-            size = min(span, comb(top, 2) + sum(alpha) + sum(beta))
-            layer[alpha, beta] = poly = [0] * size
-            raised = _raisings(alpha, len(beta))
-            for j, lowered in _lowerings(beta):
-                for delta, value in enumerate(layer[raised[j - 1], lowered]):
-                    poly[delta] += j * value
-            for a_prime, assigned, budget, _ in _assigned_splits(alpha, min_size):
-                for coeff, c_size, b_prime in _degenerations(beta, budget, min_size):
-                    shift = top - c_size  # delta = delta' + (d - 1) - |c|
-                    child = below[a_prime, b_prime][:size - shift]
-                    factor = assigned * coeff
-                    for delta, value in enumerate(child, shift):
-                        poly[delta] += factor * value
-        out.append([(alpha, beta, poly + [0] * (span - len(poly)),
+    for d, _, his, width, layer in _layers(d_max, delta_max):
+        span = min(d * (d - 1) // 2, delta_max) + 1
+        out.append([(alpha, beta, degrees + [0] * (span - len(degrees)),
                      dimension((d, 0, alpha, beta)), genus((d, 0, alpha, beta)))
-                    for (alpha, beta), poly in layer.items()])
-        below = layer
+                    for (alpha, beta), packed in sorted(layer.items())
+                    for degrees in [_unpack(packed, width, his[d - sum(alpha) - sum(beta)] + 1)]])
     return out
+
+
+@lru_cache(maxsize=128)  # bounded: at d = 900 a layer holds 2,700 shapes
+def _shapes(n: int, excess: int) -> list[tuple]:
+    """(alpha, beta, e) per shape of weight n and excess e = n - |alpha| - |beta| <=
+    excess, |beta| ascending: alpha of weight w has at least w - excess parts."""
+    return sorted(((_share(a, a), _share(b, b), n - sum(a) - sum(b)) for w in range(n + 1)
+                   for a in seqs.partitions(w, w - excess)
+                   for b in seqs.partitions(n - w, n - excess - sum(a))),
+                  key=lambda shape: sum(shape[1]))
+
+
+def _unpack(packed: int, width: int, count: int) -> list[int]:
+    """The count slots of width bits (a multiple of 8) in packed, lowest first."""
+    raw, step = packed.to_bytes(count * width // 8, "little"), width // 8
+    return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
+
+
+def _layers(d, delta, g=None, excess=None, target=None):
+    """Fill N(n, delta'; alpha, beta) bottom-up for n = 1..d, two layers held, and
+    yield each as (n, lo, his, width, {(alpha, beta): packed}): the int holds
+    delta' = lo..his[e] (e the shape's excess) at bit (delta' - lo) * width, so a
+    degeneration term, delta' moved by (n - 1) - |c|, is a shift, multiply, add.
+    The table (excess None) fills every shape from delta' = 0 by the recursion;
+    a query of genus g and excess e0 (target (alpha, beta), alone with its first
+    sum at n = d) reads delta' = 0 from _nodeless and fills the cells within two
+    bounds that a cell's children keep:
+    - genus ceiling: first-sum children keep the genus, second-sum children have
+      g + 1 - |c| <= g + 1, so delta' >= C(n-1, 2) - g - (d - n) at layer n;
+    - node-plus-excess bound: the first sum keeps delta' + e', the second lowers
+      it by n - |alpha| + |alpha'| >= 0, so delta' <= min(delta, delta + e0 - e').
+    Width W = B + 4d: a factor C(alpha, alpha') k^c C(beta + c, beta), or j, is
+    below 2^(|alpha| + |beta| + weight(c)) <= 2^(2n) as k <= 2^(k-1), a shape has
+    n + 2^(|alpha| + n - 1) <= 2^(2n) terms, so no sum of slots below 2^B
+    carries.  One AND per shape checks its slots against 2^B; past it the layer
+    is refilled at twice B, the layer below repacked."""
+    closed = excess is not None  # delta' = 0 from _nodeless, not from the layer below
+    q = delta + excess if closed else delta + d
+    bits, room = _SLOT_BITS, -(-4 * d // 8) * 8  # whole bytes, for _unpack
+    below, below_lo = ({} if closed else {((), ()): 1}), 0  # the empty curve of degree 0
+    for n in range(1, d + 1):
+        top, base = n - 1, comb(n - 1, 2)
+        lo = max(int(closed), -1 if g is None else base - g - (d - n))
+        his = [min(delta, q - e, base + top - e) for e in range(n)]
+        if n == d and target:
+            shapes = sorted(((_share(a, a), _share(b, b), d - sum(a) - sum(b)) for a, b in
+                             ((seqs.add(target[0], x), seqs.add(target[1], [-k for k in x]))
+                              for x in seqs.subsequences(target[1]))), key=lambda s: sum(s[1]))
+        else:
+            shapes = _shapes(n, min(top, q - lo, base + top - lo)) if lo <= delta else ()
+        offset = below_lo + top - lo  # a child's slot i lands at i + offset - |c|
+        zero = top - lo if closed else -1  # a term with |c| <= zero has a delta' = 0 cell
+        while True:
+            width = bits + room
+            shifts = [(offset - size) * width for size in range(n)]
+            masks, full, ones = [], 0, 0  # (mask, guard) of 1, 2, .. slots
+            for _ in range(max(his) - lo + 1):
+                full, ones = full << width | (1 << width) - 1, ones << width | 1
+                masks.append((full, full ^ ones * ((1 << bits) - 1)))
+            try:
+                layer = {}
+                for alpha, beta, e in shapes:  # each with hi = his[e] >= lo
+                    hi, poly = his[e], 0
+                    raised = _raisings(alpha, len(beta))
+                    for j, lowered in _lowerings(beta):
+                        poly += j * layer.get((raised[j - 1], lowered), 0)  # the same cells
+                    min_size = max(top - hi, 0)  # delta' >= 0 needs |c| >= (n - 1) - delta
+                    for a_prime, assigned, budget, _ in _assigned_splits(alpha, min_size):
+                        part = 0
+                        for coeff, c_size, b_prime in _degenerations(beta, budget, min_size):
+                            child = below.get((a_prime, b_prime))
+                            if child:
+                                shift = shifts[c_size]
+                                part += (child << shift if shift >= 0 else child >> -shift) * coeff
+                            if c_size <= zero:
+                                child = _nodeless(b_prime)
+                                if child >> bits:
+                                    raise OverflowError
+                                part += child * coeff << (zero - c_size) * width
+                        poly += assigned * part
+                    mask, guard = masks[hi - lo]
+                    poly &= mask  # drop the cells past hi
+                    if poly & guard:
+                        raise OverflowError
+                    layer[alpha, beta] = poly
+                break
+            except OverflowError:  # a slot reached 2^B
+                bits *= 2
+                below = {shape: sum(value << i * (bits + room) for i, value in enumerate(
+                    _unpack(packed, width, -(-packed.bit_length() // width))))
+                    for shape, packed in below.items()}
+        yield n, lo, his, width, layer
+        below, below_lo = layer, lo

@@ -16,7 +16,7 @@ from math import comb, factorial
 
 import pytest
 
-from curvecount import genfunc, goettsche, seqs, severi
+from curvecount import cli, genfunc, goettsche, seqs, severi
 from curvecount.cache import DegreeRecord
 from curvecount.severi import MemoStore, SeveriIndex
 
@@ -282,7 +282,7 @@ def test_one_node_law(d):
 
 
 def test_deep_query_raises_the_recursion_limit_only_for_the_call():
-    # _degree nests up to (d+1)(d+2)/2 - 2 = 229 deep at d = 20
+    # the fill does not recurse: at d = 20 it runs under a limit of 150, left as it was
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(150)
     try:
@@ -290,14 +290,6 @@ def test_deep_query_raises_the_recursion_limit_only_for_the_call():
         assert sys.getrecursionlimit() == 150
     finally:
         sys.setrecursionlimit(limit)
-
-
-def test_stack_room_clamps_the_limit_to_a_c_int():
-    # from d ~ 65,530 the raised limit would pass 2**31 - 1 and overflow
-    limit = sys.getrecursionlimit()
-    with severi._stack_room(70000):
-        assert sys.getrecursionlimit() == 2**31 - 1
-    assert sys.getrecursionlimit() == limit
 
 
 # Node polynomials (Kleiman-Piene; Fomin-Mikhalkin): N(d, delta; (), (d)) is a
@@ -496,8 +488,7 @@ def test_below_its_window_the_route_module_is_the_recursion(monkeypatch):
     for d, delta in [(8, 11), (10, 11), (12, 11), (13, 11), (10, 12), (14, 12)]:
         index, memo, recursion = idx(d, delta, (), (d,)), MemoStore(), MemoStore()
         value = severi.severi_degree(index, memo)
-        with severi._stack_room(d):
-            assert severi._degree(index, recursion) == value
+        assert severi._degree(index, recursion) == value
         assert dict(memo) == dict(recursion)
         assert memo.hits == recursion.hits
     assert constants == windows == []
@@ -540,11 +531,98 @@ def test_memo_transparency():
             assert warm == rhs
 
 
-def test_memo_work_counters_are_pinned():
-    # one memo entry per computed index, and every child found in the memo is a hit
+def counted_fills(monkeypatch):
+    """[(shapes, cells) per layer] per later severi._layers call: a cell is a
+    (shape, delta) the fill computes, delta = lo..his[e]."""
+    fills, fill = [], severi._layers
+
+    def counted(*args):
+        fills.append([])
+        for n, lo, his, width, layer in fill(*args):
+            fills[-1].append((len(layer), sum(his[n - sum(a) - sum(b)] - lo + 1 for a, b in layer)))
+            yield n, lo, his, width, layer
+
+    monkeypatch.setattr(severi, "_layers", counted)
+    return fills
+
+
+def test_memo_work_counters_are_pinned(monkeypatch):
+    # one fill per computed index, one memo entry, no hit; the fill's shapes
+    # and cells (the recursion it replaced made 3,438 entries with 25,224 hits)
+    fills = counted_fills(monkeypatch)
     memo = MemoStore()
     assert severi.severi_degree(idx(10, 36, (), (10,)), memo) == 178396887235408616925
-    assert (len(memo), memo.hits) == (3438, 25224)
+    assert (len(memo), memo.hits) == (1, 0)
+    assert [tuple(map(sum, zip(*layers))) for layers in fills] == [(740, 4706)]
+
+
+def fill_mutant(monkeypatch, old, new):
+    """Replace severi._layers by a copy of its source with old replaced by new."""
+    source = textwrap.dedent(inspect.getsource(severi._layers))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(compile(source.replace(old, new), severi.__file__, "exec"), vars(severi), namespace)
+    monkeypatch.setattr(severi, "_layers", namespace["_layers"])
+
+
+def test_an_undersized_slot_width_never_returns_a_number(monkeypatch):
+    # B = 8 bits is below what these values need, on the table path and on a
+    # single index: the slot checks refill wider and the values stay exact;
+    # with the refill taken out each call raises; with the checks taken out
+    # instead, a wrapped slot reaches the answer, so the checks are what see it
+    calls = [lambda: severi.severi_table(8, 28),
+             lambda: severi.severi_degree(idx(12, 55, (), (12,)))]
+    exact = [call() for call in calls]
+    monkeypatch.setattr(severi, "_SLOT_BITS", 8)
+    assert [call() for call in calls] == exact
+    layers = severi._layers
+    fill_mutant(monkeypatch, "bits *= 2", "raise")
+    for call in calls:
+        with pytest.raises(ArithmeticError):
+            call()
+    monkeypatch.setattr(severi, "_layers", layers)
+    fill_mutant(monkeypatch, "if poly & guard:", "if False:")
+    monkeypatch.setattr(severi, "_nodeless", lambda beta, nodeless=severi._nodeless:
+                        nodeless(beta) % 2**8)  # under 2^B, past the nodeless check
+    assert all(call() != value for call, value in zip(calls, exact))
+
+
+def test_every_index_through_degree_7_is_its_table_row():
+    # the genus ceiling and the node-plus-excess bound decide which cells a fill
+    # computes; each nonvanishing index with d <= 7, through severi_degree with
+    # a fresh memo (one fill each), equals its table row; and at one node
+    # N(d, 1; (1), (d - 1)) = 3 (d - 1)^2 up to d = 120
+    rows = [rec for rec in table_rows(severi.severi_table(7, 21)) if rec.degree]
+    assert len(rows) == 3480
+    for rec in rows:
+        assert severi.severi_degree(rec.index, MemoStore()) == rec.degree, rec.index
+    for d in range(2, 121):
+        assert severi.severi_degree(idx(d, 1, (1,), (d - 1,))) == 3 * (d - 1) ** 2
+
+
+def test_every_cell_a_fill_computes_is_exact(monkeypatch):
+    # each bound is kept by a cell's children, so every cell of a fill is its
+    # degree, not only the answer: checked against the table at every index
+    # (8, delta; (), (8)) and at (12, 55; (), (12))
+    table = {rec.index: rec.degree for rec in table_rows(severi.severi_table(12, 55))}
+    fills = []
+
+    def kept(*args):
+        fills.append(0)
+        for n, lo, his, width, layer in fill(*args):
+            for (alpha, beta), packed in layer.items():
+                count = his[n - sum(alpha) - sum(beta)] - lo + 1
+                for delta, value in enumerate(severi._unpack(packed, width, count), lo):
+                    assert table.get((n, delta, alpha, beta), 0) == value
+                    fills[-1] += 1
+            yield n, lo, his, width, layer
+
+    fill = severi._layers
+    monkeypatch.setattr(severi, "_layers", kept)
+    for delta in range(1, 22):
+        severi.severi_degree(idx(8, delta, (1,), (7,)), MemoStore())
+    severi.severi_degree(idx(12, 55, (), (12,)), MemoStore())
+    assert len(fills) == 22 and fills[-1] == 14636
 
 
 def test_the_node_poly_sweep_never_recurses(monkeypatch):
@@ -565,7 +643,8 @@ def test_the_node_poly_sweep_never_recurses(monkeypatch):
     assert [table.cache_info() for table in tables] == before
 
 
-# delta = 11, past CERTIFIED_DELTA: d = 8..13 recurse, d = 14 reads its window
+# delta = 11, past CERTIFIED_DELTA: d = 8..13 are one fill each, d = 14 reads its
+# window from the memo they leave
 PAST_THE_BOUND = [(d, 11) for d in range(8, 15)]
 
 
@@ -585,7 +664,7 @@ def test_degree_runs_once_per_miss_and_never_at_delta_zero(monkeypatch):
     for d, delta in PAST_THE_BOUND:
         severi.severi_degree(idx(d, delta, (), (d,)), memo)
     assert 0 not in deltas
-    assert (len(deltas), len(windows), len(constants)) == (17685, 1, 30)
+    assert (len(deltas), len(windows), len(constants)) == (6, 1, 30)
     assert len(deltas) + len(windows) == len(memo)
 
 
@@ -594,7 +673,7 @@ def test_memo_keys_share_one_tuple_per_profile():
     memo = MemoStore()
     for d, delta in PAST_THE_BOUND:
         severi.severi_degree(idx(d, delta, (), (d,)), memo)
-    assert len(memo) == 17686
+    assert len(memo) == 7
     assert all(type(k) is severi._Key for k in memo)
     assert len({id(k.alpha) for k in memo}) == len({k.alpha for k in memo})
     assert len({id(k.beta) for k in memo}) == len({k.beta for k in memo})
@@ -667,22 +746,29 @@ def test_nodeless_query_leaves_the_memo_empty():
     assert (len(memo), memo.hits) == (0, 0)
 
 
-def test_table_and_genfunc_never_read_the_closed_form():
+def test_table_and_genfunc_never_read_the_closed_form(monkeypatch, capsys):
     # the delta = 0 rows of severi_table (and the generating polynomial built
-    # from them) must come from the recursion, to stay a check on _nodeless
-    pointwise = {"_nodeless", "_degree", "severi_degree"}
-    table = ast.parse(textwrap.dedent(inspect.getsource(severi.severi_table)))
+    # from them) must come from the recursion, to stay a check on _nodeless:
+    # the table shares its fill with severi_degree, so this is checked by a run
+    def refuse(*args):
+        raise AssertionError("the table read the closed form or the pointwise engine")
+
+    expected = severi.severi_table(8, 28)
+    for name in ("_nodeless", "_degree", "severi_degree"):
+        monkeypatch.setattr(severi, name, refuse)
+    assert severi.severi_table(8, 28) == expected
+    assert cli.main(["verify", "getzler", "--D", "5"]) == 0
+    assert capsys.readouterr().out == "getzler D=5 violations=0\nok\n"
     module = ast.parse(inspect.getsource(genfunc))
-    for tree, banned in ((table, pointwise), (module, {"_nodeless"})):
-        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert not names & banned
+    names = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(module) if isinstance(node, ast.Attribute)}
+    assert "_nodeless" not in names
 
 
 def test_one_degeneration_loop_per_engine():
-    # the degeneration table is read by the two engines alone, so the
-    # recursion's terms are enumerated once per engine in the whole package
-    # (a def's own name is not an ast.Name, so _degenerations' def is no reader)
+    # the degeneration table is read by the one fill alone, which both the
+    # table and a single index run, so the recursion's terms are enumerated in
+    # one place (a def's own name is not an ast.Name, so _degenerations' def is no reader)
     readers = set()
     for path in sorted(pathlib.Path(severi.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -691,7 +777,7 @@ def test_one_degeneration_loop_per_engine():
                         or isinstance(node, ast.Attribute)
                         and node.attr == "_degenerations"):
                     readers.add((path.stem, getattr(top, "name", None)))
-    assert readers == {("severi", "_degree"), ("severi", "severi_table")}
+    assert readers == {("severi", "_layers")}
 
 
 @pytest.mark.parametrize("d,expected", [
