@@ -238,14 +238,11 @@ def severi_table(d_max: int, delta_max: int) -> list[list[tuple]]:
         raise ValueError("d_max must be >= 1, got %d" % d_max)
     if delta_max < 0:
         raise ValueError("delta_max must be >= 0, got %d" % delta_max)
-    out = []
-    for d, _, his, width, layer in _layers(d_max, delta_max):
-        span = min(d * (d - 1) // 2, delta_max) + 1
-        out.append([(alpha, beta, degrees + [0] * (span - len(degrees)),
-                     dimension((d, 0, alpha, beta)), genus((d, 0, alpha, beta)))
-                    for (alpha, beta), packed in sorted(layer.items())
-                    for degrees in [_unpack(packed, width, his[d - sum(alpha) - sum(beta)] + 1)]])
-    return out
+    return [[(alpha, beta, degrees + [0] * (min(d * (d - 1) // 2, delta_max) + 1 - len(degrees)),
+              dimension((d, 0, alpha, beta)), genus((d, 0, alpha, beta)))
+             for (alpha, beta), packed in sorted(layer.items())  # zeros past the vanishing rule
+             for degrees in [_unpack(packed, width, his[d - sum(alpha) - sum(beta)] + 1)]]
+            for d, _, his, width, layer in _layers(d_max, delta_max)]
 
 
 @lru_cache(maxsize=128)  # bounded: at d = 900 a layer holds 2,700 shapes
@@ -268,7 +265,7 @@ def _layers(d, delta, g=None, excess=None, target=None):
     """Fill N(n, delta'; alpha, beta) bottom-up for n = 1..d, two layers held, and
     yield each as (n, lo, his, width, {(alpha, beta): packed}): the int holds
     delta' = lo..his[e] (e the shape's excess) at bit (delta' - lo) * width, so a
-    degeneration term, delta' moved by (n - 1) - |c|, is a shift, multiply, add.
+    degeneration term (delta' moved by (n - 1) - |c|) is a shift, mask, multiply.
     The table (excess None) fills every shape from delta' = 0 by the recursion;
     a query of genus g and excess e0 (target (alpha, beta), alone with its first
     sum at n = d) reads delta' = 0 from _nodeless and fills the cells within two
@@ -280,8 +277,8 @@ def _layers(d, delta, g=None, excess=None, target=None):
     Width W = B + 4d: a factor C(alpha, alpha') k^c C(beta + c, beta), or j, is
     below 2^(|alpha| + |beta| + weight(c)) <= 2^(2n) as k <= 2^(k-1), a shape has
     n + 2^(|alpha| + n - 1) <= 2^(2n) terms, so no sum of slots below 2^B
-    carries.  One AND per shape checks its slots against 2^B; past it the layer
-    is refilled at twice B, the layer below repacked."""
+    carries.  One AND per shape checks its slots against 2^B; past it the shape
+    is refilled at twice B, both held layers repacked."""
     closed = excess is not None  # delta' = 0 from _nodeless, not from the layer below
     q = delta + excess if closed else delta + d
     bits, room = _SLOT_BITS, -(-4 * d // 8) * 8  # whole bytes, for _unpack
@@ -298,44 +295,45 @@ def _layers(d, delta, g=None, excess=None, target=None):
             shapes = _shapes(n, min(top, q - lo, base + top - lo)) if lo <= delta else ()
         offset = below_lo + top - lo  # a child's slot i lands at i + offset - |c|
         zero = top - lo if closed else -1  # a term with |c| <= zero has a delta' = 0 cell
-        while True:
-            width = bits + room
-            shifts = [(offset - size) * width for size in range(n)]
-            masks, full, ones = [], 0, 0  # (mask, guard) of 1, 2, .. slots
-            for _ in range(max(his) - lo + 1):
-                full, ones = full << width | (1 << width) - 1, ones << width | 1
-                masks.append((full, full ^ ones * ((1 << bits) - 1)))
-            try:
-                layer = {}
-                for alpha, beta, e in shapes:  # each with hi = his[e] >= lo
-                    hi, poly = his[e], 0
+        layer, width = {}, 0
+        for alpha, beta, e in shapes:  # each with hi = his[e] >= lo
+            hi = his[e]
+            min_size = max(top - hi, 0)  # delta' >= 0 needs |c| >= (n - 1) - delta
+            while True:
+                if width != bits + room:  # at the layer's first shape and after a refill
+                    width = bits + room
+                    shifts = [(offset - size) * width for size in range(n)]
+                    masks, full, ones = [], 0, 0  # (mask, guard) of 1, 2, .. slots
+                    for _ in range(max(his) - lo + 1):
+                        full, ones = full << width | (1 << width) - 1, ones << width | 1
+                        masks.append((full, full ^ ones * ((1 << bits) - 1)))
+                try:
+                    (mask, guard), poly = masks[hi - lo], 0
                     raised = _raisings(alpha, len(beta))
                     for j, lowered in _lowerings(beta):
                         poly += j * layer.get((raised[j - 1], lowered), 0)  # the same cells
-                    min_size = max(top - hi, 0)  # delta' >= 0 needs |c| >= (n - 1) - delta
                     for a_prime, assigned, budget, _ in _assigned_splits(alpha, min_size):
                         part = 0
                         for coeff, c_size, b_prime in _degenerations(beta, budget, min_size):
                             child = below.get((a_prime, b_prime))
                             if child:
                                 shift = shifts[c_size]
-                                part += (child << shift if shift >= 0 else child >> -shift) * coeff
+                                child = child << shift if shift >= 0 else child >> -shift
+                                part += (child & mask) * coeff
                             if c_size <= zero:
                                 child = _nodeless(b_prime)
                                 if child >> bits:
                                     raise OverflowError
                                 part += child * coeff << (zero - c_size) * width
                         poly += assigned * part
-                    mask, guard = masks[hi - lo]
-                    poly &= mask  # drop the cells past hi
                     if poly & guard:
                         raise OverflowError
-                    layer[alpha, beta] = poly
-                break
-            except OverflowError:  # a slot reached 2^B
-                bits *= 2
-                below = {shape: sum(value << i * (bits + room) for i, value in enumerate(
-                    _unpack(packed, width, -(-packed.bit_length() // width))))
-                    for shape, packed in below.items()}
-        yield n, lo, his, width, layer
+                    break
+                except OverflowError:  # a slot reached 2^B: both held layers to twice B
+                    below, layer = ({key: sum(v << i * (width + bits) for i, v in enumerate(
+                        _unpack(packed, width, packed.bit_length() // width + 1)))
+                        for key, packed in held.items()} for held in (below, layer))
+                    bits *= 2
+            layer[alpha, beta] = poly
+        yield n, lo, his, bits + room, layer
         below, below_lo = layer, lo
