@@ -70,8 +70,7 @@ def partitions(w: int, min_size: int = 0) -> tuple[tuple[int, ...], ...]:
     out, parts = [], []
     stack = [[w, 1]] if w >= min_size else []  # w parts at most
     while stack:  # depth-first, no Python recursion: one [remaining, next part] per level
-        frame = stack[-1]
-        remaining, p = frame
+        remaining, p = frame = stack[-1]
         if p <= remaining and len(parts) + remaining // p >= min_size:
             frame[1] = p + 1  # else parts >= p add at most remaining // p more: too few
             parts.append(p)

@@ -74,9 +74,11 @@ class SeveriIndex(namedtuple("SeveriIndex", "d delta alpha beta")):
         alpha, beta = seqs.canon(alpha), seqs.canon(beta)
         got = seqs.weight(alpha) + seqs.weight(beta)
         if got != d:
-            raise InvalidIndex("profiles must satisfy sum(k*alpha_k) + sum(k*beta_k) = d: "
-                               "got weight %d for d = %d (alpha=%r, beta=%r)"
-                               % (got, d, alpha, beta))
+            raise InvalidIndex(
+                "profiles must satisfy sum(k*alpha_k) + sum(k*beta_k) = d: "
+                "got weight %d for d = %d (alpha=%r, beta=%r)"
+                % (got, d, alpha, beta)
+            )
         return tuple.__new__(cls, (d, delta, alpha, beta))
 
     @classmethod
@@ -89,8 +91,10 @@ _Key = namedtuple("_Key", SeveriIndex._fields)  # memo keys, unchecked; bench/tr
 
 
 def genus(index: tuple) -> int:
-    """Geometric genus C(d-1, 2) - delta of the parametrized curves; negative
-    past the genus bound."""
+    """Geometric genus C(d-1, 2) - delta of the parametrized curves.
+
+    May be negative for delta beyond the genus bound.
+    """
     d, delta, _, _ = index
     return comb(d - 1, 2) - delta
 
@@ -98,7 +102,8 @@ def genus(index: tuple) -> int:
 def dimension(index: tuple) -> int:
     """Dimension of the variety, equal to the number of point conditions:
     d(d+3)/2 - delta - sum(k*alpha_k) - sum((k-1)*beta_k), which equals
-    2d + g - 1 + |beta| because the weights of alpha and beta sum to d."""
+    2d + g - 1 + |beta| because the weights of alpha and beta sum to d.
+    """
     d, delta, _, beta = index
     return d * (d + 1) // 2 - delta + sum(beta)
 
@@ -119,14 +124,15 @@ class MemoStore(dict):
     def put(self, index: tuple, value: int) -> int:
         stored = self.setdefault(index, value)
         if stored != value:
-            raise RuntimeError("memo conflict at %r: stored %d, recomputed %d"
-                               % (index, stored, value))
+            raise RuntimeError(
+                "memo conflict at %r: stored %d, recomputed %d"
+                % (index, stored, value)
+            )
         return value
 
 
 # One tuple per profile: _share(p, p) is the first tuple equal to p it saw.
 _share = {}.setdefault
-_SLOT_BITS = 64  # B, the bits a slot's value may take, at the start of each fill
 
 
 # by hand: through seqs.add, one cached entry at n = 9 took 6x as long (Xeon, Py 3.11)
@@ -181,13 +187,12 @@ def _degenerations(beta, budget, min_size):
 
 
 def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
-    """Degree at the index: 0, the memo untouched, when delta < 0 or delta >=
-    C(d-1, 2) + |alpha| + |beta| (the vanishing rule); at delta = 0 the closed
-    form; else the memo's value or one fill (_degree), stored.  At alpha = (),
-    beta = (d), d >= d0 = goettsche.window_start(delta) > delta // 2, frozen
-    constants answer up to CERTIFIED_DELTA nodes before the memo is read, never
-    stored; above, a miss with d - d0 >= 3 is extrapolated from its window, whose
-    rows past the constants and the memo come from one fill and are stored."""
+    """Degree at the index: 0, the memo untouched, past the vanishing rule or at
+    delta < 0; the closed form at delta = 0; else the memo's value or one fill
+    (_degree), stored.  At alpha = (), beta = (d), d >= d0 = window_start(delta)
+    > delta // 2, goettsche's frozen constants answer up to CERTIFIED_DELTA nodes
+    before the memo is read, never stored; above, a miss with d - d0 >= 3 is
+    extrapolated from its window rows, those the memo lacks from one fill."""
     d, delta, alpha, beta = index
     if delta < 0 or delta >= comb(d - 1, 2) + sum(alpha) + sum(beta):
         return 0
@@ -208,12 +213,13 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
         window = range(d0, d0 + 3)
         missing = {(n, k) for n in window for k in range(goettsche.CERTIFIED_DELTA + 1, delta + 1)
                    if (n, k, (), (n,)) not in memo}
-        fill = _layers(d0 + 2, delta, None, 0, ((), (d0 + 2,))) if missing else ()
-        for n, _, _, width, layer in fill:
-            row = _unpack(layer[(), (n,)], width, delta) if n >= d0 else ()  # delta' = 1..delta
-            for k, value in enumerate(row, 1):
-                if (n, k) in missing:
-                    memo.put(_Key(n, k, (), _share((n,), (n,))), value)
+        if missing:  # one fill, no genus floor: delta' = 1..delta at each n >= d0
+            from . import fill
+            for n, _, _, width, layer in _layers(d0 + 2, delta, None, 0, ((), (d0 + 2,))):
+                row = fill.unpack(layer[(), (n,)], width, delta) if n >= d0 else ()
+                for k, value in enumerate(row, 1):
+                    if (n, k) in missing:
+                        memo.put(_Key(n, k, (), _share((n,), (n,))), value)
         rows = [[severi_degree((n, k, (), (n,)), memo) for k in range(delta + 1)] for n in window]
         return memo.put(_Key(d, delta, (), _share(beta, beta)),
                         goettsche.extrapolate(rows, d - d0))
@@ -238,102 +244,16 @@ def severi_table(d_max: int, delta_max: int) -> list[list[tuple]]:
         raise ValueError("d_max must be >= 1, got %d" % d_max)
     if delta_max < 0:
         raise ValueError("delta_max must be >= 0, got %d" % delta_max)
+    from . import fill  # compiled only once a query or a table fills
     return [[(alpha, beta, degrees + [0] * (min(d * (d - 1) // 2, delta_max) + 1 - len(degrees)),
               dimension((d, 0, alpha, beta)), genus((d, 0, alpha, beta)))
              for (alpha, beta), packed in sorted(layer.items())  # zeros past the vanishing rule
-             for degrees in [_unpack(packed, width, his[d - sum(alpha) - sum(beta)] + 1)]]
+             for degrees in [fill.unpack(packed, width, his[d - sum(alpha) - sum(beta)] + 1)]]
             for d, _, his, width, layer in _layers(d_max, delta_max)]
 
 
-@lru_cache(maxsize=128)  # bounded: at d = 900 a layer holds 2,700 shapes
-def _shapes(n: int, excess: int) -> list[tuple]:
-    """(alpha, beta, e) per shape of weight n and excess e = n - |alpha| - |beta| <=
-    excess, |beta| ascending: alpha of weight w has at least w - excess parts."""
-    return sorted(((_share(a, a), _share(b, b), n - sum(a) - sum(b)) for w in range(n + 1)
-                   for a in seqs.partitions(w, w - excess)
-                   for b in seqs.partitions(n - w, n - excess - sum(a))),
-                  key=lambda shape: sum(shape[1]))
-
-
-def _unpack(packed: int, width: int, count: int) -> list[int]:
-    """The count slots of width bits (a multiple of 8) in packed, lowest first."""
-    raw, step = packed.to_bytes(count * width // 8, "little"), width // 8
-    return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
-
-
 def _layers(d, delta, g=None, excess=None, target=None):
-    """Fill N(n, delta'; alpha, beta) bottom-up for n = 1..d, two layers held, and
-    yield each as (n, lo, his, width, {(alpha, beta): packed}): the int holds
-    delta' = lo..his[e] (e the shape's excess) at bit (delta' - lo) * width, so a
-    degeneration term (delta' moved by (n - 1) - |c|) is a shift, mask, multiply.
-    The table (excess None) fills every shape from delta' = 0 by the recursion;
-    a query of genus g and excess e0 (target (alpha, beta), alone with its first
-    sum at n = d) reads delta' = 0 from _nodeless and fills the cells within two
-    bounds that a cell's children keep:
-    - genus ceiling: first-sum children keep the genus, second-sum children have
-      g + 1 - |c| <= g + 1, so delta' >= C(n-1, 2) - g - (d - n) at layer n;
-    - node-plus-excess bound: the first sum keeps delta' + e', the second lowers
-      it by n - |alpha| + |alpha'| >= 0, so delta' <= min(delta, delta + e0 - e').
-    Width W = B + 4d: a factor C(alpha, alpha') k^c C(beta + c, beta), or j, is
-    below 2^(|alpha| + |beta| + weight(c)) <= 2^(2n) as k <= 2^(k-1), a shape has
-    n + 2^(|alpha| + n - 1) <= 2^(2n) terms, so no sum of slots below 2^B
-    carries.  One AND per shape checks its slots against 2^B; past it the shape
-    is refilled at twice B, both held layers repacked."""
-    closed = excess is not None  # delta' = 0 from _nodeless, not from the layer below
-    q = delta + excess if closed else delta + d
-    bits, room = _SLOT_BITS, -(-4 * d // 8) * 8  # whole bytes, for _unpack
-    below, below_lo = ({} if closed else {((), ()): 1}), 0  # the empty curve of degree 0
-    for n in range(1, d + 1):
-        top, base = n - 1, comb(n - 1, 2)
-        lo = max(int(closed), -1 if g is None else base - g - (d - n))
-        his = [min(delta, q - e, base + top - e) for e in range(n)]
-        if n == d and target:
-            shapes = sorted(((_share(a, a), _share(b, b), d - sum(a) - sum(b)) for a, b in
-                             ((seqs.add(target[0], x), seqs.add(target[1], [-k for k in x]))
-                              for x in seqs.subsequences(target[1]))), key=lambda s: sum(s[1]))
-        else:
-            shapes = _shapes(n, min(top, q - lo, base + top - lo)) if lo <= delta else ()
-        offset = below_lo + top - lo  # a child's slot i lands at i + offset - |c|
-        zero = top - lo if closed else -1  # a term with |c| <= zero has a delta' = 0 cell
-        layer, width = {}, 0
-        for alpha, beta, e in shapes:  # each with hi = his[e] >= lo
-            hi = his[e]
-            min_size = max(top - hi, 0)  # delta' >= 0 needs |c| >= (n - 1) - delta
-            while True:
-                if width != bits + room:  # at the layer's first shape and after a refill
-                    width = bits + room
-                    shifts = [(offset - size) * width for size in range(n)]
-                    masks, full, ones = [], 0, 0  # (mask, guard) of 1, 2, .. slots
-                    for _ in range(max(his) - lo + 1):
-                        full, ones = full << width | (1 << width) - 1, ones << width | 1
-                        masks.append((full, full ^ ones * ((1 << bits) - 1)))
-                try:
-                    (mask, guard), poly = masks[hi - lo], 0
-                    raised = _raisings(alpha, len(beta))
-                    for j, lowered in _lowerings(beta):
-                        poly += j * layer.get((raised[j - 1], lowered), 0)  # the same cells
-                    for a_prime, assigned, budget, _ in _assigned_splits(alpha, min_size):
-                        part = 0
-                        for coeff, c_size, b_prime in _degenerations(beta, budget, min_size):
-                            child = below.get((a_prime, b_prime))
-                            if child:
-                                shift = shifts[c_size]
-                                child = child << shift if shift >= 0 else child >> -shift
-                                part += (child & mask) * coeff
-                            if c_size <= zero:
-                                child = _nodeless(b_prime)
-                                if child >> bits:
-                                    raise OverflowError
-                                part += child * coeff << (zero - c_size) * width
-                        poly += assigned * part
-                    if poly & guard:
-                        raise OverflowError
-                    break
-                except OverflowError:  # a slot reached 2^B: both held layers to twice B
-                    below, layer = ({key: sum(v << i * (width + bits) for i, v in enumerate(
-                        _unpack(packed, width, packed.bit_length() // width + 1)))
-                        for key, packed in held.items()} for held in (below, layer))
-                    bits *= 2
-            layer[alpha, beta] = poly
-        yield n, lo, his, bits + room, layer
-        below, below_lo = layer, lo
+    """fill.layers over this module's term tables, read at each call."""
+    from . import fill
+    return fill.layers(d, delta, g, excess, target, (_share, _raisings, _lowerings,
+                       _assigned_splits, _degenerations, _nodeless))

@@ -277,7 +277,7 @@ CLI_MODULES = [
      ("goettsche", "seqs", "severi")),
     (["severi", "--d", "3", "--delta", "1", "--beta", "3", "--format", "csv"],
      ("csv", "goettsche", "seqs", "severi")),
-    (["severi", "--d", "9", "--delta", "28", "--beta", "9"], ("seqs", "severi")),
+    (["severi", "--d", "9", "--delta", "28", "--beta", "9"], ("fill", "seqs", "severi")),
     (["kontsevich", "--max", "4"], ("kontsevich",)),
     (["kontsevich", "--max", "4", "--format", "csv"], ("csv", "kontsevich")),
     (["verify", "wdvv"], ("kontsevich", "series")),
@@ -300,7 +300,7 @@ def cli_modules_after(*argv, code=0):
 def test_imports_load_only_what_they_use(tmp_path):
     # the WDVV residual imports fractions, and with it decimal, only to
     # report a nonzero entry; severi imports goettsche only for a query that
-    # may take a route
+    # may take a route, and fill only for a query or a table that fills
     assert not {"dataclasses", "inspect", "fractions", "decimal", "curvecount.goettsche",
                 *PARSER} & modules_after("import curvecount.cli")
     loaded = modules_after("from curvecount import severi")
@@ -322,6 +322,6 @@ def test_imports_load_only_what_they_use(tmp_path):
     # every verify witness of the recursion stays off Goettsche's route
     assert "goettsche" not in cli_modules_after("verify", "all")
     argv = ["table", "--dmax", "3", "--deltamax", "1", "--cache", str(tmp_path / "c")]
-    assert cli_modules_after(*argv) == {"cache", "seqs", "severi"}
-    assert cli_modules_after(*argv) == {"cache", "seqs", "severi"}  # a re-run reads it
+    assert cli_modules_after(*argv) == {"cache", "fill", "seqs", "severi"}
+    assert cli_modules_after(*argv) == {"cache", "fill", "seqs", "severi"}  # a re-run reads it
     assert cli_modules_after("severi", "--d", "3", code=2) == set(PARSER)

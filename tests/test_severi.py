@@ -16,7 +16,7 @@ from math import comb, factorial
 
 import pytest
 
-from curvecount import cli, genfunc, goettsche, seqs, severi
+from curvecount import cli, fill, genfunc, goettsche, seqs, severi
 from curvecount.cache import DegreeRecord
 from curvecount.severi import MemoStore, SeveriIndex
 
@@ -534,11 +534,11 @@ def test_memo_transparency():
 def counted_fills(monkeypatch):
     """[(shapes, cells) per layer] per later severi._layers call: a cell is a
     (shape, delta) the fill computes, delta = lo..his[e]."""
-    fills, fill = [], severi._layers
+    fills, layers = [], severi._layers
 
     def counted(*args):
         fills.append([])
-        for n, lo, his, width, layer in fill(*args):
+        for n, lo, his, width, layer in layers(*args):
             fills[-1].append((len(layer), sum(his[n - sum(a) - sum(b)] - lo + 1 for a, b in layer)))
             yield n, lo, his, width, layer
 
@@ -557,12 +557,12 @@ def test_memo_work_counters_are_pinned(monkeypatch):
 
 
 def fill_mutant(monkeypatch, old, new):
-    """Replace severi._layers by a copy of its source with old replaced by new."""
-    source = textwrap.dedent(inspect.getsource(severi._layers))
+    """Replace fill.layers by a copy of its source with old replaced by new."""
+    source = textwrap.dedent(inspect.getsource(fill.layers))
     assert source.count(old) == 1
     namespace = {}
-    exec(compile(source.replace(old, new), severi.__file__, "exec"), vars(severi), namespace)
-    monkeypatch.setattr(severi, "_layers", namespace["_layers"])
+    exec(compile(source.replace(old, new), fill.__file__, "exec"), vars(fill), namespace)
+    monkeypatch.setattr(fill, "layers", namespace["layers"])
 
 
 def test_an_undersized_slot_width_never_returns_a_number(monkeypatch):
@@ -573,14 +573,14 @@ def test_an_undersized_slot_width_never_returns_a_number(monkeypatch):
     calls = [lambda: severi.severi_table(8, 28),
              lambda: severi.severi_degree(idx(12, 55, (), (12,)))]
     exact = [call() for call in calls]
-    monkeypatch.setattr(severi, "_SLOT_BITS", 8)
+    monkeypatch.setattr(fill, "SLOT_BITS", 8)
     assert [call() for call in calls] == exact
-    layers = severi._layers
+    layers = fill.layers
     fill_mutant(monkeypatch, "bits *= 2", "raise")
     for call in calls:
         with pytest.raises(ArithmeticError):
             call()
-    monkeypatch.setattr(severi, "_layers", layers)
+    monkeypatch.setattr(fill, "layers", layers)
     fill_mutant(monkeypatch, "if poly & guard:", "if False:")
     monkeypatch.setattr(severi, "_nodeless", lambda beta, nodeless=severi._nodeless:
                         nodeless(beta) % 2**8)  # under 2^B, past the nodeless check
@@ -603,21 +603,21 @@ def test_every_index_through_degree_7_is_its_table_row():
 def test_every_cell_a_fill_computes_is_exact(monkeypatch):
     # each bound is kept by a cell's children, so every cell of a fill is its
     # degree, not only the answer: checked against the table at every index
-    # (8, delta; (), (8)) and at (12, 55; (), (12))
+    # (8, delta; (1), (7)) and at (12, 55; (), (12))
     table = {rec.index: rec.degree for rec in table_rows(severi.severi_table(12, 55))}
     fills = []
 
     def kept(*args):
         fills.append(0)
-        for n, lo, his, width, layer in fill(*args):
+        for n, lo, his, width, layer in layers(*args):
             for (alpha, beta), packed in layer.items():
                 count = his[n - sum(alpha) - sum(beta)] - lo + 1
-                for delta, value in enumerate(severi._unpack(packed, width, count), lo):
+                for delta, value in enumerate(fill.unpack(packed, width, count), lo):
                     assert table.get((n, delta, alpha, beta), 0) == value
                     fills[-1] += 1
             yield n, lo, his, width, layer
 
-    fill = severi._layers
+    layers = severi._layers
     monkeypatch.setattr(severi, "_layers", kept)
     for delta in range(1, 22):
         severi.severi_degree(idx(8, delta, (1,), (7,)), MemoStore())
