@@ -2,9 +2,9 @@
 Severi engines run layers, severi_table over every shape and severi_degree
 over the cells one index can reach.  severi passes its term tables in, as
 terms = (share, raisings, lowerings, splits, degenerations, nodeless), and
-loads this module only once a query or a table fills: inside severi.py the
-fill's code raised the peak RSS of the node-poly sweep, which never fills and
-compiles its modules from source, by about 0.3 MB.
+loads this module only once a query or a table fills: inside severi.py, the
+fill's code raised the peak RSS of the benchmark's node-poly sweep, which
+never fills and compiles its modules from source, by 0.15 MB (4 of 4 pairs).
 """
 
 from __future__ import annotations
