@@ -1,14 +1,13 @@
-"""The layered fill of the Caporaso-Harris recursion (module severi): both
-Severi engines run layers, severi_table over every shape and severi_degree
-over the cells one index can reach.  severi passes its term tables in, as
-terms = (share, raisings, lowerings, splits, degenerations, nodeless), and
-loads this module only once a query or a table fills: inside severi.py, the
-fill's code raised the peak RSS of the benchmark's node-poly sweep, which
-never fills and compiles its modules from source, by 0.15 MB (4 of 4 pairs).
+"""The layered fill of the Caporaso-Harris recursion (module severi) and the term
+tables it reads: severi_table fills every shape, severi_degree the cells one index
+reaches.  severi loads this module only once a query or a table fills: inside
+severi.py, the fill's code raised the peak RSS of the benchmark's node-poly sweep,
+which never fills and compiles its modules from source, by 0.15 MB (4 of 4 pairs).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 from . import seqs
@@ -16,16 +15,49 @@ from . import seqs
 SLOT_BITS = 64  # B, the bits a slot's value may take, at the start of each fill
 
 
-def _shapes(n: int, share, excess=0, target=None) -> list[tuple]:
-    """(alpha, beta, e) per shape of weight n and excess e = n - |alpha| - |beta|, |beta|
-    ascending: those with e <= excess (alpha of weight w has at least w - excess
-    parts), or the first sum (alpha + x, beta - x), x <= beta, of a target."""
-    pairs = (((seqs.add(target[0], x), seqs.add(target[1], [-k for k in x]))
-              for x in seqs.subsequences(target[1])) if target else
-             ((a, b) for w in range(n + 1) for a in seqs.partitions(w, max(w - excess, 0))
-              for b in seqs.partitions(n - w, max(n - excess - sum(a), 0))))
-    return sorted(((share(a, a), share(b, b), n - sum(a) - sum(b)) for a, b in pairs),
-                  key=lambda shape: sum(shape[1]))
+# by hand: through seqs.add, one cached entry at n = 9 took 6x as long (Xeon, Py 3.11)
+@lru_cache(maxsize=None)
+def _raisings(alpha, n):
+    """alpha + e_j for j = 1..n."""
+    padded = alpha + (0,) * (n - len(alpha))
+    raised = (padded[:j] + (padded[j] + 1,) + alpha[j + 1:] for j in range(n))
+    return tuple(seqs.share(r, r) for r in raised)
+
+
+@lru_cache(maxsize=None)
+def _lowerings(beta):
+    """(j, beta - e_j) per j with beta_j > 0."""
+    lowered = ((j, seqs.add(beta, (0,) * (j - 1) + (-1,)))
+               for j, entry in enumerate(beta, start=1) if entry)
+    return tuple((j, seqs.share(low, low)) for j, low in lowered)
+
+
+@lru_cache(maxsize=None)
+def _assigned_splits(alpha, min_size):
+    """(alpha', C(alpha, alpha'), budget, |alpha'|) per alpha' <= alpha, with
+    budget = weight(alpha) - weight(alpha') - 1 = weight(c) >= min |c|, as
+    weight(beta) = d - weight(alpha); alpha' lexicographic."""
+    top = seqs.weight(alpha) - 1
+    return tuple((seqs.share(a_prime, a_prime), seqs.binomial(alpha, a_prime),
+                  top - seqs.weight(a_prime), sum(a_prime))
+                 for a_prime in seqs.subsequences(alpha, top - min_size))
+
+
+# by hand: through seqs, the 464 keys of the d = 9..12 genus-0 queries took 2.2x as long
+@lru_cache(maxsize=None)
+def _degenerations(beta, budget, min_size):
+    """(k^c * C(beta + c, beta), |c|, beta + c) per c in partitions(budget, min_size)."""
+    out = []
+    for c in seqs.partitions(budget, min_size):
+        b_prime = [*beta, *c[len(beta):]]
+        unassigned = 1
+        for k, c_k in enumerate(c[:len(beta)]):
+            if c_k:
+                b_prime[k] += c_k
+                unassigned *= comb(b_prime[k], c_k)
+        b_prime = tuple(b_prime)
+        out.append((seqs.nat_power(c) * unassigned, sum(c), seqs.share(b_prime, b_prime)))
+    return tuple(out)
 
 
 def unpack(packed: int, width: int, count: int) -> list[int]:
@@ -34,59 +66,107 @@ def unpack(packed: int, width: int, count: int) -> list[int]:
     return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
 
 
-def layers(d, delta, g, excess, target, terms):
+def _floor(n, d, g):
+    """The genus ceiling at layer n of a fill to degree d and genus g: a cell the
+    target needs has delta' >= 1 and delta' >= C(n-1, 2) - g - (d - n)."""
+    return max(1, comb(n - 1, 2) - g - (d - n))
+
+
+def _reach(d, delta, g, q, target, memo):
+    """Top-down from the target at layer d, per layer n = 0..d the last delta' to
+    fill {(alpha, beta): last} and the rows read from the memo {(alpha, beta):
+    [degree per delta' = floor..last]}: a shape's last is the most its parents
+    need, moved by their terms ((n - 1) - |c| for a degeneration) and cut by the
+    vanishing rule and the node-plus-excess bound, and a shape whose row the memo
+    holds is read, not followed.  The parents with one beta and one alpha' share
+    their degenerations, so each such split is walked once, at their greatest last."""
+    spans, known = [{} for _ in range(d + 1)], [{} for _ in range(d + 1)]
+    spans[d][target] = delta
+    for n in range(d, 1, -1):
+        top, layer, splits, floor = n - 1, spans[n], {}, _floor(n, d, g)
+        levels = [[] for _ in range(n + 1)]
+        for shape in layer:
+            levels[sum(shape[1])].append(shape)
+        for size in range(n, -1, -1):  # a first-sum child (|beta| - 1) after its parents
+            for alpha, beta in levels[size]:
+                last = layer[alpha, beta]
+                row = [memo.get((n, k, alpha, beta)) for k in range(floor, last + 1)] if memo else [None]
+                if None not in row:
+                    known[n][alpha, beta] = row
+                    del layer[alpha, beta]
+                    continue
+                raised = _raisings(alpha, len(beta))
+                for j, lowered in _lowerings(beta):
+                    if (old := layer.get(key := (raised[j - 1], lowered), 0)) < last:
+                        layer[key] = last
+                        if not old:
+                            levels[size - 1].append(key)
+                for a_prime, _, budget, a_size in _assigned_splits(alpha, max(top - last, 0)):
+                    if splits.get(key := (a_prime, beta, budget, a_size + size), 0) < last:
+                        splits[key] = last
+        below, floor = spans[top], _floor(top, d, g)
+        cap = min(q, comb(n - 1, 2))  # a cell at layer n - 1 has delta' <= cap - e'
+        for (a_prime, beta, budget, size), last in splits.items():
+            end = min(last, cap + size) - top  # e' = top - |alpha'| - |beta| - |c|
+            for _, c_size, b_prime in _degenerations(beta, budget, max(top - last, 0)):
+                if below.get(key := (a_prime, b_prime), 0) < end + c_size >= floor:
+                    below[key] = end + c_size
+    return spans, known
+
+
+def layers(d, delta, g=None, excess=0, target=None, nodeless=None, memo=None):
     """Fill N(n, delta'; alpha, beta) bottom-up for n = 1..d, two layers held, and
-    yield each as (n, lo, his, width, {(alpha, beta): packed}): the int holds
-    delta' = lo..his[e] (e the shape's excess) at bit (delta' - lo) * width, so a
+    yield each as (n, lo, width, {(alpha, beta): packed}, {(alpha, beta): last}):
+    the int holds delta' = lo..last at bit (delta' - lo) * width, so a
     degeneration term (delta' moved by (n - 1) - |c|) is a shift, mask, multiply.
-    The table (excess None) fills every shape from delta' = 0 by the recursion; a
-    query (genus g, excess e0, its target alone with its first sum at n = d) reads
-    delta' = 0 from nodeless and fills the cells within two bounds kept by children:
+    The table (no target) fills every shape from delta' = 0 by the recursion.  A
+    query (the target of genus g and excess e0 at layer d) reads delta' = 0 from
+    nodeless (of beta'), and fills the shapes _reach finds, from lo = _floor(n);
+    two bounds on a needed cell, each kept by its children, cut the cells:
     - genus ceiling: first-sum children keep the genus, second-sum children have
       g + 1 - |c| <= g + 1, so delta' >= C(n-1, 2) - g - (d - n) at layer n;
     - node-plus-excess bound: the first sum keeps delta' + e', the second lowers
       it by n - |alpha| + |alpha'| >= 0, so delta' <= min(delta, delta + e0 - e').
+    So each child of a cell lo..last is in its own lo..last, vanishing, or at
+    delta' = 0: every cell a fill yields is exact, not only the target's.
     Width W = B + 4d: a factor C(alpha, alpha') k^c C(beta + c, beta), or j, is
     below 2^(|alpha| + |beta| + weight(c)) <= 2^(2n) as k <= 2^(k-1), a shape has
-    n + 2^(|alpha| + n - 1) <= 2^(2n) terms, so no sum of slots below 2^B
-    carries.  One AND per shape checks its slots against 2^B; past it the shape
-    is refilled at twice B, both held layers repacked."""
-    share, raisings, lowerings, splits, degenerations, nodeless = terms
-    closed = excess is not None  # delta' = 0 from nodeless, not from the layer below
-    q = delta + excess if closed else delta + d
-    bits, room = SLOT_BITS, -(-4 * d // 8) * 8  # whole bytes, for unpack
+    n + 2^(|alpha| + n - 1) <= 2^(2n) terms, each masked to its slots, so no sum
+    of slots below 2^B carries.  One AND per shape checks its slots against 2^B;
+    past it the shape is refilled at twice B, both held layers repacked."""
+    closed = target is not None  # delta' = 0 from nodeless, not from the layer below
+    spans, known = _reach(d, delta, g, delta + excess, target, memo) if closed else (None, [{}] * (d + 1))
+    room = -(-4 * d // 8) * 8  # whole bytes, for unpack; bits holds each row read
+    bits = max([SLOT_BITS, *(-(-v.bit_length() // 8) * 8 for rows in known for row in rows.values() for v in row)])
     below, below_lo = ({} if closed else {((), ()): 1}), 0  # the empty curve of degree 0
     for n in range(1, d + 1):
-        top, base = n - 1, comb(n - 1, 2)
-        lo = max(int(closed), -1 if g is None else base - g - (d - n))
-        his = [min(delta, q - e, base + top - e) for e in range(n)]
-        if n == d and target:
-            shapes = _shapes(n, share, target=target)
-        else:
-            shapes = _shapes(n, share, min(top, q - lo, base + top - lo)) if lo <= delta else ()
+        top = n - 1
+        if closed:
+            span, spans[n], lo = spans[n], None, _floor(n, d, g)
+        else:  # every shape, to the vanishing rule: delta' <= C(n-1, 2) + |alpha| + |beta| - 1
+            span, lo = {(seqs.share(a, a), seqs.share(b, b)): min(delta, comb(n, 2) - n + sum(a) + sum(b))
+                        for w in range(n + 1) for a in seqs.partitions(w) for b in seqs.partitions(n - w)}, 0
         offset = below_lo + top - lo  # a child's slot i lands at i + offset - |c|
         zero = top - lo if closed else -1  # a term with |c| <= zero has a delta' = 0 cell
-        layer, width = {}, 0
-        for alpha, beta, e in shapes:  # each with hi = his[e] >= lo
-            hi = his[e]
+        width, masks = bits + room, {}
+        layer = {shape: sum(v << i * width for i, v in enumerate(row)) for shape, row in known[n].items()}
+        for (alpha, beta), hi in sorted(span.items(), key=lambda item: sum(item[0][1])):
             min_size = max(top - hi, 0)  # delta' >= 0 needs |c| >= (n - 1) - delta
             while True:
-                if width != bits + room:  # at the layer's first shape and after a refill
-                    width = bits + room
-                    shifts = [(offset - size) * width for size in range(n)]
-                    masks = {h: (full, full ^ full // ((1 << width) - 1) * ((1 << bits) - 1))
-                             for h in his if h >= lo for full in [(1 << (h - lo + 1) * width) - 1]}
+                if hi not in masks:
+                    full = (1 << (hi - lo + 1) * width) - 1
+                    masks[hi] = full, full ^ full // ((1 << width) - 1) * ((1 << bits) - 1)
                 try:
                     (mask, guard), poly = masks[hi], 0
-                    raised = raisings(alpha, len(beta))
-                    for j, lowered in lowerings(beta):
-                        poly += j * layer.get((raised[j - 1], lowered), 0)  # the same cells
-                    for a_prime, assigned, budget, _ in splits(alpha, min_size):
+                    raised = _raisings(alpha, len(beta))
+                    for j, lowered in _lowerings(beta):
+                        poly += j * (layer.get((raised[j - 1], lowered), 0) & mask)  # the same cells
+                    for a_prime, assigned, budget, _ in _assigned_splits(alpha, min_size):
                         part = 0
-                        for coeff, c_size, b_prime in degenerations(beta, budget, min_size):
+                        for coeff, c_size, b_prime in _degenerations(beta, budget, min_size):
                             child = below.get((a_prime, b_prime))
                             if child:
-                                shift = shifts[c_size]
+                                shift = (offset - c_size) * width
                                 child = child << shift if shift >= 0 else child >> -shift
                                 part += (child & mask) * coeff
                             if c_size <= zero:
@@ -103,6 +183,7 @@ def layers(d, delta, g, excess, target, terms):
                         unpack(packed, width, packed.bit_length() // width + 1)))
                         for key, packed in held.items()} for held in (below, layer))
                     bits *= 2
+                    width, masks = bits + room, {}
             layer[alpha, beta] = poly
         below, below_lo = layer, lo  # the layer below is dropped before the caller reads this one
-        yield n, lo, his, bits + room, layer
+        yield n, lo, width, layer, span

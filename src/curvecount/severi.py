@@ -36,9 +36,9 @@ as a reduced curve of genus g has at least 1 - g components, each meeting L
 at a contact point of its own, when |alpha| + |beta| < 1 - g; this holds for
 every delta > d(d-1)/2 and, at every d <= 12, for exactly the zero degrees.
 
-One loop evaluates it, bottom-up over the degrees, no recursion (_layers):
+One loop evaluates it, bottom-up over the degrees, no recursion (fill.layers):
 severi_table fills every (alpha, beta) from delta = 0, one list by delta each;
-severi_degree fills the cells one index can reach (or at alpha = (), beta = (d),
+severi_degree fills the cells one index reaches (or at alpha = (), beta = (d),
 d >= d0 takes Goettsche's form, module goettsche) and memoizes (MemoStore).
 """
 
@@ -113,7 +113,7 @@ class MemoStore(dict):
     severi_degree reads it as a dict and writes it through put, which returns
     the value: a second put of the same value is a no-op, a conflicting one (a
     corruption, as the recursion is deterministic) raises.  Equal profiles in
-    its keys are one tuple (_share); delta = 0 never enters.  len(memo) is the
+    its keys are one tuple (seqs.share); delta = 0 never enters.  len(memo) is the
     miss count; hits, kept by severi_degree, counts the lookups it answers."""
 
     __slots__ = ("hits",)
@@ -131,59 +131,10 @@ class MemoStore(dict):
         return value
 
 
-# One tuple per profile: _share(p, p) is the first tuple equal to p it saw.
-_share = {}.setdefault
-
-
-# by hand: through seqs.add, one cached entry at n = 9 took 6x as long (Xeon, Py 3.11)
-@lru_cache(maxsize=None)
-def _raisings(alpha, n):
-    """alpha + e_j for j = 1..n."""
-    padded = alpha + (0,) * (n - len(alpha))
-    raised = (padded[:j] + (padded[j] + 1,) + alpha[j + 1:] for j in range(n))
-    return tuple(_share(r, r) for r in raised)
-
-
-@lru_cache(maxsize=None)
-def _lowerings(beta):
-    """(j, beta - e_j) per j with beta_j > 0."""
-    lowered = ((j, seqs.add(beta, (0,) * (j - 1) + (-1,)))
-               for j, entry in enumerate(beta, start=1) if entry)
-    return tuple((j, _share(low, low)) for j, low in lowered)
-
-
-@lru_cache(maxsize=None)
-def _assigned_splits(alpha, min_size):
-    """(alpha', C(alpha, alpha'), budget, |alpha'|) per alpha' <= alpha, with
-    budget = weight(alpha) - weight(alpha') - 1 = weight(c) >= min |c|, as
-    weight(beta) = d - weight(alpha); alpha' lexicographic."""
-    top = seqs.weight(alpha) - 1
-    return tuple((_share(a_prime, a_prime), seqs.binomial(alpha, a_prime),
-                  top - seqs.weight(a_prime), sum(a_prime))
-                 for a_prime in seqs.subsequences(alpha, top - min_size))
-
-
 @lru_cache(maxsize=None)
 def _nodeless(beta):
     """N(d, 0, alpha, beta), the multinomial as binomials: beta = (d) is free."""
     return seqs.nat_power(beta) * prod(map(comb, accumulate(beta), beta))
-
-
-# by hand: through seqs, the 464 keys of the d = 9..12 genus-0 queries took 2.2x as long
-@lru_cache(maxsize=None)
-def _degenerations(beta, budget, min_size):
-    """(k^c * C(beta + c, beta), |c|, beta + c) per c in partitions(budget, min_size)."""
-    out = []
-    for c in seqs.partitions(budget, min_size):
-        b_prime = [*beta, *c[len(beta):]]
-        unassigned = 1
-        for k, c_k in enumerate(c[:len(beta)]):
-            if c_k:
-                b_prime[k] += c_k
-                unassigned *= comb(b_prime[k], c_k)
-        b_prime = tuple(b_prime)
-        out.append((seqs.nat_power(c) * unassigned, sum(c), _share(b_prime, b_prime)))
-    return tuple(out)
 
 
 def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
@@ -204,35 +155,43 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
         d0 = goettsche.window_start(delta)
         if d >= d0 and delta <= goettsche.CERTIFIED_DELTA:
             return goettsche.node_degree(d, delta)
-    memo = MemoStore() if memo is None else memo
-    value = memo.get(index)
+    value = None if memo is None else memo.get(index)
     if value is not None:
         memo.hits += 1
         return value
     if d0 is not None and d - d0 >= 3:  # d0 = delta: the constants hold each row k <= 10
-        window = range(d0, d0 + 3)
+        memo, window = MemoStore() if memo is None else memo, range(d0, d0 + 3)
         missing = {(n, k) for n in window for k in range(goettsche.CERTIFIED_DELTA + 1, delta + 1)
                    if (n, k, (), (n,)) not in memo}
         if missing:  # one fill, no genus floor: delta' = 1..delta at each n >= d0
             from . import fill
-            for n, _, _, width, layer in _layers(d0 + 2, delta, None, 0, ((), (d0 + 2,))):
-                row = fill.unpack(layer[(), (n,)], width, delta) if n >= d0 else ()
-                for k, value in enumerate(row, 1):
+            top = ((), seqs.share((d0 + 2,), (d0 + 2,)))
+            for n, lo, width, layer, _ in fill.layers(d0 + 2, delta, comb(d0 + 1, 2), 0, top,
+                                                      _nodeless, memo):
+                row = fill.unpack(layer[(), (n,)], width, delta + 1 - lo) if n >= d0 else ()
+                for k, value in enumerate(row, lo):
                     if (n, k) in missing:
-                        memo.put(_Key(n, k, (), _share((n,), (n,))), value)
+                        memo.put(_Key(n, k, (), seqs.share((n,), (n,))), value)
         rows = [[severi_degree((n, k, (), (n,)), memo) for k in range(delta + 1)] for n in window]
-        return memo.put(_Key(d, delta, (), _share(beta, beta)),
+        return memo.put(_Key(d, delta, (), seqs.share(beta, beta)),
                         goettsche.extrapolate(rows, d - d0))
-    return _degree((d, delta, _share(alpha, alpha), _share(beta, beta)), memo)
+    return _degree((d, delta, seqs.share(alpha, alpha), seqs.share(beta, beta)), memo)
 
 
-def _degree(index: tuple, memo: MemoStore) -> int:
-    """One fill for an unmarked index with delta > 0 the memo lacks: one entry."""
+def _degree(index: tuple, memo: MemoStore | None) -> int:
+    """One fill for an unmarked index with delta > 0 that the memo lacks.  Each cell
+    it computes is exact (fill.layers), and a memo takes them all, the index's own
+    among them, so a batch through one memo shares work; memo None stores none."""
+    from . import fill
     d, delta, alpha, beta = index
-    for *_, layer in _layers(d, delta, comb(d - 1, 2) - delta,
-                             d - sum(alpha) - sum(beta), (alpha, beta)):
-        pass
-    return memo.put(_Key._make(index), layer[alpha, beta])
+    for n, lo, width, layer, span in fill.layers(d, delta, comb(d - 1, 2) - delta, d - sum(alpha)
+                                                 - sum(beta), (alpha, beta), _nodeless, memo):
+        for (a, b), last in span.items() if memo is not None else ():
+            packed, slot = layer[a, b], (1 << width) - 1
+            for k in range(lo, last + 1):
+                memo.put(_Key(n, k, a, b), packed & slot)
+                packed >>= width
+    return layer[alpha, beta]
 
 
 def severi_table(d_max: int, delta_max: int) -> list[list[tuple]]:
@@ -248,12 +207,6 @@ def severi_table(d_max: int, delta_max: int) -> list[list[tuple]]:
     return [[(alpha, beta, degrees + [0] * (min(d * (d - 1) // 2, delta_max) + 1 - len(degrees)),
               dimension((d, 0, alpha, beta)), genus((d, 0, alpha, beta)))
              for (alpha, beta), packed in sorted(layer.items())  # zeros past the vanishing rule
-             for degrees in [fill.unpack(packed, width, his[d - sum(alpha) - sum(beta)] + 1)]]
-            for d, _, his, width, layer in _layers(d_max, delta_max)]
+             for degrees in [fill.unpack(packed, width, span[alpha, beta] + 1)]]
+            for d, _, width, layer, span in fill.layers(d_max, delta_max)]
 
-
-def _layers(d, delta, g=None, excess=None, target=None):
-    """fill.layers over this module's term tables, read at each call."""
-    from . import fill
-    return fill.layers(d, delta, g, excess, target, (_share, _raisings, _lowerings,
-                       _assigned_splits, _degenerations, _nodeless))

@@ -1283,12 +1283,13 @@ def test_an_unmapped_exception_is_raised_not_an_exit_code(monkeypatch, capsys):
 
 
 def test_a_valid_query_past_its_address_space_exits_1_without_a_traceback():
-    # the fill of (36, 1; (), (0, 0, 12)), whose excess 24 lets every shape of
-    # excess <= 24 into its layers, outgrows a 200 MB address space, set on the
-    # child alone, in about 9 s (2-core Xeon, Python 3.11.7); CPython 3.11 may
-    # then fail to allocate a frame (SystemError) or raise MemoryError
+    # the spans of (900, 2; (1), (899)), every layer held before the fill,
+    # outgrow a 200 MB address space, set on the child alone, in about 5 s
+    # (2-core Xeon, Python 3.11.7); CPython 3.11 may then fail to allocate a
+    # frame (SystemError) or raise MemoryError
     cap = 200 * 2**20
-    proc = fresh_cli("severi", "--d", "36", "--delta", "1", "--beta", "0,0,12",
+    proc = fresh_cli("severi", "--d", "900", "--delta", "2", "--alpha", "1",
+                     "--beta", "899",
                      preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert (proc.returncode, proc.stdout) == (1, "")
     assert re.fullmatch("out of resources: (MemoryError|RecursionError|SystemError)\n",

@@ -119,9 +119,9 @@ def first_sum(index):
     """(j, child) per j with beta_j > 0, from the raisings and lowerings that
     _degree and severi_table read."""
     d, delta, alpha, beta = index
-    raised = severi._raisings(alpha, len(beta))
+    raised = fill._raisings(alpha, len(beta))
     return [(j, idx(d, delta, raised[j - 1], lowered))
-            for j, lowered in severi._lowerings(beta)]
+            for j, lowered in fill._lowerings(beta)]
 
 
 def test_first_sum_examples():
@@ -159,8 +159,8 @@ def second_sum(index):
     min_size = max(top - delta, 0)
     return sorted(
         (assigned * coeff, idx(top, delta - top + c_size, a_prime, b_prime))
-        for a_prime, assigned, budget, _ in severi._assigned_splits(alpha, min_size)
-        for coeff, c_size, b_prime in severi._degenerations(beta, budget, min_size))
+        for a_prime, assigned, budget, _ in fill._assigned_splits(alpha, min_size)
+        for coeff, c_size, b_prime in fill._degenerations(beta, budget, min_size))
 
 
 def oracle_terms(index):
@@ -532,28 +532,30 @@ def test_memo_transparency():
 
 
 def counted_fills(monkeypatch):
-    """[(shapes, cells) per layer] per later severi._layers call: a cell is a
-    (shape, delta) the fill computes, delta = lo..his[e]."""
-    fills, layers = [], severi._layers
+    """[(shapes, cells) per layer] per later fill.layers call: a cell is a
+    (shape, delta) the fill computes and yields, delta = lo..last."""
+    fills, layers = [], fill.layers
 
     def counted(*args):
         fills.append([])
-        for n, lo, his, width, layer in layers(*args):
-            fills[-1].append((len(layer), sum(his[n - sum(a) - sum(b)] - lo + 1 for a, b in layer)))
-            yield n, lo, his, width, layer
+        for n, lo, width, layer, span in layers(*args):
+            fills[-1].append((len(span), sum(last - lo + 1 for last in span.values())))
+            yield n, lo, width, layer, span
 
-    monkeypatch.setattr(severi, "_layers", counted)
+    monkeypatch.setattr(fill, "layers", counted)
     return fills
 
 
 def test_memo_work_counters_are_pinned(monkeypatch):
-    # one fill per computed index, one memo entry, no hit; the fill's shapes
-    # and cells (the recursion it replaced made 3,438 entries with 25,224 hits)
+    # one fill, whose shapes and cells are pinned, and the memo takes every cell
+    # (the recursion it replaced made 3,438 entries with 25,224 hits); a second
+    # call is one hit and no fill
     fills = counted_fills(monkeypatch)
     memo = MemoStore()
-    assert severi.severi_degree(idx(10, 36, (), (10,)), memo) == 178396887235408616925
-    assert (len(memo), memo.hits) == (1, 0)
-    assert [tuple(map(sum, zip(*layers))) for layers in fills] == [(740, 4706)]
+    for hits in (0, 1):
+        assert severi.severi_degree(idx(10, 36, (), (10,)), memo) == 178396887235408616925
+        assert [tuple(map(sum, zip(*layers))) for layers in fills] == [(740, 4706)]
+        assert (len(memo), memo.hits) == (4706, hits)
 
 
 def fill_mutant(monkeypatch, old, new):
@@ -587,42 +589,37 @@ def test_an_undersized_slot_width_never_returns_a_number(monkeypatch):
     assert all(call() != value for call, value in zip(calls, exact))
 
 
-def test_every_index_through_degree_7_is_its_table_row():
+def test_every_index_through_degree_8_is_its_table_row():
     # the genus ceiling and the node-plus-excess bound decide which cells a fill
-    # computes; each nonvanishing index with d <= 7, through severi_degree with
-    # a fresh memo (one fill each), equals its table row; and at one node
-    # N(d, 1; (1), (d - 1)) = 3 (d - 1)^2 up to d = 120
-    rows = [rec for rec in table_rows(severi.severi_table(7, 21)) if rec.degree]
-    assert len(rows) == 3480
+    # computes.  Each nonvanishing index with d <= 7, one fill each with no memo,
+    # equals its table row; every one with d <= 8, from d = 8 down through one
+    # memo, equals it too, and so does every cell those fills leave in the memo;
+    # and at one node N(d, 1; (1), (d - 1)) = 3 (d - 1)^2 up to d = 120
+    rows = [rec for rec in table_rows(severi.severi_table(8, 28)) if rec.degree]
+    assert len(rows) == 8205
     for rec in rows:
-        assert severi.severi_degree(rec.index, MemoStore()) == rec.degree, rec.index
+        if rec.index.d <= 7:
+            assert severi.severi_degree(rec.index) == rec.degree, rec.index
+    memo, table = MemoStore(), {rec.index: rec.degree for rec in rows}
+    for rec in reversed(rows):
+        assert severi.severi_degree(rec.index, memo) == rec.degree, rec.index
+    assert all(table.get(key, 0) == value for key, value in memo.items())
     for d in range(2, 121):
         assert severi.severi_degree(idx(d, 1, (1,), (d - 1,))) == 3 * (d - 1) ** 2
 
 
-def test_every_cell_a_fill_computes_is_exact(monkeypatch):
+def test_every_cell_a_fill_computes_is_exact():
     # each bound is kept by a cell's children, so every cell of a fill is its
-    # degree, not only the answer: checked against the table at every index
-    # (8, delta; (1), (7)) and at (12, 55; (), (12))
+    # degree, not only the answer, and the memo takes each: checked against the
+    # table at every index (8, delta; (1), (7)) and at (12, 55; (), (12))
     table = {rec.index: rec.degree for rec in table_rows(severi.severi_table(12, 55))}
-    fills = []
-
-    def kept(*args):
-        fills.append(0)
-        for n, lo, his, width, layer in layers(*args):
-            for (alpha, beta), packed in layer.items():
-                count = his[n - sum(alpha) - sum(beta)] - lo + 1
-                for delta, value in enumerate(fill.unpack(packed, width, count), lo):
-                    assert table.get((n, delta, alpha, beta), 0) == value
-                    fills[-1] += 1
-            yield n, lo, his, width, layer
-
-    layers = severi._layers
-    monkeypatch.setattr(severi, "_layers", kept)
-    for delta in range(1, 22):
-        severi.severi_degree(idx(8, delta, (1,), (7,)), MemoStore())
-    severi.severi_degree(idx(12, 55, (), (12,)), MemoStore())
-    assert len(fills) == 22 and fills[-1] == 14636
+    memos = [MemoStore() for _ in range(22)]
+    for delta, memo in enumerate(memos[:-1], 1):
+        severi.severi_degree(idx(8, delta, (1,), (7,)), memo)
+    severi.severi_degree(idx(12, 55, (), (12,)), memos[-1])
+    for memo in memos:
+        assert all(table.get(key, 0) == value for key, value in memo.items())
+    assert len(memos[-1]) == 14636
 
 
 def test_the_node_poly_sweep_never_recurses(monkeypatch):
@@ -631,8 +628,8 @@ def test_the_node_poly_sweep_never_recurses(monkeypatch):
     # constants, so _degree never runs, the memo stays empty and no term table grows
     calls = []
     monkeypatch.setattr(severi, "_degree", lambda index, memo: calls.append(index))
-    tables = [severi._raisings, severi._lowerings, severi._assigned_splits,
-              severi._degenerations]
+    tables = [fill._raisings, fill._lowerings, fill._assigned_splits,
+              fill._degenerations]
     before = [table.cache_info() for table in tables]
     memo = MemoStore()
     for delta in range(7):
@@ -644,13 +641,15 @@ def test_the_node_poly_sweep_never_recurses(monkeypatch):
 
 
 # delta = 11, past CERTIFIED_DELTA: d = 8..13 are one fill each, d = 14 reads its
-# window from the memo they leave
+# window from the cells they leave in the memo
 PAST_THE_BOUND = [(d, 11) for d in range(8, 15)]
 
 
 def test_degree_runs_once_per_miss_and_never_at_delta_zero(monkeypatch):
-    # delta = 0 is the closed form, so every _degree call and every window
-    # route stores one memo entry; the constants (the window's delta <= 10
+    # delta = 0 is the closed form, so neither a _degree call nor a memo key
+    # has delta = 0; each _degree call is one fill, whose cells the memo takes
+    # (a fill recomputes a shape whose row the memo holds only in part), and
+    # the window route stores its answer; the constants (the window's delta <= 10
     # rows) store none
     deltas, degree = [], severi._degree
 
@@ -659,13 +658,14 @@ def test_degree_runs_once_per_miss_and_never_at_delta_zero(monkeypatch):
         return degree(index, memo)
 
     monkeypatch.setattr(severi, "_degree", counted)
+    fills = counted_fills(monkeypatch)
     constants, windows = count_routes(monkeypatch)
     memo = MemoStore()
     for d, delta in PAST_THE_BOUND:
         severi.severi_degree(idx(d, delta, (), (d,)), memo)
-    assert 0 not in deltas
-    assert (len(deltas), len(windows), len(constants)) == (6, 1, 30)
-    assert len(deltas) + len(windows) == len(memo)
+    assert 0 not in deltas and all(key.delta for key in memo)
+    assert (len(deltas), len(fills), len(windows), len(constants)) == (6, 6, 1, 30)
+    assert (len(memo), sum(cells for layers in fills for _, cells in layers)) == (18702, 22133)
 
 
 def test_memo_keys_share_one_tuple_per_profile():
@@ -673,7 +673,7 @@ def test_memo_keys_share_one_tuple_per_profile():
     memo = MemoStore()
     for d, delta in PAST_THE_BOUND:
         severi.severi_degree(idx(d, delta, (), (d,)), memo)
-    assert len(memo) == 7
+    assert len(memo) == 18702
     assert all(type(k) is severi._Key for k in memo)
     assert len({id(k.alpha) for k in memo}) == len({k.alpha for k in memo})
     assert len({id(k.beta) for k in memo}) == len({k.beta for k in memo})
@@ -708,7 +708,7 @@ def test_assigned_splits_are_every_sub_profile(w):
                  for a in subseqs(alpha)]
         for min_size in range(w + 1):
             expected = tuple(s for s in every if s[2] >= min_size)
-            assert severi._assigned_splits(alpha, min_size) == expected
+            assert fill._assigned_splits(alpha, min_size) == expected
 
 
 def nodeless_by_factorials(beta):
@@ -777,7 +777,7 @@ def test_one_degeneration_loop_per_engine():
                         or isinstance(node, ast.Attribute)
                         and node.attr == "_degenerations"):
                     readers.add((path.stem, getattr(top, "name", None)))
-    assert readers == {("severi", "_layers")}
+    assert readers == {("fill", "_reach"), ("fill", "layers")}
 
 
 @pytest.mark.parametrize("d,expected", [
