@@ -9,18 +9,19 @@ cubics through 8 general points).  All arithmetic is exact.
 """
 
 import sys
-from contextlib import contextmanager
 
 __version__ = "0.1.0"
 
 
-@contextmanager
-def exact_decimals():
+class exact_decimals:
     """Lift Python's int<->str digit cap inside the block and restore it
-    after, so counts of any size convert exactly."""
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
+    after, so counts of any size convert exactly.  A class, not a generator:
+    past the address space, a generator left suspended is finalized while
+    memory is still full, and its error is printed as unraisable."""
+
+    def __enter__(self):
+        self.saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        sys.set_int_max_str_digits(self.saved)
