@@ -90,8 +90,7 @@ def _reach(d, delta, g, q, target, memo):
         for size in range(n, -1, -1):  # a first-sum child (|beta| - 1) after its parents
             for alpha, beta in levels[size]:
                 last = layer[alpha, beta]
-                row = [memo.get((n, k, alpha, beta)) for k in range(floor, last + 1)] if memo else [None]
-                if None not in row:
+                if memo and None not in (row := [memo.get((n, k, alpha, beta)) for k in range(floor, last + 1)]):
                     known[n][alpha, beta] = row
                     del layer[alpha, beta]
                     continue
@@ -104,6 +103,7 @@ def _reach(d, delta, g, q, target, memo):
                 for a_prime, _, budget, a_size in _assigned_splits(alpha, max(top - last, 0)):
                     if splits.get(key := (a_prime, beta, budget, a_size + size), 0) < last:
                         splits[key] = last
+        spans[n] = {shape: layer[shape] for level in levels for shape in level if shape in layer}
         below, floor = spans[top], _floor(top, d, g)
         cap = min(q, comb(n - 1, 2))  # a cell at layer n - 1 has delta' <= cap - e'
         for (a_prime, beta, budget, size), last in splits.items():
@@ -144,13 +144,14 @@ def layers(d, delta, g=None, excess=0, target=None, nodeless=None, memo=None):
         if closed:
             span, spans[n], lo = spans[n], None, _floor(n, d, g)
         else:  # every shape, to the vanishing rule: delta' <= C(n-1, 2) + |alpha| + |beta| - 1
-            span, lo = {(seqs.share(a, a), seqs.share(b, b)): min(delta, comb(n, 2) - n + sum(a) + sum(b))
-                        for w in range(n + 1) for a in seqs.partitions(w) for b in seqs.partitions(n - w)}, 0
+            span, lo = dict(sorted((((seqs.share(a, a), seqs.share(b, b)), min(delta, comb(n, 2) - n + sum(a) + sum(b)))
+                                    for w in range(n + 1) for a in seqs.partitions(w) for b in seqs.partitions(n - w)),
+                                   key=lambda item: sum(item[0][1]))), 0
         offset = below_lo + top - lo  # a child's slot i lands at i + offset - |c|
         zero = top - lo if closed else -1  # a term with |c| <= zero has a delta' = 0 cell
         width, masks = bits + room, {}
         layer = {shape: sum(v << i * width for i, v in enumerate(row)) for shape, row in known[n].items()}
-        for (alpha, beta), hi in sorted(span.items(), key=lambda item: sum(item[0][1])):
+        for (alpha, beta), hi in span.items():  # |beta| ascending: first-sum children first
             min_size = max(top - hi, 0)  # delta' >= 0 needs |c| >= (n - 1) - delta
             while True:
                 if hi not in masks:
