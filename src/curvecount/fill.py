@@ -1,8 +1,9 @@
 """The layered fill of the Caporaso-Harris recursion (module severi) and the term
-tables it reads: severi_table fills every shape, severi_degree the cells one index
-reaches.  severi loads this module only once a query or a table fills: inside
-severi.py, the fill's code raised the peak RSS of the benchmark's node-poly sweep,
-which never fills and compiles its modules from source, by 0.15 MB (4 of 4 pairs).
+tables it reads: severi_table fills every shape, severi_degree the cells one
+index reaches, found top-down first (_reach).  severi loads this module only
+once a query or a table fills: inside severi.py, the fill's code raised the peak
+RSS of the benchmark's node-poly sweep, which never fills and compiles its
+modules from source, by 0.15 MB (4 of 4 pairs).
 """
 
 from __future__ import annotations

@@ -113,8 +113,9 @@ class MemoStore(dict):
     severi_degree reads it as a dict and writes it through put, which returns
     the value: a second put of the same value is a no-op, a conflicting one (a
     corruption, as the recursion is deterministic) raises.  Equal profiles in
-    its keys are one tuple (seqs.share); delta = 0 never enters.  len(memo) is the
-    miss count; hits, kept by severi_degree, counts the lookups it answers."""
+    its keys are one tuple (seqs.share); delta = 0 never enters.  A fill puts
+    every cell it computes; hits, kept by severi_degree, counts the lookups it
+    answers."""
 
     __slots__ = ("hits",)
 
@@ -140,10 +141,11 @@ def _nodeless(beta):
 def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     """Degree at the index: 0, the memo untouched, past the vanishing rule or at
     delta < 0; the closed form at delta = 0; else the memo's value or one fill
-    (_degree), stored.  At alpha = (), beta = (d), d >= d0 = window_start(delta)
-    > delta // 2, goettsche's frozen constants answer up to CERTIFIED_DELTA nodes
-    before the memo is read, never stored; above, a miss with d - d0 >= 3 is
-    extrapolated from its window rows, those the memo lacks from one fill."""
+    (_degree), whose cells a memo takes.  At alpha = (), beta = (d), d >= d0 =
+    window_start(delta) > delta // 2, goettsche's frozen constants answer up to
+    CERTIFIED_DELTA nodes before the memo is read, never stored; above, a miss
+    with d - d0 >= 3 is extrapolated from its window rows, those the memo lacks
+    from one fill."""
     d, delta, alpha, beta = index
     if delta < 0 or delta >= comb(d - 1, 2) + sum(alpha) + sum(beta):
         return 0
