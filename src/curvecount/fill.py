@@ -91,7 +91,8 @@ def _reach(d, delta, g, q, target, memo):
         for size in range(n, -1, -1):  # a first-sum child (|beta| - 1) after its parents
             for alpha, beta in levels[size]:
                 last = layer[alpha, beta]
-                if memo and None not in (row := [memo.get((n, k, alpha, beta)) for k in range(floor, last + 1)]):
+                if memo and None not in (row := [memo.get((n, k, alpha, beta))
+                                                 for k in range(floor, last + 1)]):
                     known[n][alpha, beta] = row
                     del layer[alpha, beta]
                     continue
@@ -136,22 +137,26 @@ def layers(d, delta, g=None, excess=0, target=None, nodeless=None, memo=None):
     of slots below 2^B carries.  One AND per shape checks its slots against 2^B;
     past it the shape is refilled at twice B, both held layers repacked."""
     closed = target is not None  # delta' = 0 from nodeless, not from the layer below
-    spans, known = _reach(d, delta, g, delta + excess, target, memo) if closed else (None, [{}] * (d + 1))
+    spans, known = (_reach(d, delta, g, delta + excess, target, memo) if closed
+                    else (None, [{}] * (d + 1)))
     room = -(-4 * d // 8) * 8  # whole bytes, for unpack; bits holds each row read
-    bits = max([SLOT_BITS, *(-(-v.bit_length() // 8) * 8 for rows in known for row in rows.values() for v in row)])
+    bits = max([SLOT_BITS, *(-(-v.bit_length() // 8) * 8
+                             for rows in known for row in rows.values() for v in row)])
     below, below_lo = ({} if closed else {((), ()): 1}), 0  # the empty curve of degree 0
     for n in range(1, d + 1):
         top = n - 1
         if closed:
             span, spans[n], lo = spans[n], None, _floor(n, d, g)
         else:  # every shape, to the vanishing rule: delta' <= C(n-1, 2) + |alpha| + |beta| - 1
-            span, lo = dict(sorted((((seqs.share(a, a), seqs.share(b, b)), min(delta, comb(n, 2) - n + sum(a) + sum(b)))
-                                    for w in range(n + 1) for a in seqs.partitions(w) for b in seqs.partitions(n - w)),
-                                   key=lambda item: sum(item[0][1]))), 0
+            shapes = sorted(((seqs.share(a, a), seqs.share(b, b)) for w in range(n + 1)
+                             for a in seqs.partitions(w) for b in seqs.partitions(n - w)),
+                            key=lambda shape: sum(shape[1]))
+            span, lo = {(a, b): min(delta, comb(n, 2) - n + sum(a) + sum(b)) for a, b in shapes}, 0
         offset = below_lo + top - lo  # a child's slot i lands at i + offset - |c|
         zero = top - lo if closed else -1  # a term with |c| <= zero has a delta' = 0 cell
         width, masks = bits + room, {}
-        layer = {shape: sum(v << i * width for i, v in enumerate(row)) for shape, row in known[n].items()}
+        layer = {shape: sum(v << i * width for i, v in enumerate(row))
+                 for shape, row in known[n].items()}
         for (alpha, beta), hi in span.items():  # |beta| ascending: first-sum children first
             min_size = max(top - hi, 0)  # delta' >= 0 needs |c| >= (n - 1) - delta
             while True:
@@ -161,8 +166,8 @@ def layers(d, delta, g=None, excess=0, target=None, nodeless=None, memo=None):
                 try:
                     (mask, guard), poly = masks[hi], 0
                     raised = _raisings(alpha, len(beta))
-                    for j, lowered in _lowerings(beta):
-                        poly += j * (layer.get((raised[j - 1], lowered), 0) & mask)  # the same cells
+                    for j, lowered in _lowerings(beta):  # the first sum: the same cells
+                        poly += j * (layer.get((raised[j - 1], lowered), 0) & mask)
                     for a_prime, assigned, budget, _ in _assigned_splits(alpha, min_size):
                         part = 0
                         for coeff, c_size, b_prime in _degenerations(beta, budget, min_size):

@@ -558,6 +558,18 @@ def test_memo_work_counters_are_pinned(monkeypatch):
         assert (len(memo), memo.hits) == (4706, hits)
 
 
+@pytest.mark.parametrize("d,expected,cells", [
+    (30, 145496736, 473), (36, 1915313364, 676), (45, 82061399133, 1048)])
+def test_a_large_excess_fill_computes_only_the_cells_its_index_reaches(monkeypatch, d, expected,
+                                                                       cells):
+    # (d, 1; (), (0, 0, d / 3)) has excess 2d/3 and one node: the bounds alone
+    # admit nearly every shape of weight d - 1, which ran out of memory at d = 36;
+    # the shapes found from the index are one cell each, the recursion's entries
+    fills = counted_fills(monkeypatch)
+    assert severi.severi_degree(idx(d, 1, (), (0, 0, d // 3))) == expected
+    assert [tuple(map(sum, zip(*layers))) for layers in fills] == [(cells, cells)]
+
+
 def fill_mutant(monkeypatch, old, new):
     """Replace fill.layers by a copy of its source with old replaced by new."""
     source = textwrap.dedent(inspect.getsource(fill.layers))
