@@ -1,64 +1,18 @@
-"""The layered fill of the Caporaso-Harris recursion (module severi) and the term
-tables it reads: severi_table fills every shape, severi_degree the cells one
-index reaches, found top-down first (_reach).  severi loads this module only
-once a query or a table fills: inside severi.py, the fill's code raised the peak
-RSS of the benchmark's node-poly sweep, which never fills and compiles its
-modules from source, by 0.15 MB (4 of 4 pairs).
+"""The layered fill of the Caporaso-Harris recursion (module severi), over the
+term tables severi hands in: severi_table fills every shape, severi_degree the
+cells one index reaches (module reach).  severi loads this module only once a
+query or a table fills: inside severi.py, the fill's code raised the peak RSS of
+the benchmark's node-poly sweep, which never fills and compiles its modules from
+source, by 0.15 MB (4 of 4 pairs).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from . import seqs
 
 SLOT_BITS = 64  # B, the bits a slot's value may take, at the start of each fill
-
-
-# by hand: through seqs.add, one cached entry at n = 9 took 6x as long (Xeon, Py 3.11)
-@lru_cache(maxsize=None)
-def _raisings(alpha, n):
-    """alpha + e_j for j = 1..n."""
-    padded = alpha + (0,) * (n - len(alpha))
-    raised = (padded[:j] + (padded[j] + 1,) + alpha[j + 1:] for j in range(n))
-    return tuple(seqs.share(r, r) for r in raised)
-
-
-@lru_cache(maxsize=None)
-def _lowerings(beta):
-    """(j, beta - e_j) per j with beta_j > 0."""
-    lowered = ((j, seqs.add(beta, (0,) * (j - 1) + (-1,)))
-               for j, entry in enumerate(beta, start=1) if entry)
-    return tuple((j, seqs.share(low, low)) for j, low in lowered)
-
-
-@lru_cache(maxsize=None)
-def _assigned_splits(alpha, min_size):
-    """(alpha', C(alpha, alpha'), budget, |alpha'|) per alpha' <= alpha, with
-    budget = weight(alpha) - weight(alpha') - 1 = weight(c) >= min |c|, as
-    weight(beta) = d - weight(alpha); alpha' lexicographic."""
-    top = seqs.weight(alpha) - 1
-    return tuple((seqs.share(a_prime, a_prime), seqs.binomial(alpha, a_prime),
-                  top - seqs.weight(a_prime), sum(a_prime))
-                 for a_prime in seqs.subsequences(alpha, top - min_size))
-
-
-# by hand: through seqs, the 464 keys of the d = 9..12 genus-0 queries took 2.2x as long
-@lru_cache(maxsize=None)
-def _degenerations(beta, budget, min_size):
-    """(k^c * C(beta + c, beta), |c|, beta + c) per c in partitions(budget, min_size)."""
-    out = []
-    for c in seqs.partitions(budget, min_size):
-        b_prime = [*beta, *c[len(beta):]]
-        unassigned = 1
-        for k, c_k in enumerate(c[:len(beta)]):
-            if c_k:
-                b_prime[k] += c_k
-                unassigned *= comb(b_prime[k], c_k)
-        b_prime = tuple(b_prime)
-        out.append((seqs.nat_power(c) * unassigned, sum(c), seqs.share(b_prime, b_prime)))
-    return tuple(out)
 
 
 def unpack(packed: int, width: int, count: int) -> list[int]:
@@ -67,63 +21,15 @@ def unpack(packed: int, width: int, count: int) -> list[int]:
     return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
 
 
-def _floor(n, d, g):
-    """The genus ceiling at layer n of a fill to degree d and genus g: a cell the
-    target needs has delta' >= 1 and delta' >= C(n-1, 2) - g - (d - n)."""
-    return max(1, comb(n - 1, 2) - g - (d - n))
-
-
-def _reach(d, delta, g, q, target, memo):
-    """Top-down from the target at layer d, per layer n = 0..d the last delta' to
-    fill {(alpha, beta): last} and the rows read from the memo {(alpha, beta):
-    [degree per delta' = floor..last]}: a shape's last is the most its parents
-    need, moved by their terms ((n - 1) - |c| for a degeneration) and cut by the
-    vanishing rule and the node-plus-excess bound, and a shape whose row the memo
-    holds is read, not followed.  The parents with one beta and one alpha' share
-    their degenerations, so each such split is walked once, at their greatest last."""
-    spans, known = [{} for _ in range(d + 1)], [{} for _ in range(d + 1)]
-    spans[d][target] = delta
-    for n in range(d, 1, -1):
-        top, layer, splits, floor = n - 1, spans[n], {}, _floor(n, d, g)
-        levels = [[] for _ in range(n + 1)]
-        for shape in layer:
-            levels[sum(shape[1])].append(shape)
-        for size in range(n, -1, -1):  # a first-sum child (|beta| - 1) after its parents
-            for alpha, beta in levels[size]:
-                last = layer[alpha, beta]
-                if memo and None not in (row := [memo.get((n, k, alpha, beta))
-                                                 for k in range(floor, last + 1)]):
-                    known[n][alpha, beta] = row
-                    del layer[alpha, beta]
-                    continue
-                raised = _raisings(alpha, len(beta))
-                for j, lowered in _lowerings(beta):
-                    if (old := layer.get(key := (raised[j - 1], lowered), 0)) < last:
-                        layer[key] = last
-                        if not old:
-                            levels[size - 1].append(key)
-                for a_prime, _, budget, a_size in _assigned_splits(alpha, max(top - last, 0)):
-                    if splits.get(key := (a_prime, beta, budget, a_size + size), 0) < last:
-                        splits[key] = last
-        spans[n] = {shape: layer[shape] for level in levels for shape in level if shape in layer}
-        below, floor = spans[top], _floor(top, d, g)
-        cap = min(q, comb(n - 1, 2))  # a cell at layer n - 1 has delta' <= cap - e'
-        for (a_prime, beta, budget, size), last in splits.items():
-            end = min(last, cap + size) - top  # e' = top - |alpha'| - |beta| - |c|
-            for _, c_size, b_prime in _degenerations(beta, budget, max(top - last, 0)):
-                if below.get(key := (a_prime, b_prime), 0) < end + c_size >= floor:
-                    below[key] = end + c_size
-    return spans, known
-
-
-def layers(d, delta, g=None, excess=0, target=None, nodeless=None, memo=None):
+def layers(d, delta, terms, g=None, excess=0, target=None, memo=None):
     """Fill N(n, delta'; alpha, beta) bottom-up for n = 1..d, two layers held, and
     yield each as (n, lo, width, {(alpha, beta): packed}, {(alpha, beta): last}):
     the int holds delta' = lo..last at bit (delta' - lo) * width, so a
     degeneration term (delta' moved by (n - 1) - |c|) is a shift, mask, multiply.
     The table (no target) fills every shape from delta' = 0 by the recursion.  A
     query (the target of genus g and excess e0 at layer d) reads delta' = 0 from
-    nodeless (of beta'), and fills the shapes _reach finds, from lo = _floor(n);
+    the closed form (of beta'), and fills the shapes reach.reach finds, from each
+    layer's lo = reach.floor;
     two bounds on a needed cell, each kept by its children, cut the cells:
     - genus ceiling: first-sum children keep the genus, second-sum children have
       g + 1 - |c| <= g + 1, so delta' >= C(n-1, 2) - g - (d - n) at layer n;
@@ -136,9 +42,12 @@ def layers(d, delta, g=None, excess=0, target=None, nodeless=None, memo=None):
     n + 2^(|alpha| + n - 1) <= 2^(2n) terms, each masked to its slots, so no sum
     of slots below 2^B carries.  One AND per shape checks its slots against 2^B;
     past it the shape is refilled at twice B, both held layers repacked."""
-    closed = target is not None  # delta' = 0 from nodeless, not from the layer below
-    spans, known = (_reach(d, delta, g, delta + excess, target, memo) if closed
+    closed = target is not None  # delta' = 0 from the closed form, not from the layer below
+    if closed:
+        from .reach import floor, reach
+    spans, known = (reach(d, delta, terms, g, delta + excess, target, memo) if closed
                     else (None, [{}] * (d + 1)))
+    share, raisings, lowerings, splits_of, degenerations, nodeless = terms
     room = -(-4 * d // 8) * 8  # whole bytes, for unpack; bits holds each row read
     bits = max([SLOT_BITS, *(-(-v.bit_length() // 8) * 8
                              for rows in known for row in rows.values() for v in row)])
@@ -146,9 +55,9 @@ def layers(d, delta, g=None, excess=0, target=None, nodeless=None, memo=None):
     for n in range(1, d + 1):
         top = n - 1
         if closed:
-            span, spans[n], lo = spans[n], None, _floor(n, d, g)
+            span, spans[n], lo = spans[n], None, floor(n, d, g)
         else:  # every shape, to the vanishing rule: delta' <= C(n-1, 2) + |alpha| + |beta| - 1
-            shapes = sorted(((seqs.share(a, a), seqs.share(b, b)) for w in range(n + 1)
+            shapes = sorted(((share(a, a), share(b, b)) for w in range(n + 1)
                              for a in seqs.partitions(w) for b in seqs.partitions(n - w)),
                             key=lambda shape: sum(shape[1]))
             span, lo = {(a, b): min(delta, comb(n, 2) - n + sum(a) + sum(b)) for a, b in shapes}, 0
@@ -165,12 +74,12 @@ def layers(d, delta, g=None, excess=0, target=None, nodeless=None, memo=None):
                     masks[hi] = full, full ^ full // ((1 << width) - 1) * ((1 << bits) - 1)
                 try:
                     (mask, guard), poly = masks[hi], 0
-                    raised = _raisings(alpha, len(beta))
-                    for j, lowered in _lowerings(beta):  # the first sum: the same cells
+                    raised = raisings(alpha, len(beta))
+                    for j, lowered in lowerings(beta):  # the first sum: the same cells
                         poly += j * (layer.get((raised[j - 1], lowered), 0) & mask)
-                    for a_prime, assigned, budget, _ in _assigned_splits(alpha, min_size):
+                    for a_prime, assigned, budget, _ in splits_of(alpha, min_size):
                         part = 0
-                        for coeff, c_size, b_prime in _degenerations(beta, budget, min_size):
+                        for coeff, c_size, b_prime in degenerations(beta, budget, min_size):
                             child = below.get((a_prime, b_prime))
                             if child:
                                 shift = (offset - c_size) * width

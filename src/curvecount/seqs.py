@@ -27,9 +27,6 @@ def canon(entries) -> tuple[int, ...]:
     return t[:end]
 
 
-share = {}.setdefault  # share(p, p): the first tuple equal to p it saw, one per profile
-
-
 def weight(s) -> int:
     """Total contact order, sum of k * s_k."""
     return sum(k * e for k, e in enumerate(s, start=1))

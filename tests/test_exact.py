@@ -277,7 +277,8 @@ CLI_MODULES = [
      ("goettsche", "seqs", "severi")),
     (["severi", "--d", "3", "--delta", "1", "--beta", "3", "--format", "csv"],
      ("csv", "goettsche", "seqs", "severi")),
-    (["severi", "--d", "9", "--delta", "28", "--beta", "9"], ("fill", "seqs", "severi")),
+    (["severi", "--d", "9", "--delta", "28", "--beta", "9"],
+     ("fill", "reach", "seqs", "severi")),
     (["kontsevich", "--max", "4"], ("kontsevich",)),
     (["kontsevich", "--max", "4", "--format", "csv"], ("csv", "kontsevich")),
     (["verify", "wdvv"], ("kontsevich", "series")),
@@ -300,7 +301,8 @@ def cli_modules_after(*argv, code=0):
 def test_imports_load_only_what_they_use(tmp_path):
     # the WDVV residual imports fractions, and with it decimal, only to
     # report a nonzero entry; severi imports goettsche only for a query that
-    # may take a route, and fill only for a query or a table that fills
+    # may take a route, fill only for a query or a table that fills, and reach
+    # only for a query that fills
     assert not {"dataclasses", "inspect", "fractions", "decimal", "curvecount.goettsche",
                 *PARSER} & modules_after("import curvecount.cli")
     loaded = modules_after("from curvecount import severi")

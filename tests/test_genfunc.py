@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from curvecount import cli, fill, genfunc, seqs, severi
+from curvecount import cli, genfunc, seqs, severi
 from curvecount.severi import MemoStore, SeveriIndex
 
 from helpers import (all_indices, corrupted, oracle_first_sum, oracle_second_sum,
@@ -210,14 +210,14 @@ def test_identity_needs_no_engine_sums(monkeypatch):
 
 def test_a_wrong_degeneration_coefficient_is_caught(monkeypatch, capsys):
     # the mutant doubles every coefficient whose beta + c has an entry of order >= 3
-    exact = fill._degenerations
+    exact = severi._degenerations
 
     @functools.lru_cache(maxsize=None)
     def doubled(beta, budget, min_size):
         return tuple((2 * coeff if len(b_prime) > 2 else coeff, c_size, b_prime)
                      for coeff, c_size, b_prime in exact(beta, budget, min_size))
 
-    monkeypatch.setattr(fill, "_degenerations", doubled)
+    monkeypatch.setattr(severi, "_degenerations", doubled)
     wrong = SeveriIndex(4, 3, (), (4,))
     assert [rec.degree for rec in table_rows(table(4)) if rec.index == wrong] == [738]  # not 675
     assert genfunc.getzler_residual(4)

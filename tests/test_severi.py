@@ -119,9 +119,9 @@ def first_sum(index):
     """(j, child) per j with beta_j > 0, from the raisings and lowerings that
     _degree and severi_table read."""
     d, delta, alpha, beta = index
-    raised = fill._raisings(alpha, len(beta))
+    raised = severi._raisings(alpha, len(beta))
     return [(j, idx(d, delta, raised[j - 1], lowered))
-            for j, lowered in fill._lowerings(beta)]
+            for j, lowered in severi._lowerings(beta)]
 
 
 def test_first_sum_examples():
@@ -159,8 +159,8 @@ def second_sum(index):
     min_size = max(top - delta, 0)
     return sorted(
         (assigned * coeff, idx(top, delta - top + c_size, a_prime, b_prime))
-        for a_prime, assigned, budget, _ in fill._assigned_splits(alpha, min_size)
-        for coeff, c_size, b_prime in fill._degenerations(beta, budget, min_size))
+        for a_prime, assigned, budget, _ in severi._assigned_splits(alpha, min_size)
+        for coeff, c_size, b_prime in severi._degenerations(beta, budget, min_size))
 
 
 def oracle_terms(index):
@@ -640,8 +640,8 @@ def test_the_node_poly_sweep_never_recurses(monkeypatch):
     # constants, so _degree never runs, the memo stays empty and no term table grows
     calls = []
     monkeypatch.setattr(severi, "_degree", lambda index, memo: calls.append(index))
-    tables = [fill._raisings, fill._lowerings, fill._assigned_splits,
-              fill._degenerations]
+    tables = [severi._raisings, severi._lowerings, severi._assigned_splits,
+              severi._degenerations]
     before = [table.cache_info() for table in tables]
     memo = MemoStore()
     for delta in range(7):
@@ -720,7 +720,7 @@ def test_assigned_splits_are_every_sub_profile(w):
                  for a in subseqs(alpha)]
         for min_size in range(w + 1):
             expected = tuple(s for s in every if s[2] >= min_size)
-            assert fill._assigned_splits(alpha, min_size) == expected
+            assert severi._assigned_splits(alpha, min_size) == expected
 
 
 def nodeless_by_factorials(beta):
@@ -778,9 +778,10 @@ def test_table_and_genfunc_never_read_the_closed_form(monkeypatch, capsys):
 
 
 def test_one_degeneration_loop_per_engine():
-    # the degeneration table is read by the one fill alone, which both the
-    # table and a single index run, so the recursion's terms are enumerated in
-    # one place (a def's own name is not an ast.Name, so _degenerations' def is no reader)
+    # the degeneration table is handed in one place to the one fill, which both
+    # the table and a single index run, and to the pass down that finds a single
+    # index's shapes (a def's own name is not an ast.Name, so _degenerations'
+    # def is no reader)
     readers = set()
     for path in sorted(pathlib.Path(severi.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -789,7 +790,7 @@ def test_one_degeneration_loop_per_engine():
                         or isinstance(node, ast.Attribute)
                         and node.attr == "_degenerations"):
                     readers.add((path.stem, getattr(top, "name", None)))
-    assert readers == {("fill", "_reach"), ("fill", "layers")}
+    assert readers == {("severi", "_terms")}
 
 
 @pytest.mark.parametrize("d,expected", [
