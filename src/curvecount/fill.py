@@ -28,9 +28,9 @@ def layers(d, delta, terms, g=None, excess=0, target=None, memo=None):
     degeneration term (delta' moved by (n - 1) - |c|) is a shift, mask, multiply.
     The table (no target) fills every shape from delta' = 0 by the recursion.  A
     query (the target of genus g and excess e0 at layer d) reads delta' = 0 from
-    the closed form (of beta'), and fills the shapes reach.reach finds, from each
-    layer's lo = reach.floor;
-    two bounds on a needed cell, each kept by its children, cut the cells:
+    the closed form (of beta') and fills the shapes reach.reach finds, each layer
+    from lo = reach.floor; two bounds on a needed cell, each kept by its
+    children, cut the cells:
     - genus ceiling: first-sum children keep the genus, second-sum children have
       g + 1 - |c| <= g + 1, so delta' >= C(n-1, 2) - g - (d - n) at layer n;
     - node-plus-excess bound: the first sum keeps delta' + e', the second lowers
