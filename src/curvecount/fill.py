@@ -1,5 +1,5 @@
 """The layered fill of the Caporaso-Harris recursion (module severi), over the
-term tables severi hands in: severi_table fills every shape, severi_degree the
+term tables of module seqs: severi_table fills every shape, severi_degree the
 cells one index reaches (module reach).  severi loads this module only once a
 query or a table fills: inside severi.py, the fill's code raised the peak RSS of
 the benchmark's node-poly sweep, which never fills and compiles its modules from
@@ -16,21 +16,25 @@ SLOT_BITS = 64  # B, the bits a slot's value may take, at the start of each fill
 
 
 def unpack(packed: int, width: int, count: int) -> list[int]:
-    """The count slots of width bits (a multiple of 8) in packed, lowest first."""
-    raw, step = packed.to_bytes(count * width // 8, "little"), width // 8
-    return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
+    """The count slots of width bits in packed, lowest first: the one reader of a
+    packed row (shift and mask beat byte decoding below about 66 slots)."""
+    slot, out = (1 << width) - 1, []
+    for _ in range(count):
+        out.append(packed & slot)
+        packed >>= width
+    return out
 
 
-def layers(d, delta, terms, g=None, excess=0, target=None, memo=None):
+def layers(d, delta, g=None, target=None, memo=None):
     """Fill N(n, delta'; alpha, beta) bottom-up for n = 1..d, two layers held, and
     yield each as (n, lo, width, {(alpha, beta): packed}, {(alpha, beta): last}):
     the int holds delta' = lo..last at bit (delta' - lo) * width, so a
     degeneration term (delta' moved by (n - 1) - |c|) is a shift, mask, multiply.
     The table (no target) fills every shape from delta' = 0 by the recursion.  A
-    query (the target of genus g and excess e0 at layer d) reads delta' = 0 from
-    the closed form (of beta') and fills the shapes reach.reach finds, each layer
-    from lo = reach.floor; two bounds on a needed cell, each kept by its
-    children, cut the cells:
+    query (the target (alpha, beta) of genus g at layer d, excess e0 = d - |alpha|
+    - |beta|) reads delta' = 0 from the closed form (of beta') and fills the
+    shapes reach.reach finds, each layer from lo = reach.floor; two bounds on a
+    needed cell, each kept by its children, cut the cells:
     - genus ceiling: first-sum children keep the genus, second-sum children have
       g + 1 - |c| <= g + 1, so delta' >= C(n-1, 2) - g - (d - n) at layer n;
     - node-plus-excess bound: the first sum keeps delta' + e', the second lowers
@@ -45,12 +49,11 @@ def layers(d, delta, terms, g=None, excess=0, target=None, memo=None):
     closed = target is not None  # delta' = 0 from the closed form, not from the layer below
     if closed:
         from .reach import floor, reach
-    spans, known = (reach(d, delta, terms, g, delta + excess, target, memo) if closed
-                    else (None, [{}] * (d + 1)))
-    share, raisings, lowerings, splits_of, degenerations, nodeless = terms
-    room = -(-4 * d // 8) * 8  # whole bytes, for unpack; bits holds each row read
-    bits = max([SLOT_BITS, *(-(-v.bit_length() // 8) * 8
-                             for rows in known for row in rows.values() for v in row)])
+    spans, known = reach(d, delta, g, target, memo) if closed else (None, [{}] * (d + 1))
+    share, raisings, lowerings = seqs.share, seqs.raisings, seqs.lowerings
+    splits_of, degenerations, nodeless = seqs.assigned_splits, seqs.degenerations, seqs.nodeless
+    room, bits = 4 * d, max([SLOT_BITS, *(v.bit_length() for rows in known  # each row read
+                                          for row in rows.values() for v in row)])
     below, below_lo = ({} if closed else {((), ()): 1}), 0  # the empty curve of degree 0
     for n in range(1, d + 1):
         top = n - 1

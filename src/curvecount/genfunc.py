@@ -80,15 +80,12 @@ def _subtract(residual, series, targets) -> None:
                 out[m] = out.get(m, 0) - factor * n
 
 
-def getzler_residual(D: int, table=None) -> list[Monomial]:
+def getzler_residual(D: int) -> list[Monomial]:
     """Monomials of weight 2..D where dG/dz - transfer - S, three operators on
-    one G, is nonzero.  table: optional layers replacing severi_table(D,
-    D(D-1)/2); the fault-injection tests corrupt single degrees in them."""
+    one G, read from severi_table(D, D(D-1)/2), is nonzero."""
     if D < 2:
         raise ValueError("D must be >= 2, got %d" % D)
-    if table is None:
-        table = severi.severi_table(D, D * (D - 1) // 2)
-    g = _series(table)
+    g = _series(severi.severi_table(D, D * (D - 1) // 2))
     residual = {shape: {m - 1: n for m, n in terms.items() if m}  # dG/dz
                 for shape, terms in g.items()}
     _subtract(residual, g, _transfers)

@@ -1,13 +1,16 @@
 """The shapes one index's fill computes (module fill): a single pass down from
 the index, through the first and second sums of the Caporaso-Harris recursion
-(module severi), before the fill goes up.  Its own module, loaded only by a
-query's fill: inside fill.py, its code raised the peak RSS of the benchmark's
-table-cache workload, whose table never runs it, by about 0.05 MB.
+(module severi) over the term tables of module seqs, before the fill goes up.
+Its own module, loaded only by a query's fill: inside fill.py, its code raised
+the peak RSS of the benchmark's table-cache workload, whose table never runs
+it, by about 0.05 MB.
 """
 
 from __future__ import annotations
 
 from math import comb
+
+from . import seqs
 
 
 def floor(n, d, g):
@@ -16,15 +19,18 @@ def floor(n, d, g):
     return max(1, comb(n - 1, 2) - g - (d - n))
 
 
-def reach(d, delta, terms, g, q, target, memo):
-    """Top-down from the target at layer d, per layer n = 0..d the last delta' to
+def reach(d, delta, g, target, memo):
+    """Top-down from the target (alpha, beta) at layer d, of genus g and excess
+    e0 = d - |alpha| - |beta|, per layer n = 0..d the last delta' to
     fill {(alpha, beta): last} and the rows read from the memo {(alpha, beta):
     [degree per delta' = floor(n)..last]}: a shape's last is the most its parents
     need, moved by their terms ((n - 1) - |c| for a degeneration) and cut by the
     vanishing rule and the node-plus-excess bound, and a shape whose row the memo
     holds is read, not followed.  The parents with one beta and one alpha' share
     their degenerations, so each such split is walked once, at their greatest last."""
-    _, raisings, lowerings, splits_of, degenerations, _ = terms  # severi._terms
+    raisings, lowerings = seqs.raisings, seqs.lowerings
+    splits_of, degenerations = seqs.assigned_splits, seqs.degenerations
+    q = delta + d - sum(target[0]) - sum(target[1])  # delta + e0
     spans, known = [{} for _ in range(d + 1)], [{} for _ in range(d + 1)]
     spans[d][target] = delta
     for n in range(d, 1, -1):

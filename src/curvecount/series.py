@@ -46,22 +46,19 @@ def wdvv_window(d_max: int, x1_bound: int) -> list[tuple[int, int]]:
     return [(a, 3 * d - 4) for d in range(2, d_max + 1) for a in range(x1_bound - 2)]
 
 
-def wdvv_residual(d_max: int, x1_bound: int, counts=None):
-    """Nonzero residual coefficients of the WDVV identity on the window.
+def wdvv_residual(d_max: int, x1_bound: int):
+    """Nonzero residual coefficients of the WDVV identity on the window, for the
+    counts of kontsevich.rational_table(d_max).
 
     Returns a list of ((a, b), Fraction of x1^a x2^b) sorted by exponent;
     empty means the identity holds for every completely-determined coefficient.
-    Requires x1_bound >= 3 (the check takes three x1-derivatives).  The
-    counts argument, a mapping d -> N(d), replaces the computed table
-    (fault-injection hook; tests corrupt single entries through it).
+    Requires x1_bound >= 3 (the check takes three x1-derivatives).
     """
     if x1_bound < 3:
         raise ValueError("x1_bound must be >= 3 to form the residual")
     if d_max < 1:
         raise ValueError("d_max must be >= 1, got %d" % d_max)
-    if counts is None:
-        counts = dict(kontsevich.rational_table(d_max))
-    n = [0] + [counts[d] for d in range(1, d_max + 1)]
+    n = [0] + [count for _, count in kontsevich.rational_table(d_max)]
     r = {d: n[d] - sum(n[d1] * n[d - d1] * d1 * d1 * (d - d1)
                        * ((d - d1) * comb(3 * d - 4, 3 * d1 - 2)
                           - d1 * comb(3 * d - 4, 3 * d1 - 1)) for d1 in range(1, d))

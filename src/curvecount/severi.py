@@ -36,19 +36,18 @@ as a reduced curve of genus g has at least 1 - g components, each meeting L
 at a contact point of its own, when |alpha| + |beta| < 1 - g; this holds for
 every delta > d(d-1)/2 and, at every d <= 12, for exactly the zero degrees.
 
-One loop evaluates it, bottom-up over the degrees, no recursion (fill.layers):
-severi_table fills every (alpha, beta) from delta = 0, one list by delta each;
-severi_degree fills the cells one index reaches (or at alpha = (), beta = (d),
-d >= d0 takes Goettsche's form, module goettsche) and memoizes (MemoStore).
+One loop evaluates it, bottom-up over the degrees, no recursion (fill.layers),
+over the term tables of module seqs: severi_table fills every (alpha, beta)
+from delta = 0, one list by delta each; severi_degree fills the cells one index
+reaches (or at alpha = (), beta = (d), d >= d0 takes Goettsche's form, module
+goettsche) and memoizes (MemoStore).
 """
 
 from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from functools import lru_cache
-from itertools import accumulate
-from math import comb, prod
+from math import comb
 
 from . import seqs
 
@@ -113,7 +112,7 @@ class MemoStore(dict):
     severi_degree reads it as a dict and writes it through put, which returns
     the value: a second put of the same value is a no-op, a conflicting one (a
     corruption, as the recursion is deterministic) raises.  Equal profiles in
-    its keys are one tuple (_share); delta = 0 never enters.  A fill puts
+    its keys are one tuple (seqs.share); delta = 0 never enters.  A fill puts
     every cell it computes; hits, kept by severi_degree, counts the lookups it
     answers."""
 
@@ -132,61 +131,6 @@ class MemoStore(dict):
         return value
 
 
-# One tuple per profile: _share(p, p) is the first tuple equal to p it saw.
-_share = {}.setdefault
-
-
-# by hand: through seqs.add, one cached entry at n = 9 took 6x as long (Xeon, Py 3.11)
-@lru_cache(maxsize=None)
-def _raisings(alpha, n):
-    """alpha + e_j for j = 1..n."""
-    padded = alpha + (0,) * (n - len(alpha))
-    raised = (padded[:j] + (padded[j] + 1,) + alpha[j + 1:] for j in range(n))
-    return tuple(_share(r, r) for r in raised)
-
-
-@lru_cache(maxsize=None)
-def _lowerings(beta):
-    """(j, beta - e_j) per j with beta_j > 0."""
-    lowered = ((j, seqs.add(beta, (0,) * (j - 1) + (-1,)))
-               for j, entry in enumerate(beta, start=1) if entry)
-    return tuple((j, _share(low, low)) for j, low in lowered)
-
-
-@lru_cache(maxsize=None)
-def _assigned_splits(alpha, min_size):
-    """(alpha', C(alpha, alpha'), budget, |alpha'|) per alpha' <= alpha, with
-    budget = weight(alpha) - weight(alpha') - 1 = weight(c) >= min |c|, as
-    weight(beta) = d - weight(alpha); alpha' lexicographic."""
-    top = seqs.weight(alpha) - 1
-    return tuple((_share(a_prime, a_prime), seqs.binomial(alpha, a_prime),
-                  top - seqs.weight(a_prime), sum(a_prime))
-                 for a_prime in seqs.subsequences(alpha, top - min_size))
-
-
-@lru_cache(maxsize=None)
-def _nodeless(beta):
-    """N(d, 0, alpha, beta), the multinomial as binomials: beta = (d) is free."""
-    return seqs.nat_power(beta) * prod(map(comb, accumulate(beta), beta))
-
-
-# by hand: through seqs, the 464 keys of the d = 9..12 genus-0 queries took 2.2x as long
-@lru_cache(maxsize=None)
-def _degenerations(beta, budget, min_size):
-    """(k^c * C(beta + c, beta), |c|, beta + c) per c in partitions(budget, min_size)."""
-    out = []
-    for c in seqs.partitions(budget, min_size):
-        b_prime = [*beta, *c[len(beta):]]
-        unassigned = 1
-        for k, c_k in enumerate(c[:len(beta)]):
-            if c_k:
-                b_prime[k] += c_k
-                unassigned *= comb(b_prime[k], c_k)
-        b_prime = tuple(b_prime)
-        out.append((seqs.nat_power(c) * unassigned, sum(c), _share(b_prime, b_prime)))
-    return tuple(out)
-
-
 def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     """Degree at the index: 0, the memo untouched, past the vanishing rule or at
     delta < 0; the closed form at delta = 0; else the memo's value or one fill
@@ -199,8 +143,8 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
     if delta < 0 or delta >= comb(d - 1, 2) + sum(alpha) + sum(beta):
         return 0
     if delta == 0:
-        return _nodeless(beta)
-    d0 = None
+        return seqs.nodeless(beta)
+    d0, share = None, seqs.share
     if not alpha and beta == (d,) and d > delta // 2:
         from . import goettsche  # compiled only once a query may take a route
         d0 = goettsche.window_start(delta)
@@ -216,17 +160,16 @@ def severi_degree(index: SeveriIndex, memo: MemoStore | None = None) -> int:
                    if (n, k, (), (n,)) not in memo}
         if missing:  # one fill, no genus floor: delta' = 1..delta at each n >= d0
             from . import fill
-            top = ((), _share((d0 + 2,), (d0 + 2,)))
-            for n, lo, width, layer, _ in fill.layers(d0 + 2, delta, _terms(), comb(d0 + 1, 2), 0,
-                                                      top, memo):
+            top = ((), share((d0 + 2,), (d0 + 2,)))
+            for n, lo, width, layer, _ in fill.layers(d0 + 2, delta, comb(d0 + 1, 2), top, memo):
                 row = fill.unpack(layer[(), (n,)], width, delta + 1 - lo) if n >= d0 else ()
                 for k, value in enumerate(row, lo):
                     if (n, k) in missing:
-                        memo.put(_Key(n, k, (), _share((n,), (n,))), value)
+                        memo.put(_Key(n, k, (), share((n,), (n,))), value)
         rows = [[severi_degree((n, k, (), (n,)), memo) for k in range(delta + 1)] for n in window]
-        return memo.put(_Key(d, delta, (), _share(beta, beta)),
+        return memo.put(_Key(d, delta, (), share(beta, beta)),
                         goettsche.extrapolate(rows, d - d0))
-    return _degree((d, delta, _share(alpha, alpha), _share(beta, beta)), memo)
+    return _degree((d, delta, share(alpha, alpha), share(beta, beta)), memo)
 
 
 def _degree(index: tuple, memo: MemoStore | None) -> int:
@@ -235,13 +178,11 @@ def _degree(index: tuple, memo: MemoStore | None) -> int:
     among them, so a batch through one memo shares work; memo None stores none."""
     from . import fill
     d, delta, alpha, beta = index
-    for n, lo, width, layer, span in fill.layers(d, delta, _terms(), comb(d - 1, 2) - delta,
-                                                 d - sum(alpha) - sum(beta), (alpha, beta), memo):
+    for n, lo, width, layer, span in fill.layers(d, delta, comb(d - 1, 2) - delta,
+                                                 (alpha, beta), memo):
         for (a, b), last in span.items() if memo is not None else ():
-            packed, slot = layer[a, b], (1 << width) - 1
-            for k in range(lo, last + 1):
-                memo.put(_Key(n, k, a, b), packed & slot)
-                packed >>= width
+            for k, value in enumerate(fill.unpack(layer[a, b], width, last + 1 - lo), lo):
+                memo.put(_Key(n, k, a, b), value)
     return layer[alpha, beta]
 
 
@@ -259,10 +200,4 @@ def severi_table(d_max: int, delta_max: int) -> list[list[tuple]]:
               dimension((d, 0, alpha, beta)), genus((d, 0, alpha, beta)))
              for (alpha, beta), packed in sorted(layer.items())  # zeros past the vanishing rule
              for degrees in [fill.unpack(packed, width, span[alpha, beta] + 1)]]
-            for d, _, width, layer, span in fill.layers(d_max, delta_max, _terms())]
-
-
-def _terms():
-    """The term tables fill and reach read, looked up at each call, so a patched
-    one is read: (share, raisings, lowerings, splits, degenerations, nodeless)."""
-    return _share, _raisings, _lowerings, _assigned_splits, _degenerations, _nodeless
+            for d, _, width, layer, span in fill.layers(d_max, delta_max)]

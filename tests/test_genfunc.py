@@ -28,6 +28,12 @@ def series(D, layers=None):
     return genfunc._series(table(D) if layers is None else layers)
 
 
+def residual_of(monkeypatch, D, layers):
+    """getzler_residual(D) with severi.severi_table patched to return layers."""
+    monkeypatch.setattr(severi, "severi_table", lambda d_max, delta_max: layers)
+    return genfunc.getzler_residual(D)
+
+
 def image(g, targets):
     # one operator's image of the per-shape series (_subtract takes it away)
     negated = {}
@@ -143,14 +149,14 @@ CUBIC_CORRUPTION_FLAGS = [
 ]
 
 
-def test_single_corruption_is_named():
+def test_single_corruption_is_named(monkeypatch):
     # corrupt the 12 rational cubics to 13
     target = SeveriIndex(3, 1, (), (3,))
-    bad = genfunc.getzler_residual(4, corrupted(table(4), target))
+    bad = residual_of(monkeypatch, 4, corrupted(table(4), target))
     assert bad == CUBIC_CORRUPTION_FLAGS
 
 
-def test_corrupting_any_small_degree_is_detected():
+def test_corrupting_any_small_degree_is_detected(monkeypatch):
     # every row of the D = 4 table, d = 4 included, raised and lowered by one
     layers = table(4)
     rows = table_rows(layers)
@@ -158,32 +164,32 @@ def test_corrupting_any_small_degree_is_detected():
     assert max(rec.index.d for rec in rows) == 4
     for rec in rows:
         for shift in (1, -1):
-            bad = genfunc.getzler_residual(4, corrupted(layers, rec.index, shift))
+            bad = residual_of(monkeypatch, 4, corrupted(layers, rec.index, shift))
             assert bad, "corruption %+d at %r went unnoticed" % (shift, rec.index)
 
 
-def test_corrupting_any_top_layer_degree_is_detected():
+def test_corrupting_any_top_layer_degree_is_detected(monkeypatch):
     # every d = 5 row of the D = 5 table raised by one, from delta = 0 to 10
     layers = table(5)
     top = [rec for rec in table_rows(layers) if rec.index.d == 5]
     assert len(top) == 396
     for rec in top:
-        assert genfunc.getzler_residual(5, corrupted(layers, rec.index)), \
+        assert residual_of(monkeypatch, 5, corrupted(layers, rec.index)), \
             "corruption at %r went unnoticed" % (rec.index,)
 
 
-def test_corrupting_a_degree_six_row_is_detected_at_seven():
+def test_corrupting_a_degree_six_row_is_detected_at_seven(monkeypatch):
     target = SeveriIndex(6, 10, (), (6,))
     layers = table(7)
     assert [rec.degree for rec in table_rows(layers) if rec.index == target] == [40047888]
-    bad = genfunc.getzler_residual(7, corrupted(layers, target))
+    bad = residual_of(monkeypatch, 7, corrupted(layers, target))
     assert ((), (6,), 16) in bad
 
 
-def test_corrupting_a_zero_degree_is_detected():
+def test_corrupting_a_zero_degree_is_detected(monkeypatch):
     target = SeveriIndex(2, 1, (), (0, 1))  # degree 0
     assert severi.severi_degree(target) == 0
-    assert genfunc.getzler_residual(3, corrupted(table(3), target))
+    assert residual_of(monkeypatch, 3, corrupted(table(3), target))
 
 
 # ------------------------------------------------------------ independence
@@ -210,14 +216,14 @@ def test_identity_needs_no_engine_sums(monkeypatch):
 
 def test_a_wrong_degeneration_coefficient_is_caught(monkeypatch, capsys):
     # the mutant doubles every coefficient whose beta + c has an entry of order >= 3
-    exact = severi._degenerations
+    exact = seqs.degenerations
 
     @functools.lru_cache(maxsize=None)
     def doubled(beta, budget, min_size):
         return tuple((2 * coeff if len(b_prime) > 2 else coeff, c_size, b_prime)
                      for coeff, c_size, b_prime in exact(beta, budget, min_size))
 
-    monkeypatch.setattr(severi, "_degenerations", doubled)
+    monkeypatch.setattr(seqs, "degenerations", doubled)
     wrong = SeveriIndex(4, 3, (), (4,))
     assert [rec.degree for rec in table_rows(table(4)) if rec.index == wrong] == [738]  # not 675
     assert genfunc.getzler_residual(4)

@@ -119,9 +119,9 @@ def first_sum(index):
     """(j, child) per j with beta_j > 0, from the raisings and lowerings that
     _degree and severi_table read."""
     d, delta, alpha, beta = index
-    raised = severi._raisings(alpha, len(beta))
+    raised = seqs.raisings(alpha, len(beta))
     return [(j, idx(d, delta, raised[j - 1], lowered))
-            for j, lowered in severi._lowerings(beta)]
+            for j, lowered in seqs.lowerings(beta)]
 
 
 def test_first_sum_examples():
@@ -159,8 +159,8 @@ def second_sum(index):
     min_size = max(top - delta, 0)
     return sorted(
         (assigned * coeff, idx(top, delta - top + c_size, a_prime, b_prime))
-        for a_prime, assigned, budget, _ in severi._assigned_splits(alpha, min_size)
-        for coeff, c_size, b_prime in severi._degenerations(beta, budget, min_size))
+        for a_prime, assigned, budget, _ in seqs.assigned_splits(alpha, min_size)
+        for coeff, c_size, b_prime in seqs.degenerations(beta, budget, min_size))
 
 
 def oracle_terms(index):
@@ -587,8 +587,9 @@ def test_an_undersized_slot_width_never_returns_a_number(monkeypatch):
     calls = [lambda: severi.severi_table(8, 28),
              lambda: severi.severi_degree(idx(12, 55, (), (12,)))]
     exact = [call() for call in calls]
-    monkeypatch.setattr(fill, "SLOT_BITS", 8)
-    assert [call() for call in calls] == exact
+    for bits in (7, 8):  # a width of whole bytes or not
+        monkeypatch.setattr(fill, "SLOT_BITS", bits)
+        assert [call() for call in calls] == exact
     layers = fill.layers
     fill_mutant(monkeypatch, "bits *= 2", "raise")
     for call in calls:
@@ -596,7 +597,7 @@ def test_an_undersized_slot_width_never_returns_a_number(monkeypatch):
             call()
     monkeypatch.setattr(fill, "layers", layers)
     fill_mutant(monkeypatch, "if poly & guard:", "if False:")
-    monkeypatch.setattr(severi, "_nodeless", lambda beta, nodeless=severi._nodeless:
+    monkeypatch.setattr(seqs, "nodeless", lambda beta, nodeless=seqs.nodeless:
                         nodeless(beta) % 2**8)  # under 2^B, past the nodeless check
     assert all(call() != value for call, value in zip(calls, exact))
 
@@ -640,8 +641,7 @@ def test_the_node_poly_sweep_never_recurses(monkeypatch):
     # constants, so _degree never runs, the memo stays empty and no term table grows
     calls = []
     monkeypatch.setattr(severi, "_degree", lambda index, memo: calls.append(index))
-    tables = [severi._raisings, severi._lowerings, severi._assigned_splits,
-              severi._degenerations]
+    tables = [seqs.raisings, seqs.lowerings, seqs.assigned_splits, seqs.degenerations]
     before = [table.cache_info() for table in tables]
     memo = MemoStore()
     for delta in range(7):
@@ -712,6 +712,45 @@ def test_a_traced_sweep_counts_each_memo_entry_in_its_layer(tmp_path):
     assert {int(d): n for d, n in trace["layer_indices"].items()} == Counter(k[0] for k in memo)
 
 
+def test_the_traced_benchmark_child_runs_a_sweep_and_a_query(tmp_path):
+    # bench/tracer.py wraps every public function of the package, the term tables
+    # of seqs among them, as bench/run.py --trace 1 runs it: (14, 11) is the window
+    # route, whose three rows and answer pass the wrapped MemoStore.put (it reads
+    # _Key.d), and (9, 28; (), (9)) is one fill
+    root = pathlib.Path(__file__).resolve().parents[1]
+    runs = {"sweep": ["sweep", "14:11"],
+            "cli": ["cli", "severi", "--d", "9", "--delta", "28", "--beta", "9"]}
+    traces = {}
+    for name, args in runs.items():
+        stats, trace = tmp_path / (name + "-stats.json"), tmp_path / (name + "-trace.json")
+        proc = subprocess.run(
+            [sys.executable, "bench/child.py", "--stats-out", str(stats), "--trace-out",
+             str(trace), *args],
+            cwd=root, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH="src"))
+        assert proc.returncode == 0, (name, proc.stderr)
+        json.loads(stats.read_text())
+        traces[name] = json.loads(trace.read_text())
+    assert traces["sweep"]["memo_entries"] == 4
+
+
+@pytest.mark.parametrize("name", ["raisings", "lowerings", "assigned_splits", "degenerations",
+                                  "nodeless"])
+def test_every_term_table_is_read_at_call_time(monkeypatch, name):
+    # the fill, the pass down and severi_degree look each table up on seqs at every
+    # call, so a patched table is the one they read, as the fault-injection tests
+    # need: through a single index's fill and through the table's, and nodeless
+    # (delta' = 0 children) through the index's only; a table bound at import
+    # time would be called here no more
+    index, table = idx(9, 28, (), (9,)), getattr(seqs, name)
+    exact = severi.severi_degree(index, MemoStore()), severi.severi_table(4, 3)
+    calls = []
+    monkeypatch.setattr(seqs, name, lambda *args: calls.append(args) or table(*args))
+    assert severi.severi_degree(index, MemoStore()) == exact[0]
+    query, calls[:] = len(calls), []
+    assert severi.severi_table(4, 3) == exact[1]
+    assert query > 0 and (len(calls) > 0) == (name != "nodeless")
+
+
 @pytest.mark.parametrize("w", range(9))
 def test_assigned_splits_are_every_sub_profile(w):
     # budget = weight(c) = w - 1 - weight(alpha') >= min |c|; alpha' lexicographic
@@ -720,7 +759,7 @@ def test_assigned_splits_are_every_sub_profile(w):
                  for a in subseqs(alpha)]
         for min_size in range(w + 1):
             expected = tuple(s for s in every if s[2] >= min_size)
-            assert severi._assigned_splits(alpha, min_size) == expected
+            assert seqs.assigned_splits(alpha, min_size) == expected
 
 
 def nodeless_by_factorials(beta):
@@ -734,19 +773,19 @@ def nodeless_by_factorials(beta):
 def test_nodeless_closed_form_satisfies_the_induction_step(w):
     # sum_j j * f(beta - e_j) = f(beta): the first sum at delta = 0
     for beta in profiles(w):
-        f = severi._nodeless(beta)
+        f = seqs.nodeless(beta)
         assert f == nodeless_by_factorials(beta)
         if beta:
-            assert f == sum(j * severi._nodeless(seq_sub(beta, (0,) * (j - 1) + (1,)))
+            assert f == sum(j * seqs.nodeless(seq_sub(beta, (0,) * (j - 1) + (1,)))
                             for j, entry in enumerate(beta, start=1) if entry)
-    assert severi._nodeless(()) == 1
+    assert seqs.nodeless(()) == 1
 
 
 def test_nodeless_closed_form_is_every_delta_zero_table_row():
     rows = table_rows(severi.severi_table(10, 0))
     assert len(rows) > 0 and all(rec.index.delta == 0 for rec in rows)
     for rec in rows:
-        assert severi._nodeless(rec.index.beta) == rec.degree
+        assert seqs.nodeless(rec.index.beta) == rec.degree
         assert severi.severi_degree(rec.index) == rec.degree
 
 
@@ -760,13 +799,14 @@ def test_nodeless_query_leaves_the_memo_empty():
 
 def test_table_and_genfunc_never_read_the_closed_form(monkeypatch, capsys):
     # the delta = 0 rows of severi_table (and the generating polynomial built
-    # from them) must come from the recursion, to stay a check on _nodeless:
+    # from them) must come from the recursion, to stay a check on nodeless:
     # the table shares its fill with severi_degree, so this is checked by a run
     def refuse(*args):
         raise AssertionError("the table read the closed form or the pointwise engine")
 
     expected = severi.severi_table(8, 28)
-    for name in ("_nodeless", "_degree", "severi_degree"):
+    monkeypatch.setattr(seqs, "nodeless", refuse)
+    for name in ("_degree", "severi_degree"):
         monkeypatch.setattr(severi, name, refuse)
     assert severi.severi_table(8, 28) == expected
     assert cli.main(["verify", "getzler", "--D", "5"]) == 0
@@ -774,23 +814,22 @@ def test_table_and_genfunc_never_read_the_closed_form(monkeypatch, capsys):
     module = ast.parse(inspect.getsource(genfunc))
     names = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(module) if isinstance(node, ast.Attribute)}
-    assert "_nodeless" not in names
+    assert "nodeless" not in names
 
 
 def test_one_degeneration_loop_per_engine():
-    # the degeneration table is handed in one place to the one fill, which both
-    # the table and a single index run, and to the pass down that finds a single
-    # index's shapes (a def's own name is not an ast.Name, so _degenerations'
-    # def is no reader)
+    # the degeneration table is read by the one fill, which both the table and a
+    # single index run, and by the pass down that finds a single index's shapes
+    # (a def's own name is not an ast.Name, so degenerations' def is no reader)
     readers = set()
     for path in sorted(pathlib.Path(severi.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
-                if (isinstance(node, ast.Name) and node.id == "_degenerations"
+                if (isinstance(node, ast.Name) and node.id == "degenerations"
                         or isinstance(node, ast.Attribute)
-                        and node.attr == "_degenerations"):
+                        and node.attr == "degenerations"):
                     readers.add((path.stem, getattr(top, "name", None)))
-    assert readers == {("severi", "_terms")}
+    assert readers == {("fill", "layers"), ("reach", "reach")}
 
 
 @pytest.mark.parametrize("d,expected", [
