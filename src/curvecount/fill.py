@@ -19,8 +19,8 @@ def unpack(packed: int, width: int, count: int) -> list[int]:
     """The count slots of width bits in packed, lowest first: the one reader of a
     packed row (shift and mask beat byte decoding below about 66 slots)."""
     slot, out = (1 << width) - 1, []
-    for _ in range(count):
-        out.append(packed & slot)
+    for _ in range(count):  # & allocates the mask's digits; | 0 copies to the value's own
+        out.append(packed & slot | 0)
         packed >>= width
     return out
 
