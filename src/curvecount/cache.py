@@ -14,6 +14,7 @@ import json
 import os
 from collections import namedtuple
 from functools import lru_cache
+from itertools import chain, islice
 
 from . import __version__, exact_decimals
 from .severi import SeveriIndex
@@ -126,22 +127,56 @@ def _conflict(old, new, how: str) -> str:
             % (d, delta, list(alpha), list(beta), field, was, how, now))
 
 
+class _Unwritten:
+    """The lines a table adds to a slice prefix of its cache, drawn once, a (d,
+    delta) slice at a time (slices), when iterated or compared with a list."""
+
+    def __init__(self, slices, count):
+        self.slices, self.count = slices, count
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        return chain.from_iterable(self.slices)
+
+    def __eq__(self, lines):
+        return list(self) == lines
+
+
 def check_cache(path, table) -> tuple:
-    """(conflict, verified, records, fresh): the cache file at path, read once,
-    a line at a time, checked against a severi_table table.  conflict is the
-    first record that differs from the first of its index (in file order),
-    else from the table's (in index order), or None; verified counts the table
-    rows whose index the file has, records the file's record lines; fresh
-    lists the other rows' lines.  A missing or empty file (a crash before the
-    first append leaves it) has no records.  A line that table_lines(table)
-    yields is counted, never parsed; any other is parsed and its index checked
-    by one SeveriIndex call.  Raises CacheError when the file is unreadable,
-    not UTF-8 (reported first) or malformed (before an invalid index), and
+    """(conflict, verified, records, fresh): the cache file at path checked
+    against a severi_table table.  conflict is the first record that differs
+    from the first of its index (in file order), else from the table's (in
+    index order), or None; verified counts the table rows whose index the file
+    has, records the file's record lines; fresh holds the other rows' lines.
+    A file that reads as the header and the table's (d, delta) slices in order,
+    each compared as one string, to its end (missing or empty too) leaves the
+    slices after them fresh.  Any other is read again a line at a time: a line
+    of table_lines(table) is counted, any other parsed and its index checked by
+    one SeveriIndex call.  Raises CacheError when the file is unreadable, not
+    UTF-8 (reported first) or malformed (before an invalid index), and
     CacheCorruption for an invalid index (a bad shape, or delta outside
-    0..d(d-1)/2) or a torn last line or header: one that lacks its newline
-    and does not parse, as a crash mid-append leaves."""
-    if not os.path.exists(path) or not os.path.getsize(path):
-        return None, 0, 0, list(table_lines(table))
+    0..d(d-1)/2) or a torn last line or header: one that lacks its newline and
+    does not parse, as a crash mid-append leaves."""
+    formatted, sizes = table_lines(table), [len(layer) for layer in table for _ in layer[0][2]]
+    slices = ([*islice(formatted, size)] for size in sizes)  # one (d, delta) slice each
+    part, verified, text = [], 0, ""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:  # CRLF is no slice
+            if (text := handle.readline()) == _header_line() + "\n":
+                for part in slices:
+                    if (text := "".join(islice(handle, len(part)))) != "\n".join(part) + "\n":
+                        break
+                    verified += len(part)
+                else:
+                    part, text = [], handle.readline()
+    except FileNotFoundError:  # a new cache
+        pass
+    except (OSError, UnicodeDecodeError):
+        text = None
+    if text == "":  # the file ends at a slice boundary
+        return None, verified, verified, _Unwritten(chain([part], slices), sum(sizes) - verified)
     ours = dict.fromkeys(table_lines(table), 0)  # line -> where its first copy is, or 0
     parsed, invalid, records = [], [], 0
     lines = _lines(path)
@@ -205,9 +240,9 @@ def check_cache(path, table) -> tuple:
 
 
 def append_records(path, lines) -> None:
-    """Append record lines (from table_lines), writing the header first if the
-    file is new: whole lines in batches, then one flush and fsync, so a crash
-    leaves at most a torn last line, which check_cache reports."""
+    """Append record lines, writing the header first if the file is new: a list
+    in one write, check_cache's fresh a slice a write as it is formatted, then
+    one flush and fsync, so a crash leaves at most a torn last line."""
     try:
         with open(path, "a+b") as handle:
             end = handle.seek(0, os.SEEK_END)
@@ -218,8 +253,8 @@ def append_records(path, lines) -> None:
                 if handle.read(1) != b"\n":
                     # a crash cut the last record just before its newline
                     handle.write(b"\n")
-            for start in range(0, len(lines), 2048):  # whole lines, 2048 a write
-                handle.write(("\n".join(lines[start:start + 2048]) + "\n").encode())
+            for part in filter(None, getattr(lines, "slices", [lines])):
+                handle.write(("\n".join(part) + "\n").encode())
             handle.flush()
             os.fsync(handle.fileno())
     except OSError as exc:

@@ -13,6 +13,7 @@ from math import comb
 from . import seqs
 
 SLOT_BITS = 64  # B, the bits a slot's value may take, at the start of each fill
+TERMS_KEPT_TO = 24  # a fill past this d clears the term tables: at d = 400 they held 9 MB
 
 
 def unpack(packed: int, width: int, count: int) -> list[int]:
@@ -106,3 +107,6 @@ def layers(d, delta, g=None, target=None, memo=None):
             layer[alpha, beta] = poly
         below, below_lo = layer, lo  # the layer below is dropped before the caller reads this one
         yield n, lo, width, layer, span
+    if d > TERMS_KEPT_TO:  # a patched table may have no cache to clear
+        for table in seqs.partitions, raisings, lowerings, splits_of, degenerations, nodeless:
+            getattr(table, "cache_clear", lambda: None)()

@@ -302,6 +302,46 @@ def test_fresh_table_cache_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "7b81c8be26b7dbc7f98c0de93c84dedca373f6ab95b92f8a7ac046189fdc2c2e"
     )
+    # the benchmark's re-run verifies every record and leaves the bytes as they are
+    argv = ["table", "--dmax", "8", "--deltamax", "100", "--cache", str(path)]
+    assert run(argv, capsys) == (
+        0, "cache %s\nverified 9413\nappended 0\nrecords 9413\n" % path, "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "7b81c8be26b7dbc7f98c0de93c84dedca373f6ab95b92f8a7ac046189fdc2c2e"
+    )
+    # a --dmax 7 cache is a slice prefix of this one: --dmax 8 extends it to the same bytes
+    path.unlink()
+    argv[2] = "7"
+    assert run(argv, capsys)[0] == 0
+    argv[2] = "8"
+    assert run(argv, capsys) == (
+        0, "cache %s\nverified 4048\nappended 5365\nrecords 9413\n" % path, "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "7b81c8be26b7dbc7f98c0de93c84dedca373f6ab95b92f8a7ac046189fdc2c2e"
+    )
+
+
+def test_table_holds_no_record_lines_once_its_table_is_built(tmp_path, monkeypatch, capsys):
+    # what a write and a re-run allocate after severi_table returns peaks below a
+    # quarter of the 1,193,759-byte cache: one (d, delta) slice is held at a time
+    def traced(*args, _inner=severi.severi_table):
+        table = _inner(*args)
+        tracemalloc.start()
+        return table
+
+    monkeypatch.setattr(severi, "severi_table", traced)
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "8", "--deltamax", "100", "--cache", str(path)]
+    for verified, appended in ((0, 9413), (9413, 0)):
+        try:
+            result = run(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (0, "cache %s\nverified %d\nappended %d\nrecords 9413\n"
+                          % (path, verified, appended), "")
+        assert path.stat().st_size == 1193759
+        assert peak < 1193759 // 4, (verified, peak)
 
 
 def _torn(path):
@@ -413,6 +453,85 @@ def test_table_formats_its_lines_once_over_a_partial_cache(tmp_path, monkeypatch
     assert run(["table", "--dmax", "3", "--deltamax", "1", "--cache", path], capsys) == (
         0, "cache %s\nverified 12\nappended 20\nrecords 32\n" % path, "")
     assert len(calls) == 1
+
+
+def _damaged_caches(data, sizes):
+    """(name, bytes or None for no file) of the damaged caches the slice path and
+    the line-at-a-time check must treat alike: data is a whole cache, sizes the
+    lines of each of its (d, delta) slices."""
+    header, *lines = data.decode("utf-8").splitlines(keepends=True)
+    ends = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    edited = lambda i, **fields: json.dumps(dict(json.loads(lines[i]), **fields),
+                                            sort_keys=True) + "\n"
+    last = lines[-1].encode("utf-8")
+    yield "missing", None
+    yield "empty", b""
+    yield "torn header", header[:20].encode()
+    yield "header without its newline", header[:-1].encode()
+    for k in range(len(lines) + 1):  # every slice boundary, and every line between
+        yield "%d lines" % k, (header + "".join(lines[:k])).encode()
+    for cut in (5, len(last) // 2, len(last) + 7):
+        yield "the last %d bytes cut" % cut, data[:-cut]
+    yield "a line cut in the middle", (header + "".join(lines[:40]) + lines[40][:30]).encode()
+    yield "last line without its newline", data[:-1]
+    yield "a line dropped", (header + "".join(lines[:40] + lines[41:])).encode()
+    yield "a line duplicated", (header + "".join(lines[:41] + lines[40:])).encode()
+    yield "the last line duplicated", data + last
+    yield "a line after the last slice", data + edited(0, degree="2").encode()
+    a, b, c = ends[5:8]
+    yield "two slices swapped", (header + "".join(
+        lines[:a] + lines[b:c] + lines[a:b] + lines[c:])).encode()
+    for i in (0, 40, len(lines) - 1):
+        degree = str(int(json.loads(lines[i])["degree"]) + 1)
+        yield "degree + 1 at line %d" % i, (header + "".join(
+            lines[:i] + [edited(i, degree=degree)] + lines[i + 1:])).encode()
+    yield "another tool-version", (header + "".join(
+        lines[:40] + [edited(40, **{"tool-version": "0"})] + lines[41:])).encode()
+    yield "CRLF", data.replace(b"\n", b"\r\n")
+    yield "a byte that is not UTF-8 in the last slice", data[:-20] + b"\xff" + data[-19:]
+
+
+def test_the_slice_path_and_the_line_check_agree_on_damaged_caches(
+    tmp_path, monkeypatch, capsys
+):
+    # exit code, stdout, stderr and the file after `table` are those of the same
+    # run with no slice ever matched; the file's slice prefixes skip the line check
+    path = tmp_path / "cache.jsonl"
+    argv = ["table", "--dmax", "4", "--deltamax", "3", "--cache", str(path)]
+    run(argv, capsys)
+    data, table = path.read_bytes(), severi.severi_table(4, 3)
+    sizes = [len(layer) for layer in table for _ in layer[0][2]]
+    line_reads = []
+
+    def counted(*args, _inner=cache._lines):
+        line_reads.append(args)
+        return _inner(*args)
+
+    def slices_off(path, table, _inner=cache.check_cache):
+        with monkeypatch.context() as patch:  # no file starts with this header
+            patch.setattr(cache, "_header_line", lambda: "no header")
+            return _inner(path, table)
+
+    def outcome(damaged, check):
+        if path.exists():
+            path.unlink()
+        if damaged is not None:
+            path.write_bytes(damaged)
+        line_reads.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(cache, "check_cache", check)
+            patch.setattr(cache, "_lines", counted)
+            result = run(argv, capsys)
+        return result, path.read_bytes() if path.exists() else None, bool(line_reads)
+
+    kept = data.splitlines(keepends=True)
+    prefixes = {b"", *(b"".join(kept[:1 + sum(sizes[:i])]) for i in range(len(sizes) + 1))}
+    variants = list(_damaged_caches(data, sizes))
+    assert len(variants) > len(sizes) + 20
+    for name, damaged in variants:
+        expected, wrote, _ = outcome(damaged, slices_off)
+        assert outcome(damaged, cache.check_cache) == (
+            expected, wrote, damaged not in prefixes and damaged is not None), name
 
 
 def test_table_extends_cache(tmp_path, capsys):

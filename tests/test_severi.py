@@ -751,6 +751,25 @@ def test_every_term_table_is_read_at_call_time(monkeypatch, name):
     assert query > 0 and (len(calls) > 0) == (name != "nodeless")
 
 
+def test_a_fill_past_the_bound_clears_the_term_tables(monkeypatch):
+    # a fill whose d passes fill.TERMS_KEPT_TO leaves the lru term tables empty, so
+    # a deep query does not keep them; one at or below it leaves them filled
+    cached = ["partitions", "raisings", "lowerings", "assigned_splits", "degenerations"]
+    top = {d: {(a, b): degrees[3] for a, b, degrees, *_ in severi.severi_table(d, 3)[-1]}
+           for d in (6, 7)}
+    monkeypatch.setattr(fill, "TERMS_KEPT_TO", 6)
+    for name in cached:
+        getattr(seqs, name).cache_clear()
+    assert severi.severi_degree(idx(6, 3, (1,), (5,))) == top[6][(1,), (5,)]
+    assert all(getattr(seqs, name).cache_info().currsize for name in cached)
+    assert severi.severi_degree(idx(7, 3, (1,), (6,))) == top[7][(1,), (6,)]
+    assert not any(getattr(seqs, name).cache_info().currsize for name in cached + ["nodeless"])
+    # a patched table without a cache is read, and left as it is
+    table = seqs.nodeless
+    monkeypatch.setattr(seqs, "nodeless", lambda beta: table(beta))
+    assert severi.severi_degree(idx(7, 3, (1,), (6,))) == top[7][(1,), (6,)]
+
+
 @pytest.mark.parametrize("w", range(9))
 def test_assigned_splits_are_every_sub_profile(w):
     # budget = weight(c) = w - 1 - weight(alpha') >= min |c|; alpha' lexicographic
