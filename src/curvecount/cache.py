@@ -150,11 +150,11 @@ def check_cache(path, table) -> tuple:
     from the first of its index (in file order), else from the table's (in
     index order), or None; verified counts the table rows whose index the file
     has, records the file's record lines; fresh holds the other rows' lines.
-    A file that reads as the header and the table's (d, delta) slices in order,
-    each compared as one string, to its end (missing or empty too) leaves the
-    slices after them fresh.  Any other is read again a line at a time: a line
-    of table_lines(table) is counted, any other parsed and its index checked by
-    one SeveriIndex call.  Raises CacheError when the file is unreadable, not
+    A file that is the header and then the table's first (d, delta) slices in
+    order, each compared as one string, leaves the slices after them fresh, as
+    does a missing or empty file.  Any other is read again a line at a time: a
+    line of table_lines(table) is counted, any other parsed and its index
+    checked by one SeveriIndex call.  Raises CacheError when the file is unreadable, not
     UTF-8 (reported first) or malformed (before an invalid index), and
     CacheCorruption for an invalid index (a bad shape, or delta outside
     0..d(d-1)/2) or a torn last line or header: one that lacks its newline and
@@ -163,7 +163,7 @@ def check_cache(path, table) -> tuple:
     slices = ([*islice(formatted, size)] for size in sizes)  # one (d, delta) slice each
     part, verified, text = [], 0, ""
     try:
-        with open(path, encoding="utf-8", newline="") as handle:  # CRLF is no slice
+        with open(path, encoding="utf-8", newline="") as handle:  # CRLF matches no slice
             if (text := handle.readline()) == _header_line() + "\n":
                 for part in slices:
                     if (text := "".join(islice(handle, len(part)))) != "\n".join(part) + "\n":
